@@ -76,10 +76,9 @@ def _cmd_reconstruct(args):
         raise DataError(
             f"weights have {weights.shape[1]} components, basis has {basis.c}"
         )
-    data = np.column_stack(
-        [schedule.reconstruct(basis, weights[i]).values for i in range(len(labels))]
+    out = schedule.ScheduleMatrix(
+        basis.group_labels, labels, basis.components @ weights.T, basis.scale
     )
-    out = schedule.ScheduleMatrix(basis.group_labels, labels, data, basis.scale)
     io.write_schedule_csv(out, args.out)
 
 

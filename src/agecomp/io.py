@@ -6,6 +6,7 @@ Numbers serialized to JSON are written as full-precision decimal strings
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -102,7 +103,7 @@ def load_weights_csv(path):
     """Return (labels, H x c weight array); extra columns are ignored."""
     rows = _read_rows(path)
     names = [c.strip() for c in rows[0][1:]]
-    keep = [c + 1 for c, name in enumerate(names) if name.startswith("v")]
+    keep = [c + 1 for c, name in enumerate(names) if re.fullmatch(r"v\d+", name)]
     if not keep:
         raise DataError(f"{path}: no weight columns (v1, v2, ...) found")
     labels = [row[0].strip() for row in rows[1:]]

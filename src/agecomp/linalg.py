@@ -1,10 +1,8 @@
 """Dense linear algebra core: thin SVD, rank truncation, explained shares.
 
-The decomposition is computed with one-sided Jacobi rotations, which
-orthogonalize the columns of the working matrix in place.  For the small,
-dense matrices this package deals in (tens of rows/columns) the method is
-simple, numerically robust and accurate to near machine precision.  All
-functions are pure; results are plain immutable values.
+The decomposition is LAPACK's thin SVD as exposed by numpy; this module adds
+input validation, one rank cutoff shared by every caller, and deterministic
+signs.  All functions are pure; results are plain immutable values.
 """
 
 from dataclasses import dataclass
@@ -12,10 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-
-# Relative magnitude below which a rotation is considered converged.
-_JACOBI_TOL = 1e-15
-_MAX_SWEEPS = 100
 
 # Singular values below max(K, L) * s1 * RANK_RTOL are treated as zero.
 RANK_RTOL = 1e-12
@@ -50,47 +44,6 @@ class SvdFactorization:
         return self.s.shape[0]
 
 
-def _jacobi_orthogonalize(g: np.ndarray, v: np.ndarray) -> None:
-    """Rotate column pairs of g (mirrored in v) until mutually orthogonal.
-
-    Columns whose norm has dropped to rounding noise relative to the largest
-    column are frozen; they carry no significant singular value and rotating
-    them would chase noise forever on rank-deficient input.
-    """
-    ncols = g.shape[1]
-    eps = np.finfo(float).eps
-    for _ in range(_MAX_SWEEPS):
-        norms2 = np.einsum("ij,ij->j", g, g)
-        noise2 = (eps * np.sqrt(norms2.max(initial=0.0))) ** 2
-        worst = 0.0
-        for p in range(ncols - 1):
-            for q in range(p + 1, ncols):
-                alpha = g[:, p] @ g[:, p]
-                beta = g[:, q] @ g[:, q]
-                if alpha <= noise2 or beta <= noise2:
-                    continue
-                gamma = g[:, p] @ g[:, q]
-                rel = abs(gamma) / (np.sqrt(alpha) * np.sqrt(beta))
-                if rel <= _JACOBI_TOL:
-                    continue
-                worst = max(worst, rel)
-                zeta = (beta - alpha) / (2.0 * gamma)
-                # sign(0) must act as +1 so equal-norm columns still rotate
-                sgn = 1.0 if zeta >= 0.0 else -1.0
-                t = sgn / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                gp = g[:, p].copy()
-                g[:, p] = c * gp - s * g[:, q]
-                g[:, q] = s * gp + c * g[:, q]
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
-        if worst <= _JACOBI_TOL:
-            return
-    raise NumericalError("Jacobi SVD failed to converge")
-
-
 def svd(x) -> SvdFactorization:
     """Thin singular value decomposition of a dense real matrix.
 
@@ -106,25 +59,13 @@ def svd(x) -> SvdFactorization:
         so the result is deterministic for a given input.
     """
     a = as_matrix(x)
-    nrows, ncols = a.shape
-    transposed = nrows < ncols
-    work = a.T.copy() if transposed else a.copy()
-    basis = np.eye(work.shape[1])
-    _jacobi_orthogonalize(work, basis)
-
-    norms = np.sqrt(np.einsum("ij,ij->j", work, work))
-    order = np.argsort(-norms, kind="stable")
-    norms = norms[order]
-    work = work[:, order]
-    basis = basis[:, order]
-
-    cutoff = max(nrows, ncols) * (norms[0] if norms.size else 0.0) * RANK_RTOL
-    keep = norms > cutoff
-    s = norms[keep]
-    u = work[:, keep] / s if s.size else work[:, keep]
-    v = basis[:, keep]
-    if transposed:
-        u, v = v, u
+    try:
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD failed: {exc}") from None
+    cutoff = max(a.shape) * s[0] * RANK_RTOL
+    keep = s > cutoff
+    u, s, v = u[:, keep], s[keep], vt[keep].T
     return canonicalize_signs(SvdFactorization(u=u, s=s, v=v))
 
 

@@ -170,7 +170,10 @@ def student_t_p_value(t: float, df: int) -> float:
 def ols_fit(y, predictors: dict, with_intercept: bool = True) -> LinearModel:
     """Least-squares fit of y on named predictor columns.
 
-    Standard errors come from sigma^2 (X'X)^{-1} with sigma^2 = RSS/(n-p);
+    The fit goes through the thin SVD X = U S V' of the design, with the
+    rank cutoff of :func:`linalg.svd`: coefficients are V S^-1 U'y, and
+    standard errors are the square roots of the diagonal of
+    sigma^2 (X'X)^-1 = sigma^2 V S^-2 V', with sigma^2 = RSS/(n-p).
     p-values are two-sided Student-t.  R^2 uses the centered total sum of
     squares when an intercept is present, uncentered otherwise.
     """
@@ -187,14 +190,14 @@ def ols_fit(y, predictors: dict, with_intercept: bool = True) -> LinearModel:
     n, p = design.shape
     if n <= p:
         raise NumericalError(f"{n} observations cannot identify {p} parameters")
-    gram = design.T @ design
-    if np.linalg.matrix_rank(design) < p:
+    f = linalg.svd(design)
+    if f.rank < p:
         raise NumericalError("rank-deficient design matrix")
-    coefs = np.linalg.solve(gram, design.T @ yv)
+    coefs = f.v @ ((f.u.T @ yv) / f.s)
     residuals = yv - design @ coefs
     rss = float(residuals @ residuals)
     sigma2 = rss / (n - p)
-    se = np.sqrt(np.diag(sigma2 * np.linalg.inv(gram)))
+    se = np.sqrt(sigma2 * ((f.v / f.s) ** 2).sum(axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
         t_values = np.where(se > 0, coefs / se, np.inf)
     p_values = np.array([student_t_p_value(t, n - p) for t in t_values])

@@ -234,6 +234,20 @@ class TestExitCodes:
             "decompose", small, "--components", "5", "--out", tmp_path / "o.json"
         ) == 3
 
+    def test_lapack_failure_is_a_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        small = tmp_path / "small.csv"
+        small.write_text("age,x,y\n0,2,1\n1,1,1\n2,1,2\n")
+        assert run(
+            "decompose", small, "--components", "1", "--out", tmp_path / "o.json"
+        ) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_console_script_help(self):
         result = subprocess.run(
             [sys.executable, "-m", "agecomp.cli", "--help"],

@@ -74,6 +74,13 @@ class TestWeightsCsv:
         assert labels == ["a", "b", "c", "d"]
         np.testing.assert_array_equal(back, w)
 
+    def test_only_numbered_v_columns_are_weights(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("schedule,v1,value,v2,v\na,1.5,9,2.5,7\nb,3,9,4,7\n")
+        labels, w = io.load_weights_csv(path)
+        assert labels == ["a", "b"]
+        np.testing.assert_array_equal(w, [[1.5, 2.5], [3.0, 4.0]])
+
 
 class TestJson:
     def test_basis_round_trip_is_exact(self, mortality_log):

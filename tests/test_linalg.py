@@ -81,6 +81,14 @@ class TestSvd:
         assert f.rank == 3
         np.testing.assert_allclose((f.u * f.s) @ f.v.T, x, atol=1e-10)
 
+    def test_extreme_scales_keep_rank_and_relative_spectrum(self, rng):
+        x = rng.normal(size=(6, 4))
+        f = linalg.svd(x)
+        for scale in (1e200, 1e-200):
+            g = linalg.svd(x * scale)
+            assert g.rank == f.rank == 4, scale
+            np.testing.assert_allclose(g.s / g.s[0], f.s / f.s[0], rtol=1e-12)
+
 
 class TestCanonicalizeSigns:
     def test_idempotent(self, rng):

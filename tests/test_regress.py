@@ -88,11 +88,13 @@ class TestOlsFit:
     def test_errors(self):
         with pytest.raises(NumericalError):
             regress.ols_fit([1.0, 2.0], {"x": [1.0, 2.0]})  # n <= p
-        with pytest.raises(NumericalError):
-            regress.ols_fit(
-                [1.0, 2.0, 3.0, 4.0],
-                {"a": [1.0, 2.0, 3.0, 4.0], "b": [2.0, 4.0, 6.0, 8.0]},
-            )  # collinear
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        # exactly collinear, and nearly so: design condition ~1e14 lies
+        # beyond the rank cutoff that ols_fit shares with linalg.svd
+        near = 2.0 * x + 1.5e-13 * np.array([1.0, -1.0, -1.0, 1.0])
+        for b in (2.0 * x, near):
+            with pytest.raises(NumericalError, match="rank-deficient"):
+                regress.ols_fit([1.0, 2.0, 3.0, 4.0], {"a": x, "b": b})
 
     def test_residual_orthogonality_and_zero_sum(self, rng):
         x1 = rng.normal(size=30)
