@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -264,6 +265,7 @@ def _cmd_plot(args):
     Path(args.out).write_text(svg, encoding="utf-8")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="agecomp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -283,39 +285,33 @@ def _build_parser() -> _Parser:
     p.add_argument("--source-id", default="")
     p.add_argument("--out", required=True, help="basis JSON path")
     p.add_argument("--weights", help="also write the per-schedule weight CSV here")
-    p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("reconstruct", help="rebuild schedules from basis + weights")
     p.add_argument("--basis", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("smooth", help="replace schedules by low-rank reconstructions")
     matrix_input(p)
     p.add_argument("--components", "-c", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_smooth)
 
     p = sub.add_parser("fit", help="fit basis weights to observed schedules")
     matrix_input(p)
     p.add_argument("--basis", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("regress", help="model weight series on covariates")
     p.add_argument("--weights", required=True)
     p.add_argument("--covariates", required=True)
     p.add_argument("--predictors", required=True, help="comma-separated column names")
     p.add_argument("--out", required=True, help="models JSON path")
-    p.set_defaults(func=_cmd_regress)
 
     p = sub.add_parser("predict", help="predict schedules from covariates")
     p.add_argument("--basis", required=True)
     p.add_argument("--models", required=True)
     p.add_argument("--covariates", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("cluster", help="cluster schedules by their weights")
     p.add_argument("--weights", required=True)
@@ -324,7 +320,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--format", default="json", choices=("json", "csv"))
-    p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("metrics", help="absolute-error summary of two matrices")
     p.add_argument("predicted")
@@ -332,34 +327,30 @@ def _build_parser() -> _Parser:
     p.add_argument("--log", action="store_true", help="log-transform the observed file")
     p.add_argument("--format", default="json", choices=("json", "csv"))
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("image", help="rank-k approximation of a PPM image")
     p.add_argument("input")
     p.add_argument("--components", "-c", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_image)
 
     p = sub.add_parser("lifetable", help="abridged life table from mortality rates")
     p.add_argument("input")
     p.add_argument("--column", help="schedule label to use (default: first)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_lifetable)
 
     p = sub.add_parser("plot", help="render a CSV of series to SVG")
     p.add_argument("input")
     p.add_argument("--kind", default="line", choices=("line", "scatter"))
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_plot)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        args.func(args)
+        args = _build_parser().parse_args(argv)
+        # looked up per call, so a replaced _cmd_* is the one that runs
+        globals()[f"_cmd_{args.command}"](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -6,7 +6,8 @@ count and family are picked by minimum BIC over a grid.  Fits are
 deterministic for a fixed seed: centers are drawn by squared-distance
 weighted (k-means++ style) sampling from a seeded generator, with a fixed
 number of restarts keeping the best likelihood among those whose component
-covariances stay off the variance floor.
+covariances stay off the variance floor.  Each EM step handles all k
+components at once, as a k x d x d stack of covariances.
 """
 
 from dataclasses import dataclass
@@ -38,6 +39,10 @@ class GmmModel:
     bic: float
     n_params: int
     n_obs: int
+    # EM diagnostics of the kept restart; a model built by hand ran no EM
+    n_iter: int = 0  # EM iterations run
+    converged: bool = False  # the log-likelihood gain fell below _LL_TOL
+    failed_restarts: int = 0  # restarts that collapsed or rested on the floor
 
 
 @dataclass(frozen=True)
@@ -48,34 +53,29 @@ class ClusterAssignment:
     responsibilities: np.ndarray  # n x k, rows sum to 1
 
 
-def _log_density(points, mean, cov):
-    # log N(x | mean, cov) for every row of points
-    diff = points - mean
-    chol = np.linalg.cholesky(cov)
-    solved = np.linalg.solve(chol, diff.T)
-    logdet = 2.0 * np.log(np.diag(chol)).sum()
-    d = points.shape[1]
-    return -0.5 * (d * np.log(2.0 * np.pi) + logdet + (solved**2).sum(axis=0))
-
-
 def _component_log_probs(points, weights, means, covs):
-    k = weights.size
-    out = np.empty((points.shape[0], k))
-    for j in range(k):
-        out[:, j] = np.log(weights[j]) + _log_density(points, means[j], covs[j])
-    return out
+    # n x k matrix of log(weight_j) + log N(x_i | mean_j, cov_j)
+    d = points.shape[1]
+    chol = np.linalg.cholesky(covs)
+    diff = points[None, :, :] - means[:, None, :]
+    solved = np.linalg.solve(chol, diff.transpose(0, 2, 1))
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    logpdf = -0.5 * (d * np.log(2.0 * np.pi) + logdet[:, None] + (solved**2).sum(axis=1))
+    return (np.log(weights)[:, None] + logpdf).T
 
 
-def _constrain(cov, family, floor, d):
-    # (family-constrained covariance, whether a variance was raised to the floor)
+def _constrain(covs, family, floor):
+    # (family-constrained k x d x d stack, whether any variance was raised to the floor)
+    d = covs.shape[-1]
     if family == "spherical":
-        var = np.trace(cov) / d
-        return np.eye(d) * max(var, floor), var <= floor
-    if family == "diagonal":
-        var = np.diag(cov)
-        return np.diag(np.maximum(var, floor)), var.min() <= floor
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    return (eigvecs * np.maximum(eigvals, floor)) @ eigvecs.T, eigvals.min() <= floor
+        var = np.trace(covs, axis1=1, axis2=2)[:, None] / d
+    elif family == "diagonal":
+        var = np.diagonal(covs, axis1=1, axis2=2)
+    else:
+        eigvals, eigvecs = np.linalg.eigh(covs)
+        scaled = eigvecs * np.maximum(eigvals, floor)[:, None, :]
+        return scaled @ eigvecs.transpose(0, 2, 1), bool(eigvals.min() <= floor)
+    return np.eye(d) * np.maximum(var, floor)[:, None, :], bool(var.min() <= floor)
 
 
 def _seed_centers(points, k, rng):
@@ -83,9 +83,7 @@ def _seed_centers(points, k, rng):
     n = points.shape[0]
     centers = [points[rng.integers(n)]]
     while len(centers) < k:
-        dist2 = np.min(
-            [((points - c) ** 2).sum(axis=1) for c in centers], axis=0
-        )
+        dist2 = np.min([((points - c) ** 2).sum(axis=1) for c in centers], axis=0)
         total = dist2.sum()
         if total == 0.0:
             centers.append(points[rng.integers(n)])
@@ -100,39 +98,42 @@ def _floor_for(points):
 
 
 def _pooled_cov(points, family, floor):
+    # the data's covariance as a 1 x d x d stack, constrained per family
     n, d = points.shape
-    if n < 2:
-        pooled = np.zeros((d, d))
-    else:
-        pooled = np.cov(points.T).reshape(d, d)
-    return _constrain(pooled, family, floor, d)
+    pooled = np.cov(points.T).reshape(1, d, d) if n > 1 else np.zeros((1, d, d))
+    return _constrain(pooled, family, floor)
+
+
+def _posterior(points, weights, means, covs):
+    # (log-likelihood of each point, n x k responsibilities)
+    logp = _component_log_probs(points, weights, means, covs)
+    peak = logp.max(axis=1, keepdims=True)
+    logsum = peak[:, 0] + np.log(np.exp(logp - peak).sum(axis=1))
+    return logsum, np.exp(logp - logsum[:, None])
 
 
 def _run_em(points, k, family, means, floor):
-    n, d = points.shape
-    covs = np.array([_pooled_cov(points, family, floor)[0]] * k)
+    # (log-likelihood path, whether it met _LL_TOL, weights, means, covariances,
+    #  whether a final covariance rests on the variance floor)
+    covs = np.repeat(_pooled_cov(points, family, floor)[0], k, axis=0)
     weights = np.full(k, 1.0 / k)
     path = []
+    converged = False
     for iteration in range(_MAX_ITER):
-        logp = _component_log_probs(points, weights, means, covs)
-        peak = logp.max(axis=1, keepdims=True)
-        logsum = peak[:, 0] + np.log(np.exp(logp - peak).sum(axis=1))
+        logsum, resp = _posterior(points, weights, means, covs)
         path.append(float(logsum.sum()))
-        resp = np.exp(logp - logsum[:, None])
         counts = resp.sum(axis=0)
         if np.any(counts < 1e-10):
             raise NumericalError("mixture component collapsed to zero weight")
-        weights = counts / n
+        weights = counts / len(points)
         means = (resp.T @ points) / counts[:, None]
-        floored = False
-        for j in range(k):
-            diff = points - means[j]
-            cov = (resp[:, j][:, None] * diff).T @ diff / counts[j]
-            covs[j], hit = _constrain(cov, family, floor, d)
-            floored = floored or hit
+        diff = points[None, :, :] - means[:, None, :]
+        scatter = (resp.T[:, :, None] * diff).transpose(0, 2, 1) @ diff
+        covs, floored = _constrain(scatter / counts[:, None, None], family, floor)
         if iteration > 0 and path[-1] - path[-2] < _LL_TOL:
+            converged = True
             break
-    return path, weights, means, covs, floored
+    return path, converged, weights, means, covs, floored
 
 
 def _param_count(k, d, family):
@@ -151,6 +152,8 @@ def fit_gmm_em(points, k: int, family: str = "full", seed: int = 0) -> GmmModel:
     likelihood is set by the floor constant rather than by the data) counts
     as failed, unless the pooled covariance of the data rests on the floor
     too (identical points).  Raises NumericalError when every restart fails.
+    The model reports the kept restart's iteration count, whether it met the
+    log-likelihood tolerance, and how many restarts failed.
     """
     pts = linalg.as_matrix(points)
     n, d = pts.shape
@@ -168,18 +171,20 @@ def fit_gmm_em(points, k: int, family: str = "full", seed: int = 0) -> GmmModel:
     for _ in range(_RESTARTS):
         means = _seed_centers(pts, k, rng)
         try:
-            path, weights, means, covs, floored = _run_em(pts, k, family, means, floor)
+            path, converged, weights, means, covs, floored = _run_em(
+                pts, k, family, means, floor
+            )
         except (NumericalError, np.linalg.LinAlgError) as exc:
             failures.append(exc)
             continue
         if floored and not degenerate:
             failures.append("a component covariance rests on the variance floor")
             continue
-        if best is None or path[-1] > best[0]:
-            best = (path[-1], weights, means, covs)
+        if best is None or path[-1] > best[0][-1]:
+            best = (path, converged, weights, means, covs)
     if best is None:
         raise NumericalError(f"all EM restarts failed: {failures[-1]}")
-    ll, weights, means, covs = best
+    path, converged, weights, means, covs = best
     n_params = _param_count(k, d, family)
     return GmmModel(
         k=k,
@@ -187,22 +192,20 @@ def fit_gmm_em(points, k: int, family: str = "full", seed: int = 0) -> GmmModel:
         mixing_weights=weights,
         means=means,
         covariances=covs,
-        log_likelihood=ll,
-        bic=-2.0 * ll + n_params * np.log(n),
+        log_likelihood=path[-1],
+        bic=-2.0 * path[-1] + n_params * np.log(n),
         n_params=n_params,
         n_obs=n,
+        n_iter=len(path),
+        converged=converged,
+        failed_restarts=len(failures),
     )
 
 
 def assign(model: GmmModel, points) -> ClusterAssignment:
     """Posterior responsibilities and MAP labels (1..k) for each point."""
     pts = linalg.as_matrix(points)
-    logp = _component_log_probs(
-        pts, model.mixing_weights, model.means, model.covariances
-    )
-    peak = logp.max(axis=1, keepdims=True)
-    logsum = peak[:, 0] + np.log(np.exp(logp - peak).sum(axis=1))
-    resp = np.exp(logp - logsum[:, None])
+    resp = _posterior(pts, model.mixing_weights, model.means, model.covariances)[1]
     return ClusterAssignment(labels=resp.argmax(axis=1) + 1, responsibilities=resp)
 
 
@@ -232,9 +235,7 @@ def select_by_bic(points, k_range, families=FAMILIES, seed: int = 0) -> GmmModel
             candidates.append(model)
     if not candidates:
         raise NumericalError(f"no (k, family) grid point could be fitted: {last_error}")
-    return min(
-        candidates, key=lambda m: (m.bic, m.k, FAMILIES.index(m.family))
-    )
+    return min(candidates, key=lambda m: (m.bic, m.k, FAMILIES.index(m.family)))
 
 
 def characteristic_schedules(
@@ -264,7 +265,5 @@ def em_log_likelihood_path(points, k: int, family: str = "full", seed: int = 0):
     pts = linalg.as_matrix(points)
     if pts.shape[0] < k:
         raise NumericalError(f"cannot fit {k} clusters to {pts.shape[0]} observations")
-    rng = np.random.default_rng(seed)
-    means = _seed_centers(pts, k, rng)
-    path = _run_em(pts, k, family, means, _floor_for(pts))[0]
-    return path
+    means = _seed_centers(pts, k, np.random.default_rng(seed))
+    return _run_em(pts, k, family, means, _floor_for(pts))[0]

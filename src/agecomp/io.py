@@ -26,7 +26,8 @@ def fmt_number(value) -> str:
 
 def _read_rows(path):
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark spreadsheet exports put first
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [row for row in csv.reader(fh) if row]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
@@ -288,6 +289,8 @@ def render_plot(series, kind: str = "line", x_label: str = "", y_label: str = ""
         yv = np.asarray(ys, dtype=float)
         if xv.size == 0 or xv.shape != yv.shape:
             raise DataError(f"series {label!r} is empty or has mismatched x/y")
+        if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(yv))):
+            raise DataError(f"series {label!r} has non-finite values")
         cleaned.append((str(label), xv, yv))
 
     x_lo, x_hi = _scale(min(s[1].min() for s in cleaned), max(s[1].max() for s in cleaned))

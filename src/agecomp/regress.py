@@ -6,14 +6,14 @@ weights into whole predicted age schedules through a component basis.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
 from .errors import DataError, NumericalError
 from .measures import derive_delta
-from .schedule import AgeSchedule, ComponentBasis, reconstruct
+from .schedule import AgeSchedule, ComponentBasis, label_index, reconstruct
 
 # Columns with a known range; everything else is accepted as-is.
 _FRACTION_COLUMNS = ("hiv_prev", "art_cov", "q45_15", "q5_0")
@@ -30,14 +30,14 @@ class CovariateTable:
 
     labels: tuple
     columns: dict
+    _rows: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
         cols = {k: np.asarray(v, dtype=float) for k, v in self.columns.items()}
         object.__setattr__(self, "columns", cols)
+        object.__setattr__(self, "_rows", label_index(self.labels, "covariate row"))
         n = len(self.labels)
-        if len(set(self.labels)) != n:
-            raise DataError("covariate row labels are not unique")
         for name, col in cols.items():
             if col.shape != (n,):
                 raise DataError(f"covariate column {name!r} has wrong length")
@@ -69,10 +69,9 @@ class CovariateTable:
         return self.columns[name]
 
     def row(self, label) -> dict:
-        try:
-            i = self.labels.index(str(label))
-        except ValueError:
-            raise DataError(f"no covariate row labeled {label!r}") from None
+        i = self._rows.get(str(label))
+        if i is None:
+            raise DataError(f"no covariate row labeled {label!r}")
         return {name: float(col[i]) for name, col in self.columns.items()}
 
 

@@ -25,6 +25,15 @@ def _check_scale(scale: str) -> str:
     return scale
 
 
+def label_index(labels, what: str) -> dict:
+    """Map each label to its position; raises DataError on a repeated label."""
+    index = {label: i for i, label in enumerate(labels)}
+    if len(index) != len(labels):
+        dup = next(label for i, label in enumerate(labels) if index[label] != i)
+        raise DataError(f"duplicate {what} label {dup!r}")
+    return index
+
+
 @dataclass(frozen=True)
 class AgeSchedule:
     """One age schedule: a rate for every age group, on a stated scale."""
@@ -65,6 +74,7 @@ class ScheduleMatrix:
     schedule_labels: tuple
     data: np.ndarray
     scale: str = NATURAL
+    _columns: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         data = linalg.as_matrix(self.data)
@@ -77,12 +87,13 @@ class ScheduleMatrix:
                 f"{len(self.group_labels)} groups x {len(self.schedule_labels)} schedules"
             )
         _check_scale(self.scale)
+        label_index(self.group_labels, "age-group")
+        object.__setattr__(self, "_columns", label_index(self.schedule_labels, "schedule"))
 
     def column(self, label) -> AgeSchedule:
-        try:
-            h = self.schedule_labels.index(label)
-        except ValueError:
-            raise DataError(f"no schedule labeled {label!r}") from None
+        h = self._columns.get(label)
+        if h is None:
+            raise DataError(f"no schedule labeled {label!r}")
         return AgeSchedule(self.group_labels, self.data[:, h].copy(), self.scale)
 
     def to_log(self) -> "ScheduleMatrix":

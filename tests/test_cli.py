@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -136,6 +137,31 @@ class TestCluster:
         assert len(lines) == 20
 
 
+class TestReentrancy:
+    # main() builds its parser once per process; each call must still start
+    # from the parser's defaults, not from the previous call's options
+    def test_decompose_without_weights_does_not_rewrite_them(
+        self, tmp_path, data_dir, basis_and_weights
+    ):
+        _, weights = basis_and_weights
+        weights.unlink()
+        assert run(
+            "decompose", data_dir / MX_F, data_dir / MX_M,
+            "--log", "--concat-sexes", "--out", tmp_path / "again.json",
+        ) == 0
+        assert not weights.exists()
+
+    def test_cluster_default_format_after_csv(self, tmp_path, basis_and_weights):
+        _, weights = basis_and_weights
+        csv_out = tmp_path / "c.csv"
+        json_out = tmp_path / "c.json"
+        common = ("cluster", "--weights", weights, "--k-range", "2", "--family", "full")
+        assert run(*common, "--out", csv_out, "--format", "csv") == 0
+        assert run(*common, "--out", json_out) == 0
+        assert csv_out.read_text().startswith("schedule,cluster\n")
+        assert json.loads(json_out.read_text())["k"] == 2
+
+
 class TestImage:
     def _write_solid(self, path, color=(40, 80, 120), size=9):
         pixels = np.tile(np.array(color, dtype=float), (size, size, 1))
@@ -193,6 +219,18 @@ class TestLifetablePlot:
         text = out.read_text()
         ET.fromstring(text)
         assert text.count("<circle") == 722
+
+    def test_plot_non_finite_value_is_a_data_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "inf.csv"
+        csv_path.write_text("year,a,b\n1,1,2\n2,inf,1\n3,3,4\n")
+        out = tmp_path / "inf.svg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("plot", csv_path, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "non-finite" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_plot_line_two_series_legend(self, tmp_path):
         csv_path = tmp_path / "two.csv"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.stats
 
 from agecomp import cluster, schedule
 from agecomp.errors import DataError, NumericalError
@@ -83,6 +84,95 @@ class TestFitGmmEm:
             path = cluster.em_log_likelihood_path(pts, k=3, family=family, seed=3)
             assert len(path) >= 2
             assert all(b >= a - 1e-10 for a, b in zip(path, path[1:]))
+
+
+class TestEmDiagnostics:
+    def test_converged_fit_reports_its_iterations(self, rng):
+        model = cluster.fit_gmm_em(two_blobs(rng), k=2, family="full", seed=0)
+        assert model.converged is True
+        assert model.n_iter >= 2
+        assert model.failed_restarts == 0
+
+    def test_iteration_cap_reports_not_converged(self, rng, monkeypatch):
+        monkeypatch.setattr(cluster, "_MAX_ITER", 2)
+        model = cluster.fit_gmm_em(two_blobs(rng), k=2, family="full", seed=0)
+        assert model.converged is False
+        assert model.n_iter == 2
+
+    def test_failed_restarts_are_counted(self):
+        # four of the five seeded restarts split a triple onto the floor
+        model = cluster.fit_gmm_em(TWO_TRIPLES, k=3, family="spherical", seed=0)
+        assert model.failed_restarts == 4
+
+
+def _family_covariances(rng, family, k, d):
+    if family == "spherical":
+        return np.array([np.eye(d) * v for v in rng.uniform(0.5, 2.0, size=k)])
+    if family == "diagonal":
+        return np.array([np.diag(v) for v in rng.uniform(0.5, 2.0, size=(k, d))])
+    a = rng.normal(size=(k, d, d))
+    return a @ a.transpose(0, 2, 1) + 0.5 * np.eye(d)
+
+
+def _constrain_one(cov, family, floor):
+    # per-matrix reference for the stacked cluster._constrain
+    d = cov.shape[0]
+    if family == "spherical":
+        var = np.trace(cov) / d
+        return np.eye(d) * max(var, floor), var <= floor
+    if family == "diagonal":
+        var = np.diag(cov)
+        return np.diag(np.maximum(var, floor)), var.min() <= floor
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    return (eigvecs * np.maximum(eigvals, floor)) @ eigvecs.T, eigvals.min() <= floor
+
+
+class TestBatchedEm:
+    @pytest.mark.parametrize("family", cluster.FAMILIES)
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_component_log_probs_match_scipy(self, rng, family, k):
+        d = 3
+        points = rng.normal(size=(20, d))
+        means = rng.normal(size=(k, d))
+        covs = _family_covariances(rng, family, k, d)
+        weights = rng.dirichlet(np.ones(k))
+        got = cluster._component_log_probs(points, weights, means, covs)
+        assert got.shape == (20, k)
+        for j in range(k):
+            expected = np.log(weights[j]) + scipy.stats.multivariate_normal.logpdf(
+                points, means[j], covs[j]
+            )
+            np.testing.assert_allclose(got[:, j], expected, rtol=0, atol=1e-12)
+
+    def test_non_positive_definite_component_raises(self, rng):
+        covs = np.array([np.eye(2), -np.eye(2)])
+        with pytest.raises(np.linalg.LinAlgError):
+            cluster._component_log_probs(
+                rng.normal(size=(5, 2)), np.full(2, 0.5), np.zeros((2, 2)), covs
+            )
+
+    @pytest.mark.parametrize("family", cluster.FAMILIES)
+    def test_stacked_constrain_matches_per_matrix(self, rng, family):
+        a = rng.normal(size=(4, 3, 3))
+        covs = a @ a.transpose(0, 2, 1)
+        floor = 1e-3
+        got, hit = cluster._constrain(covs, family, floor)
+        for j in range(4):
+            expected, _ = _constrain_one(covs[j], family, floor)
+            np.testing.assert_allclose(got[j], expected, rtol=1e-12, atol=1e-15)
+        assert hit is False
+
+    @pytest.mark.parametrize("family", cluster.FAMILIES)
+    def test_floor_flag_set_by_any_single_component(self, family):
+        floor = 1e-3
+        covs = np.array([np.eye(2), np.eye(2), np.diag([1.0, 0.0]) * 1e-4])
+        got, hit = cluster._constrain(covs, family, floor)
+        assert hit is True
+        assert all(_constrain_one(c, family, floor)[1] == (j == 2) for j, c in enumerate(covs))
+        for j in range(3):
+            np.testing.assert_allclose(
+                got[j], _constrain_one(covs[j], family, floor)[0], rtol=1e-12, atol=1e-15
+            )
 
 
 class TestAssign:

@@ -64,6 +64,25 @@ class TestScheduleCsv:
         with pytest.raises(DataError):
             io.load_schedule_csv(tmp_path / "absent.csv")
 
+    def test_byte_order_mark_is_ignored(self, tmp_path, data_dir):
+        # spreadsheet exports start UTF-8 files with a byte-order mark
+        text = (data_dir / "agincourt_mx_female.csv").read_text(encoding="utf-8")
+        plain = tmp_path / "plain.csv"
+        marked = tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbfage,")
+        a = io.load_schedule_csv(plain)
+        b = io.load_schedule_csv(marked)
+        assert (b.group_labels, b.schedule_labels) == (a.group_labels, a.schedule_labels)
+        np.testing.assert_array_equal(b.data, a.data)
+
+    def test_duplicate_schedule_label(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("age,a,a\n0,0.5,0.6\n1,0.2,0.3\n")
+        with pytest.raises(DataError, match="duplicate schedule label 'a'"):
+            io.load_schedule_csv(path)
+
 
 class TestWeightsCsv:
     def test_round_trip_with_residuals(self, tmp_path, rng):
@@ -173,6 +192,11 @@ class TestRenderPlot:
         svg = io.render_plot([("cloud", xs, ys)], kind="scatter")
         ET.fromstring(svg)
         assert svg.count("<circle") == 722
+
+    def test_non_finite_values_error(self):
+        for xs, ys in (([0, 1], [1, np.inf]), ([0, np.nan], [1, 2])):
+            with pytest.raises(DataError, match="non-finite"):
+                io.render_plot([("bad", xs, ys)])
 
     def test_empty_series_errors(self):
         with pytest.raises(DataError):

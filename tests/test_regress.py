@@ -40,6 +40,16 @@ class TestCovariateTable:
         with pytest.raises(DataError):
             covariates.row("1900")
 
+    def test_row_lookup_every_label(self, covariates):
+        for i, label in enumerate(covariates.labels):
+            row = covariates.row(label)
+            assert row == {name: col[i] for name, col in covariates.columns.items()}
+        assert covariates.row(1993) == covariates.row("1993")
+
+    def test_duplicate_row_label_named(self):
+        with pytest.raises(DataError, match="duplicate covariate row label '1994'"):
+            CovariateTable(["1993", "1994", "1994"], {"e0": [60.0, 61.0, 62.0]})
+
 
 class TestOlsFit:
     def test_exact_line(self):

@@ -43,6 +43,17 @@ class TestTypes:
         with pytest.raises(DataError):
             X32.column("nope")
 
+    def test_duplicate_labels_rejected(self):
+        with pytest.raises(DataError, match="duplicate schedule label 's1'"):
+            ScheduleMatrix(["a", "b"], ["s1", "s2", "s1"], np.ones((2, 3)))
+        with pytest.raises(DataError, match="duplicate age-group label 'b'"):
+            ScheduleMatrix(["a", "b", "b"], ["s1"], np.ones((3, 1)))
+
+    def test_column_lookup_every_label(self, rng):
+        m = random_schedule_matrix(rng, n_scheds=50)
+        for h, label in enumerate(m.schedule_labels):
+            np.testing.assert_array_equal(m.column(label).values, m.data[:, h])
+
 
 class TestBuildBasis:
     def test_single_column_matrix(self):
