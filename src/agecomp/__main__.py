@@ -1,0 +1,6 @@
+"""Run the command-line interface with ``python -m agecomp``."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -6,11 +6,11 @@ count and family are picked by minimum BIC over a grid.  Fits are
 deterministic for a fixed seed: centers are drawn by squared-distance
 weighted (k-means++ style) sampling from a seeded generator, with a fixed
 number of restarts keeping the best likelihood among those whose component
-covariances stay off the variance floor.  Each EM step handles all k
-components at once, as a k x d x d stack of covariances.
+covariances stay off the variance floor.  Each EM step handles all R
+restarts and k components at once, as an R x k x d x d covariance stack.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +24,7 @@ _RESTARTS = 5
 _MAX_ITER = 500
 _LL_TOL = 1e-8
 _VARIANCE_FLOOR_SCALE = 1e-8
+_GRID_FIELDS = ("k", "family", "bic", "log_likelihood", "n_iter", "converged", "failed_restarts")
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,8 @@ class GmmModel:
     n_iter: int = 0  # EM iterations run
     converged: bool = False  # the log-likelihood gain fell below _LL_TOL
     failed_restarts: int = 0  # restarts that collapsed or rested on the floor
+    log_likelihood_path: tuple = ()  # log-likelihood at each EM iteration
+    grid: tuple = ()  # select_by_bic's (k, family) points: fit diagnostics or error
 
 
 @dataclass(frozen=True)
@@ -54,28 +57,30 @@ class ClusterAssignment:
 
 
 def _component_log_probs(points, weights, means, covs):
-    # n x k matrix of log(weight_j) + log N(x_i | mean_j, cov_j)
+    # ... x n x k array of log(weight_j) + log N(x_i | mean_j, cov_j), over leading stack axes
     d = points.shape[1]
     chol = np.linalg.cholesky(covs)
-    diff = points[None, :, :] - means[:, None, :]
-    solved = np.linalg.solve(chol, diff.transpose(0, 2, 1))
-    logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-    logpdf = -0.5 * (d * np.log(2.0 * np.pi) + logdet[:, None] + (solved**2).sum(axis=1))
-    return (np.log(weights)[:, None] + logpdf).T
+    diff = points - means[..., None, :]
+    solved = np.linalg.solve(chol, diff.swapaxes(-1, -2))
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    logpdf = -0.5 * (d * np.log(2.0 * np.pi) + logdet[..., None] + (solved**2).sum(axis=-2))
+    return (np.log(weights)[..., None] + logpdf).swapaxes(-1, -2)
 
 
 def _constrain(covs, family, floor):
-    # (family-constrained k x d x d stack, whether any variance was raised to the floor)
+    # (family-constrained stack, whether a variance of each k x d x d stack was
+    #  raised to the floor: a bool, or a list over the leading axes)
     d = covs.shape[-1]
     if family == "spherical":
-        var = np.trace(covs, axis1=1, axis2=2)[:, None] / d
+        var = np.trace(covs, axis1=-2, axis2=-1)[..., None] / d
     elif family == "diagonal":
-        var = np.diagonal(covs, axis1=1, axis2=2)
+        var = np.diagonal(covs, axis1=-2, axis2=-1)
     else:
-        eigvals, eigvecs = np.linalg.eigh(covs)
-        scaled = eigvecs * np.maximum(eigvals, floor)[:, None, :]
-        return scaled @ eigvecs.transpose(0, 2, 1), bool(eigvals.min() <= floor)
-    return np.eye(d) * np.maximum(var, floor)[:, None, :], bool(var.min() <= floor)
+        var, eigvecs = np.linalg.eigh(covs)
+    floored = (var.min(axis=(-2, -1)) <= floor).tolist()
+    if family == "full":
+        return (eigvecs * np.maximum(var, floor)[..., None, :]) @ eigvecs.swapaxes(-1, -2), floored
+    return np.eye(d) * np.maximum(var, floor)[..., None, :], floored
 
 
 def _seed_centers(points, k, rng):
@@ -105,35 +110,56 @@ def _pooled_cov(points, family, floor):
 
 
 def _posterior(points, weights, means, covs):
-    # (log-likelihood of each point, n x k responsibilities)
+    # (log-likelihood of each point, ... x n x k responsibilities)
     logp = _component_log_probs(points, weights, means, covs)
-    peak = logp.max(axis=1, keepdims=True)
-    logsum = peak[:, 0] + np.log(np.exp(logp - peak).sum(axis=1))
-    return logsum, np.exp(logp - logsum[:, None])
+    peak = logp.max(axis=-1, keepdims=True)
+    logsum = peak[..., 0] + np.log(np.exp(logp - peak).sum(axis=-1))
+    return logsum, np.exp(logp - logsum[..., None])
 
 
-def _run_em(points, k, family, means, floor):
-    # (log-likelihood path, whether it met _LL_TOL, weights, means, covariances,
-    #  whether a final covariance rests on the variance floor)
-    covs = np.repeat(_pooled_cov(points, family, floor)[0], k, axis=0)
-    weights = np.full(k, 1.0 / k)
-    path = []
-    converged = False
-    for iteration in range(_MAX_ITER):
-        logsum, resp = _posterior(points, weights, means, covs)
-        path.append(float(logsum.sum()))
-        counts = resp.sum(axis=0)
-        if np.any(counts < 1e-10):
-            raise NumericalError("mixture component collapsed to zero weight")
-        weights = counts / len(points)
-        means = (resp.T @ points) / counts[:, None]
-        diff = points[None, :, :] - means[:, None, :]
-        scatter = (resp.T[:, :, None] * diff).transpose(0, 2, 1) @ diff
-        covs, floored = _constrain(scatter / counts[:, None, None], family, floor)
-        if iteration > 0 and path[-1] - path[-2] < _LL_TOL:
-            converged = True
-            break
-    return path, converged, weights, means, covs, floored
+def _run_restarts(points, family, seeds):
+    # EM on all restarts at once: R x k x d means, R x k weights, R x k x d x d
+    # covariances.  A restart leaves the stack when it ends, so each runs its own
+    # iterations; after a LAPACK failure each reruns alone, so only that one fails.
+    # Returns per restart its failure or (path, converged, weights, means, covs).
+    n_restarts, k, d = seeds.shape
+    means, weights = seeds, np.full((n_restarts, k), 1.0 / k)
+    floor = _floor_for(points)
+    pooled, degenerate = _pooled_cov(points, family, floor)
+    covs = np.broadcast_to(pooled, (n_restarts, k, d, d))
+    rows = list(range(n_restarts))  # the restart in each row of the stacks
+    paths, out = [[] for _ in rows], [None] * n_restarts
+    try:
+        while rows:
+            logsum, resp = _posterior(points, weights, means, covs)
+            counts = resp.sum(axis=1)
+            collapsed = np.any(counts < 1e-10, axis=1)
+            counts = np.maximum(counts, 1e-10)  # a collapsed restart's update is dropped
+            weights = counts / len(points)
+            means = (resp.swapaxes(1, 2) @ points) / counts[..., None]
+            diff = points - means[..., None, :]
+            scatter = (resp.swapaxes(1, 2)[..., None] * diff).swapaxes(2, 3) @ diff
+            covs, floored = _constrain(scatter / counts[..., None, None], family, floor)
+            going = []
+            for row, (r, ll) in enumerate(zip(rows, logsum.sum(axis=1))):
+                path = paths[r]
+                path.append(float(ll))
+                met = len(path) > 1 and path[-1] - path[-2] < _LL_TOL
+                if collapsed[row]:
+                    out[r] = NumericalError("mixture component collapsed to zero weight")
+                elif not (met or len(path) == _MAX_ITER):
+                    going.append(row)
+                elif floored[row] and not degenerate:
+                    out[r] = "a component covariance rests on the variance floor"
+                else:
+                    out[r] = (path, met, weights[row], means[row], covs[row])
+            rows = [rows[row] for row in going]
+            weights, means, covs = weights[going], means[going], covs[going]
+    except np.linalg.LinAlgError as exc:
+        if n_restarts == 1:
+            return [exc]
+        return [run for seed in seeds for run in _run_restarts(points, family, seed[None])]
+    return out
 
 
 def _param_count(k, d, family):
@@ -163,28 +189,13 @@ def fit_gmm_em(points, k: int, family: str = "full", seed: int = 0) -> GmmModel:
         raise DataError(f"k must be >= 1, got {k}")
     if n < k:
         raise NumericalError(f"cannot fit {k} clusters to {n} observations")
-    floor = _floor_for(pts)
-    degenerate = _pooled_cov(pts, family, floor)[1]
     rng = np.random.default_rng(seed)
-    best = None
-    failures = []
-    for _ in range(_RESTARTS):
-        means = _seed_centers(pts, k, rng)
-        try:
-            path, converged, weights, means, covs, floored = _run_em(
-                pts, k, family, means, floor
-            )
-        except (NumericalError, np.linalg.LinAlgError) as exc:
-            failures.append(exc)
-            continue
-        if floored and not degenerate:
-            failures.append("a component covariance rests on the variance floor")
-            continue
-        if best is None or path[-1] > best[0][-1]:
-            best = (path, converged, weights, means, covs)
-    if best is None:
-        raise NumericalError(f"all EM restarts failed: {failures[-1]}")
-    path, converged, weights, means, covs = best
+    seeds = np.array([_seed_centers(pts, k, rng) for _ in range(_RESTARTS)])
+    runs = _run_restarts(pts, family, seeds)
+    kept = [run for run in runs if isinstance(run, tuple)]
+    if not kept:
+        raise NumericalError(f"all EM restarts failed: {runs[-1]}")
+    path, converged, weights, means, covs = max(kept, key=lambda run: run[0][-1])
     n_params = _param_count(k, d, family)
     return GmmModel(
         k=k,
@@ -198,7 +209,8 @@ def fit_gmm_em(points, k: int, family: str = "full", seed: int = 0) -> GmmModel:
         n_obs=n,
         n_iter=len(path),
         converged=converged,
-        failed_restarts=len(failures),
+        failed_restarts=len(runs) - len(kept),
+        log_likelihood_path=tuple(path),
     )
 
 
@@ -210,19 +222,19 @@ def assign(model: GmmModel, points) -> ClusterAssignment:
 
 
 def select_by_bic(points, k_range, families=FAMILIES, seed: int = 0) -> GmmModel:
-    """Best model over a (k, family) grid by minimum BIC.
+    """Best model over a (k, family) grid by minimum BIC, with the grid on it.
 
     A grid point is skipped, like a selection returning NA for an
     unfittable model, when every EM restart fails: a component collapses,
     or its covariance rests on the variance floor (see :func:`fit_gmm_em`).
     Ties prefer smaller k, then the simpler family.  Raises only if every
-    grid point fails.
+    grid point fails; ``grid`` lists each point's diagnostics or error.
     """
     ks = list(k_range)
     if not ks:
         raise DataError("empty k range")
     candidates = []
-    last_error = None
+    grid = []
     for family in families:
         if family not in FAMILIES:
             raise DataError(f"unknown family {family!r}")
@@ -230,12 +242,14 @@ def select_by_bic(points, k_range, families=FAMILIES, seed: int = 0) -> GmmModel
             try:
                 model = fit_gmm_em(points, k, family, seed)
             except NumericalError as exc:
-                last_error = exc
+                grid.append({"k": k, "family": family, "error": str(exc)})
                 continue
             candidates.append(model)
+            grid.append({f: getattr(model, f) for f in _GRID_FIELDS})
     if not candidates:
-        raise NumericalError(f"no (k, family) grid point could be fitted: {last_error}")
-    return min(candidates, key=lambda m: (m.bic, m.k, FAMILIES.index(m.family)))
+        raise NumericalError(f"no (k, family) grid point could be fitted: {grid[-1]['error']}")
+    best = min(candidates, key=lambda m: (m.bic, m.k, FAMILIES.index(m.family)))
+    return replace(best, grid=tuple(grid))
 
 
 def characteristic_schedules(
@@ -261,9 +275,5 @@ def characteristic_schedules(
 
 
 def em_log_likelihood_path(points, k: int, family: str = "full", seed: int = 0):
-    """Log-likelihood after each EM iteration of a single run (diagnostic)."""
-    pts = linalg.as_matrix(points)
-    if pts.shape[0] < k:
-        raise NumericalError(f"cannot fit {k} clusters to {pts.shape[0]} observations")
-    means = _seed_centers(pts, k, np.random.default_rng(seed))
-    return _run_em(pts, k, family, means, _floor_for(pts))[0]
+    """Log-likelihood at each EM iteration of the restart fit_gmm_em keeps."""
+    return list(fit_gmm_em(points, k, family, seed).log_likelihood_path)

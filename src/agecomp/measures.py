@@ -96,12 +96,11 @@ def life_table_from_mx(mx: AgeSchedule, age_starts) -> LifeTable:
 
 def interval_death_prob(lt: LifeTable, x: float, n: float) -> float:
     """Probability of dying between exact ages x and x+n, given alive at x."""
-    starts = lt.age_start.tolist()
-    for bound in (x, x + n):
-        if bound not in starts:
+    at = [np.flatnonzero(np.isclose(lt.age_start, b, rtol=0, atol=1e-9)) for b in (x, x + n)]
+    for bound, hits in zip((x, x + n), at):
+        if hits.size == 0:
             raise DataError(f"age {bound} is not on the life-table grid")
-    lo = lt.lx[starts.index(x)]
-    hi = lt.lx[starts.index(x + n)]
+    lo, hi = (lt.lx[hits[0]] for hits in at)
     if lo == 0.0:
         raise DataError(f"no survivors at age {x}")
     return float(1.0 - hi / lo)

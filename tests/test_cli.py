@@ -293,3 +293,11 @@ class TestExitCodes:
         )
         assert result.returncode == 0
         assert "decompose" in result.stdout
+
+    def test_package_module_help(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "agecomp", "--help"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0
+        assert "decompose" in result.stdout

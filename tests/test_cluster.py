@@ -175,6 +175,124 @@ class TestBatchedEm:
             )
 
 
+def _restart_by_restart(points, k, family, seed):
+    # per-restart reference for the stacked restarts of cluster.fit_gmm_em:
+    # each restart runs alone; returns per restart its failure text or
+    # (log-likelihood path, converged)
+    floor = cluster._floor_for(points)
+    pooled, degenerate = cluster._pooled_cov(points, family, floor)
+    rng = np.random.default_rng(seed)
+    outcomes = []
+    for _ in range(cluster._RESTARTS):
+        means = cluster._seed_centers(points, k, rng)
+        weights, covs = np.full(k, 1.0 / k), np.repeat(pooled, k, axis=0)
+        path, converged = [], False
+        try:
+            for iteration in range(cluster._MAX_ITER):
+                logsum, resp = cluster._posterior(points, weights, means, covs)
+                path.append(float(logsum.sum()))
+                counts = resp.sum(axis=0)
+                if np.any(counts < 1e-10):
+                    raise NumericalError("mixture component collapsed to zero weight")
+                weights = counts / len(points)
+                means = (resp.T @ points) / counts[:, None]
+                diff = points[None, :, :] - means[:, None, :]
+                scatter = (resp.T[:, :, None] * diff).transpose(0, 2, 1) @ diff
+                covs, floored = cluster._constrain(scatter / counts[:, None, None], family, floor)
+                if iteration > 0 and path[-1] - path[-2] < cluster._LL_TOL:
+                    converged = True
+                    break
+        except (NumericalError, np.linalg.LinAlgError) as exc:
+            outcomes.append(str(exc))
+            continue
+        if floored and not degenerate:
+            outcomes.append("a component covariance rests on the variance floor")
+        else:
+            outcomes.append((path, converged))
+    return outcomes
+
+
+def _kept(outcomes):
+    # the highest final log-likelihood, ties to the earliest restart
+    runs = [o for o in outcomes if isinstance(o, tuple)]
+    return max(runs, key=lambda run: run[0][-1]) if runs else None
+
+
+def _reference_datasets():
+    # with seed 2, restarts end after 3 to 110 iterations, and some rest on the
+    # variance floor (spherical k=5 on the blobs, full k=5 on the normal sample)
+    rng = np.random.default_rng(11)
+    blobs = np.vstack([rng.normal(size=(12, 2)) * 0.5 + c for c in ((0, 0), (3, 1), (1, 4))])
+    return {"blobs": blobs, "normal3d": np.random.default_rng(12).normal(size=(25, 3))}
+
+
+class TestRestartStack:
+    @pytest.mark.parametrize("dataset", ["blobs", "normal3d"])
+    @pytest.mark.parametrize("family", cluster.FAMILIES)
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_matches_restart_by_restart_reference(self, dataset, family, k):
+        pts = _reference_datasets()[dataset]
+        outcomes = _restart_by_restart(pts, k, family, seed=2)
+        kept = _kept(outcomes)
+        if kept is None:
+            with pytest.raises(NumericalError, match="all EM restarts failed"):
+                cluster.fit_gmm_em(pts, k, family, seed=2)
+            return
+        model = cluster.fit_gmm_em(pts, k, family, seed=2)
+        path, converged = kept
+        np.testing.assert_allclose(model.log_likelihood, path[-1], rtol=1e-12, atol=0)
+        bic = -2.0 * path[-1] + model.n_params * np.log(len(pts))
+        np.testing.assert_allclose(model.bic, bic, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(model.log_likelihood_path, path, rtol=1e-12, atol=0)
+        assert model.n_iter == len(path)
+        assert model.converged is converged
+        assert model.failed_restarts == sum(isinstance(o, str) for o in outcomes)
+
+    def test_lapack_failure_fails_only_that_restart(self, rng, monkeypatch):
+        pts = two_blobs(rng)
+        outcomes = _restart_by_restart(pts, 2, "full", seed=0)
+        assert not any(isinstance(o, str) for o in outcomes)
+        real_cholesky = np.linalg.cholesky
+        stacks = []
+        monkeypatch.setattr(
+            np.linalg, "cholesky", lambda a: stacks.append(np.array(a)) or real_cholesky(a)
+        )
+        cluster.fit_gmm_em(pts, k=2, family="full", seed=0)
+        # restart 2's covariances after its first EM step, unique among the restarts
+        assert stacks[1].shape[0] == cluster._RESTARTS
+        target = stacks[1][2]
+        assert sum(np.array_equal(target, cov) for cov in stacks[1]) == 1
+
+        def failing(a):
+            if any(np.array_equal(target, cov) for cov in np.reshape(a, (-1,) + target.shape)):
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return real_cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        model = cluster.fit_gmm_em(pts, k=2, family="full", seed=0)
+        assert model.failed_restarts == 1
+        outcomes[2] = "Matrix is not positive definite"
+        assert model.log_likelihood == pytest.approx(_kept(outcomes)[0][-1], rel=1e-12)
+
+    def test_one_runner_call_per_grid_point(self, rng, monkeypatch):
+        real_run = cluster._run_restarts
+        stacks = []
+        monkeypatch.setattr(
+            cluster, "_run_restarts", lambda *args: stacks.append(args[2].shape) or real_run(*args)
+        )
+        cluster.select_by_bic(two_blobs(rng), range(1, 7), seed=0)
+        assert len(stacks) == 18
+        assert all(shape[0] == cluster._RESTARTS for shape in stacks)
+
+    def test_kept_path_is_recorded(self, rng):
+        pts = rng.normal(size=(40, 2))
+        model = cluster.fit_gmm_em(pts, k=3, family="full", seed=3)
+        assert len(model.log_likelihood_path) == model.n_iter
+        assert model.log_likelihood_path[-1] == model.log_likelihood
+        path = cluster.em_log_likelihood_path(pts, k=3, family="full", seed=3)
+        assert path == list(model.log_likelihood_path)
+
+
 class TestAssign:
     def test_responsibilities_rows_sum_to_one(self, rng):
         pts = rng.normal(size=(30, 2))
@@ -250,6 +368,28 @@ class TestSelectByBic:
         pts = TWO_TRIPLES
         with pytest.raises(NumericalError, match="variance floor"):
             cluster.fit_gmm_em(pts, k=6, family="spherical", seed=0)
+
+    def test_grid_records_every_point(self):
+        model = cluster.select_by_bic(TWO_TRIPLES, range(1, 7), seed=0)
+        points = [(p["k"], p["family"]) for p in model.grid]
+        assert points == [(k, f) for f in cluster.FAMILIES for k in range(1, 7)]
+        for point in model.grid:
+            try:
+                fit = cluster.fit_gmm_em(TWO_TRIPLES, point["k"], point["family"], seed=0)
+            except NumericalError as exc:
+                assert point == {"k": point["k"], "family": point["family"], "error": str(exc)}
+                continue
+            assert point == {
+                "k": fit.k,
+                "family": fit.family,
+                "bic": fit.bic,
+                "log_likelihood": fit.log_likelihood,
+                "n_iter": fit.n_iter,
+                "converged": fit.converged,
+                "failed_restarts": fit.failed_restarts,
+            }
+        assert sum("error" in p for p in model.grid) == 11
+        assert model.bic == min(p["bic"] for p in model.grid if "error" not in p)
 
     @pytest.mark.parametrize("scale", [1e-10, 1e-12])
     def test_mortality_selection_does_not_depend_on_floor(

@@ -123,6 +123,16 @@ class TestIntervalDeathProb:
             1.0 - l60 / l15, abs=1e-6
         )
 
+    def test_sub_year_grid_ages_match_within_tolerance(self):
+        # 0.1 + 0.2 is 0.30000000000000004, which is not the grid age 0.3
+        starts = [0, 0.1, 0.3, 1, 5, 10]
+        rates = [0.05, 0.04, 0.03, 0.01, 0.005, 0.2]
+        lt = measures.life_table_from_mx(AgeSchedule([str(s) for s in starts], rates), starts)
+        got = measures.interval_death_prob(lt, 0.1, 0.2)
+        assert got == pytest.approx(1.0 - lt.lx[2] / lt.lx[1], rel=1e-15)
+        with pytest.raises(DataError):
+            measures.interval_death_prob(lt, 0.1, 0.2 + 1e-6)
+
     def test_off_grid_errors(self, data_dir):
         mx = load_schedule_csv(data_dir / "agincourt_mx_female.csv").column("2011")
         lt = measures.life_table_from_mx(mx, ABRIDGED_STARTS)
