@@ -71,7 +71,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_reconstruct(args):
-    basis = io.basis_from_json(Path(args.basis).read_text(encoding="utf-8"))
+    basis = io.basis_from_json(io.read_text(args.basis))
     labels, weights = io.load_weights_csv(args.weights)
     if weights.shape[1] != basis.c:
         raise DataError(
@@ -91,18 +91,11 @@ def _cmd_smooth(args):
 
 def _cmd_fit(args):
     matrix = _load_matrix(args.inputs, args.log, args.concat_sexes)
-    basis = io.basis_from_json(Path(args.basis).read_text(encoding="utf-8"))
-    fits = [
-        schedule.fit_weights(matrix.column(label), basis)
-        for label in matrix.schedule_labels
-    ]
+    basis = io.basis_from_json(io.read_text(args.basis))
+    labels = matrix.schedule_labels
+    fits = [schedule.fit_weights(matrix.column(label), basis) for label in labels]
     weights = np.vstack([f.betas for f in fits])
-    io.write_weights_csv(
-        matrix.schedule_labels,
-        weights,
-        args.out,
-        residual_norms=[f.residual_norm for f in fits],
-    )
+    io.write_weights_csv(labels, weights, args.out, [f.residual_norm for f in fits])
 
 
 def _cmd_regress(args):
@@ -126,19 +119,15 @@ def _cmd_regress(args):
 
 
 def _cmd_predict(args):
-    basis = io.basis_from_json(Path(args.basis).read_text(encoding="utf-8"))
-    models = io.models_from_json(Path(args.models).read_text(encoding="utf-8"))
+    basis = io.basis_from_json(io.read_text(args.basis))
+    models = io.models_from_json(io.read_text(args.models))
     covariates = io.load_covariates_csv(args.covariates)
-    needs_delta = any("delta" in m.predictor_names for m in models)
-    if needs_delta:
+    if any("delta" in m.predictor_names for m in models):
         covariates = covariates.with_delta()
-    columns = [
-        regress.predict_schedule(basis, models, covariates.row(label)).values
-        for label in covariates.labels
-    ]
-    out = schedule.ScheduleMatrix(
-        basis.group_labels, covariates.labels, np.column_stack(columns), basis.scale
-    )
+    labels = covariates.labels
+    columns = [regress.predict_schedule(basis, models, covariates.row(h)).values for h in labels]
+    out = schedule.ScheduleMatrix(basis.group_labels, labels, np.column_stack(columns),
+                                  basis.scale)
     io.write_schedule_csv(out, args.out)
 
 
@@ -240,28 +229,18 @@ def _parse_age_start(label: str) -> float:
 def _cmd_lifetable(args):
     matrix = io.load_schedule_csv(args.input)
     label = args.column if args.column else matrix.schedule_labels[0]
-    mx = matrix.column(label)
     starts = [_parse_age_start(g) for g in matrix.group_labels]
-    lt = measures.life_table_from_mx(mx, starts)
+    lt = measures.life_table_from_mx(matrix.column(label), starts)
+    table = np.column_stack([lt.mx, lt.ax, lt.qx, lt.lx, lt.Lx, lt.Tx, lt.ex])
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("age,mx,ax,qx,lx,Lx,Tx,ex\n")
-        for i, g in enumerate(matrix.group_labels):
-            cells = [g] + [
-                io.fmt_number(v[i])
-                for v in (lt.mx, lt.ax, lt.qx, lt.lx, lt.Lx, lt.Tx, lt.ex)
-            ]
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(io.format_rows(matrix.group_labels, table, lineterminator="\n"))
     print(f"life expectancy at birth for {label!r}: {lt.e0:.2f} years")
 
 
 def _cmd_plot(args):
-    rows = io._read_rows(args.input)
-    x = np.array([io._parse_cell(args.input, rows, r, 0) for r in range(1, len(rows))])
-    series = []
-    for c, name in enumerate(rows[0][1:], start=1):
-        y = np.array([io._parse_cell(args.input, rows, r, c) for r in range(1, len(rows))])
-        series.append((name.strip(), x, y))
-    svg = io.render_plot(series, kind=args.kind, x_label=rows[0][0], y_label="")
+    x_label, series = io.load_series_csv(args.input)
+    svg = io.render_plot(series, kind=args.kind, x_label=x_label, y_label="")
     Path(args.out).write_text(svg, encoding="utf-8")
 
 

@@ -1,13 +1,17 @@
 """File formats: schedule/weight/covariate CSV, basis and model JSON, PPM, SVG.
 
-Numbers serialized to JSON are written as full-precision decimal strings
-(shortest round-trip repr) so a load restores the exact float.
+Numbers are written as shortest round-trip decimal strings (``fmt_number``)
+so a load restores the exact float.  CSV rows are parsed and formatted whole,
+a row per call, with the same bytes as formatting each cell by ``fmt_number``.
+Bytes that are not UTF-8 text raise DataError.
 """
 
 import csv
 import json
 import re
+from itertools import compress
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,6 +35,8 @@ def _read_rows(path):
             rows = [row for row in csv.reader(fh) if row]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if len(rows) < 2:
         raise DataError(f"{path}: need a header row and at least one data row")
     width = len(rows[0])
@@ -40,13 +46,46 @@ def _read_rows(path):
     return rows
 
 
-def _parse_cell(path, rows, r, c) -> float:
+def _parse_block(path, rows, cols, by_column: bool = False) -> np.ndarray:
+    """Float array of the data cells in ascending columns ``cols``, a row per
+    data row (per column with ``by_column``), each parsed by one map(float);
+    cells are tried one at a time, in that order, only to name a bad one."""
+    keep = [c in cols for c in range(len(rows[0]))]
+
+    def lines():
+        picked = (compress(row, keep) for row in rows[1:])
+        return zip(*picked) if by_column else picked
+
     try:
-        return float(rows[r][c])
+        return np.array([list(map(float, line)) for line in lines()])
     except ValueError:
-        raise DataError(
-            f"{path}: non-numeric cell {rows[r][c]!r} at row {r + 1}, column {c + 1}"
-        ) from None
+        for i, line in enumerate(lines()):
+            for j, cell in enumerate(line):
+                try:
+                    float(cell)
+                except ValueError:
+                    r, c = (j, i) if by_column else (i, j)
+                    raise DataError(
+                        f"{path}: non-numeric cell {cell!r} at row {r + 2}, column {cols[c] + 1}"
+                    ) from None
+        raise
+
+
+def format_rows(labels, block, lineterminator="\r\n"):
+    """CSV lines ``label,v1,...`` of a float block, a row at a time.  csv quotes
+    the label; values are ``repr`` of a float (``fmt_number``), which never
+    needs quoting, so they are joined without csv's per-character scan."""
+    # writerow returns what the file's write returns: here the line itself
+    quote = csv.writer(SimpleNamespace(write=str), lineterminator=lineterminator).writerow
+    for label, row in zip(labels, np.asarray(block, dtype=float), strict=True):
+        head = quote([label, ""])[: -len(lineterminator)]  # the csv label and a comma
+        yield head + ",".join(map(repr, row.tolist())) + lineterminator
+
+
+def _write_csv(path, header, labels, block) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(format_rows(labels, block))
 
 
 def load_schedule_csv(path, log: bool = False) -> ScheduleMatrix:
@@ -56,20 +95,13 @@ def load_schedule_csv(path, log: bool = False) -> ScheduleMatrix:
         raise DataError(f"{path}: first header cell must be 'age', got {rows[0][0]!r}")
     schedule_labels = [c.strip() for c in rows[0][1:]]
     group_labels = [row[0].strip() for row in rows[1:]]
-    data = np.array(
-        [[_parse_cell(path, rows, r, c) for c in range(1, len(rows[0]))]
-         for r in range(1, len(rows))]
-    )
+    data = _parse_block(path, rows, range(1, len(rows[0])))
     matrix = ScheduleMatrix(group_labels, schedule_labels, data)
     return matrix.to_log() if log else matrix
 
 
 def write_schedule_csv(matrix: ScheduleMatrix, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["age", *matrix.schedule_labels])
-        for g, label in enumerate(matrix.group_labels):
-            writer.writerow([label, *(fmt_number(v) for v in matrix.data[g])])
+    _write_csv(path, ["age", *matrix.schedule_labels], matrix.group_labels, matrix.data)
 
 
 def load_covariates_csv(path) -> CovariateTable:
@@ -77,11 +109,15 @@ def load_covariates_csv(path) -> CovariateTable:
     rows = _read_rows(path)
     names = [c.strip() for c in rows[0][1:]]
     labels = [row[0].strip() for row in rows[1:]]
-    columns = {
-        name: np.array([_parse_cell(path, rows, r, c + 1) for r in range(1, len(rows))])
-        for c, name in enumerate(names)
-    }
-    return CovariateTable(labels, columns)
+    columns = _parse_block(path, rows, range(1, len(rows[0])), by_column=True)
+    return CovariateTable(labels, dict(zip(names, columns)))
+
+
+def load_series_csv(path):
+    """Read plot series: (x label, [(name, x, y), ...]) from an x column and y columns."""
+    rows = _read_rows(path)
+    x, *ys = _parse_block(path, rows, range(len(rows[0])), by_column=True)
+    return rows[0][0], [(name.strip(), x, y) for name, y in zip(rows[0][1:], ys)]
 
 
 def write_weights_csv(labels, weights, path, residual_norms=None) -> None:
@@ -90,14 +126,8 @@ def write_weights_csv(labels, weights, path, residual_norms=None) -> None:
     header = ["schedule"] + [f"v{i + 1}" for i in range(w.shape[1])]
     if residual_norms is not None:
         header.append("residual_norm")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, label in enumerate(labels):
-            row = [label, *(fmt_number(v) for v in w[i])]
-            if residual_norms is not None:
-                row.append(fmt_number(residual_norms[i]))
-            writer.writerow(row)
+        w = np.column_stack([w, residual_norms])
+    _write_csv(path, header, labels, w)
 
 
 def load_weights_csv(path):
@@ -108,10 +138,15 @@ def load_weights_csv(path):
     if not keep:
         raise DataError(f"{path}: no weight columns (v1, v2, ...) found")
     labels = [row[0].strip() for row in rows[1:]]
-    data = np.array(
-        [[_parse_cell(path, rows, r, c) for c in keep] for r in range(1, len(rows))]
-    )
-    return labels, data
+    return labels, _parse_block(path, rows, keep)
+
+
+def read_text(path) -> str:
+    """UTF-8 text of a file, such as a basis or models JSON; raises DataError if undecodable."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +167,10 @@ def basis_to_json(basis: ComponentBasis) -> str:
 def basis_from_json(text: str) -> ComponentBasis:
     try:
         payload = json.loads(text)
-        components = np.array(
-            [[float(v) for v in comp] for comp in payload["components"]]
-        ).T
         return ComponentBasis(
             group_labels=payload["group_labels"],
-            components=components,
-            singular_values=[float(v) for v in payload["singular_values"]],
+            components=np.array([list(map(float, comp)) for comp in payload["components"]]).T,
+            singular_values=list(map(float, payload["singular_values"])),
             scale=payload["scale"],
             source_id=payload.get("source_id", ""),
         )
@@ -168,25 +200,20 @@ def models_to_json(models) -> str:
 
 def models_from_json(text: str):
     try:
-        payload = json.loads(text)
-        models = []
-        for entry in payload["models"]:
-            models.append(
-                LinearModel(
-                    predictor_names=tuple(entry["predictor_names"]),
-                    coefficients=np.array([float(v) for v in entry["coefficients"]]),
-                    standard_errors=np.array(
-                        [float(v) for v in entry["standard_errors"]]
-                    ),
-                    t_values=np.array([float(v) for v in entry["t_values"]]),
-                    p_values=np.array([float(v) for v in entry["p_values"]]),
-                    r_squared=float(entry["r_squared"]),
-                    n=int(entry["n"]),
-                    residuals=np.array([]),
-                    with_intercept=bool(entry["with_intercept"]),
-                )
+        return [
+            LinearModel(
+                predictor_names=tuple(entry["predictor_names"]),
+                coefficients=np.array(list(map(float, entry["coefficients"]))),
+                standard_errors=np.array(list(map(float, entry["standard_errors"]))),
+                t_values=np.array(list(map(float, entry["t_values"]))),
+                p_values=np.array(list(map(float, entry["p_values"]))),
+                r_squared=float(entry["r_squared"]),
+                n=int(entry["n"]),
+                residuals=np.array([]),
+                with_intercept=bool(entry["with_intercept"]),
             )
-        return models
+            for entry in json.loads(text)["models"]
+        ]
     except (KeyError, ValueError, TypeError) as exc:
         raise DataError(f"malformed models JSON: {exc}") from exc
 

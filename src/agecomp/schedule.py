@@ -7,6 +7,7 @@ weights for the source schedules are rows of the right singular vectors;
 weights for new schedules come from an intercept-free projection.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +51,7 @@ class AgeSchedule:
             raise DataError("schedule values must be a nonempty vector")
         if len(self.group_labels) != values.size:
             raise DataError("schedule labels and values differ in length")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise DataError("schedule contains non-finite values")
         _check_scale(self.scale)
 
@@ -119,10 +120,12 @@ class ComponentBasis:
     singular_values: np.ndarray  # length c
     scale: str
     source_id: str = ""
+    _sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         comps = linalg.as_matrix(self.components)
         object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "_sq_norms", np.einsum("ij,ij->j", comps, comps))
         object.__setattr__(
             self, "singular_values", np.asarray(self.singular_values, dtype=float)
         )
@@ -190,12 +193,11 @@ def fit_weights(observed: AgeSchedule, basis: ComponentBasis) -> FittedSchedule:
         )
     if observed.scale != basis.scale:
         raise DataError(f"scale mismatch: {observed.scale} vs {basis.scale}")
-    comps = basis.components
-    betas = (comps.T @ observed.values) / np.einsum("ij,ij->j", comps, comps)
+    betas = (basis.components.T @ observed.values) / basis._sq_norms
     predicted = reconstruct(basis, betas)
     residual = observed.values - predicted.values
     return FittedSchedule(
-        betas=betas, predicted=predicted, residual_norm=float(np.linalg.norm(residual))
+        betas=betas, predicted=predicted, residual_norm=math.sqrt(residual @ residual)
     )
 
 

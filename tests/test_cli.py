@@ -265,6 +265,22 @@ class TestExitCodes:
             "decompose", bad, "--components", "1", "--out", tmp_path / "o.json"
         ) == 2
 
+    def test_undecodable_input_is_a_data_error(self, tmp_path, basis_and_weights, capsys):
+        basis, weights = basis_and_weights
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\xfe\x00x")
+        out = tmp_path / "o.csv"
+        for argv in (
+            ("smooth", bad, "--components", "1", "--out", out),  # schedule CSV
+            ("reconstruct", "--basis", basis, "--weights", bad, "--out", out),
+            ("reconstruct", "--basis", bad, "--weights", weights, "--out", out),
+        ):
+            assert run(*argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and "not UTF-8" in err
+            assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_numerical_errors(self, tmp_path):
         small = tmp_path / "small.csv"
         small.write_text("age,x,y\n0,2,1\n1,1,1\n2,1,2\n")

@@ -101,6 +101,45 @@ class TestWeightsCsv:
         np.testing.assert_array_equal(w, [[1.5, 2.5], [3.0, 4.0]])
 
 
+def _block_csv(path, first, names, bad=()):
+    """A file of label rows r1, r2, ... under ``first,<names>``, every cell 0.5
+    except the 1-based (row, column) positions in ``bad``, which hold 'x'."""
+    rows = [[first, *names]] + [[f"r{r}"] + ["0.5"] * len(names) for r in range(1, 38)]
+    for r, c in bad:
+        rows[r - 1][c - 1] = "x"
+    path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+    return path
+
+
+WIDE_LOADERS = [
+    (io.load_schedule_csv, "age", "s"),
+    (io.load_weights_csv, "schedule", "v"),
+    (io.load_covariates_csv, "year", "c"),
+]
+
+
+@pytest.mark.parametrize("loader, first, prefix", WIDE_LOADERS)
+def test_non_numeric_cell_in_a_wide_block_names_position(tmp_path, loader, first, prefix):
+    names = [f"{prefix}{i}" for i in range(1, 5000)]  # a 38 x 5000 file
+    path = _block_csv(tmp_path / "wide.csv", first, names, bad=[(30, 4000)])
+    with pytest.raises(DataError, match=r"non-numeric cell 'x' at row 30, column 4000$"):
+        loader(path)
+
+
+@pytest.mark.parametrize("loader, first, prefix, named", [
+    (io.load_schedule_csv, "age", "s", "row 30, column 4000"),
+    (io.load_weights_csv, "schedule", "v", "row 30, column 4000"),
+    (io.load_covariates_csv, "year", "c", "row 35, column 10"),  # read column by column
+])
+def test_first_bad_cell_follows_the_loaders_reading_order(
+    tmp_path, loader, first, prefix, named
+):
+    names = [f"{prefix}{i}" for i in range(1, 5000)]
+    path = _block_csv(tmp_path / "two.csv", first, names, bad=[(30, 4000), (35, 10)])
+    with pytest.raises(DataError, match=named):
+        loader(path)
+
+
 class TestJson:
     def test_basis_round_trip_is_exact(self, mortality_log):
         basis = schedule.build_basis(mortality_log, 2, source_id="mx")
