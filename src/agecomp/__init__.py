@@ -42,11 +42,13 @@ from .regress import (
 from .schedule import (
     AgeSchedule,
     ComponentBasis,
+    Decomposition,
     ErrorMetrics,
     FittedSchedule,
     ScheduleMatrix,
     build_basis,
     concat_sexes,
+    decompose,
     error_metrics,
     fit_weights,
     reconstruct,
@@ -62,6 +64,7 @@ __all__ = [
     "ComponentBasis",
     "CovariateTable",
     "DataError",
+    "Decomposition",
     "ErrorMetrics",
     "FittedSchedule",
     "GmmModel",
@@ -76,6 +79,7 @@ __all__ = [
     "center_columns",
     "characteristic_schedules",
     "concat_sexes",
+    "decompose",
     "derive_delta",
     "error_metrics",
     "explained_share",

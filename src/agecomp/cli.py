@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
 
 import argparse
+import csv
 import functools
 import json
 import sys
@@ -43,59 +44,43 @@ def _load_matrix(paths, log, concat) -> schedule.ScheduleMatrix:
     return matrices[0]
 
 
-def _components_arg(args, matrix, default=None) -> int:
+def _component_count(args):
+    """--components, checked; None (the numerical rank) with --full."""
     if getattr(args, "full", False):
-        return linalg.svd(matrix.data).rank
-    c = args.components if args.components is not None else default
-    if c is None:
-        raise _UsageError("--components is required (or --full where supported)")
-    if c < 1:
+        return None
+    if args.components < 1:
         raise _UsageError("--components must be >= 1")
-    return c
+    return args.components
 
 
 def _cmd_decompose(args):
     matrix = _load_matrix(args.inputs, args.log, args.concat_sexes)
-    c = _components_arg(args, matrix, default=2)
-    basis = schedule.build_basis(matrix, c, source_id=args.source_id)
-    Path(args.out).write_text(io.basis_to_json(basis), encoding="utf-8")
+    d = schedule.decompose(matrix, _component_count(args))
+    Path(args.out).write_text(io.basis_to_json(d.basis(args.source_id)), encoding="utf-8")
     if args.weights:
-        io.write_weights_csv(
-            matrix.schedule_labels, schedule.svd_weights(matrix, c), args.weights
-        )
-    shares = linalg.explained_share(linalg.svd(matrix.data))[:c]
+        io.write_weights_csv(matrix.schedule_labels, d.weights(), args.weights)
     print(
         f"decomposed {matrix.data.shape[0]}x{matrix.data.shape[1]} matrix; "
-        f"kept {c} components explaining {100 * shares.sum():.4f}% of squared magnitude"
+        f"kept {d.c} components explaining {100 * d.shares().sum():.4f}% of squared magnitude"
     )
 
 
 def _cmd_reconstruct(args):
     basis = io.basis_from_json(io.read_text(args.basis))
     labels, weights = io.load_weights_csv(args.weights)
-    if weights.shape[1] != basis.c:
-        raise DataError(
-            f"weights have {weights.shape[1]} components, basis has {basis.c}"
-        )
-    out = schedule.ScheduleMatrix(
-        basis.group_labels, labels, basis.components @ weights.T, basis.scale
-    )
-    io.write_schedule_csv(out, args.out)
+    io.write_schedule_csv(schedule.reconstruct_matrix(basis, labels, weights), args.out)
 
 
 def _cmd_smooth(args):
     matrix = _load_matrix(args.inputs, args.log, args.concat_sexes)
-    c = _components_arg(args, matrix)
-    io.write_schedule_csv(schedule.smooth_matrix(matrix, c), args.out)
+    io.write_schedule_csv(schedule.decompose(matrix, _component_count(args)).smoothed(), args.out)
 
 
 def _cmd_fit(args):
     matrix = _load_matrix(args.inputs, args.log, args.concat_sexes)
     basis = io.basis_from_json(io.read_text(args.basis))
-    labels = matrix.schedule_labels
-    fits = [schedule.fit_weights(matrix.column(label), basis) for label in labels]
-    weights = np.vstack([f.betas for f in fits])
-    io.write_weights_csv(labels, weights, args.out, [f.residual_norm for f in fits])
+    weights, residual_norms = schedule.fit_matrix(matrix, basis)
+    io.write_weights_csv(matrix.schedule_labels, weights, args.out, residual_norms)
 
 
 def _cmd_regress(args):
@@ -109,12 +94,8 @@ def _cmd_regress(args):
     models = regress.fit_weight_models(weights, covariates, predictors)
     Path(args.out).write_text(io.models_to_json(models), encoding="utf-8")
     for i, model in enumerate(models):
-        terms = ", ".join(
-            f"{name}={coef:.6g}"
-            for name, coef in zip(
-                ("intercept", *model.predictor_names), model.coefficients
-            )
-        )
+        names = ("intercept", *model.predictor_names)
+        terms = ", ".join(f"{name}={coef:.6g}" for name, coef in zip(names, model.coefficients))
         print(f"v{i + 1}: {terms}; R^2={model.r_squared:.4f}")
 
 
@@ -124,11 +105,10 @@ def _cmd_predict(args):
     covariates = io.load_covariates_csv(args.covariates)
     if any("delta" in m.predictor_names for m in models):
         covariates = covariates.with_delta()
-    labels = covariates.labels
-    columns = [regress.predict_schedule(basis, models, covariates.row(h)).values for h in labels]
-    out = schedule.ScheduleMatrix(basis.group_labels, labels, np.column_stack(columns),
-                                  basis.scale)
-    io.write_schedule_csv(out, args.out)
+    # every model on whole columns; an intercept-only model's constant holds at every row
+    n = len(covariates.labels)
+    weights = np.transpose([np.broadcast_to(m.predict_one(covariates.columns), n) for m in models])
+    io.write_schedule_csv(schedule.reconstruct_matrix(basis, covariates.labels, weights), args.out)
 
 
 def _parse_k_range(text):
@@ -148,10 +128,9 @@ def _parse_k_range(text):
 def _cmd_cluster(args):
     labels, weights = io.load_weights_csv(args.weights)
     families = cluster_mod.FAMILIES if args.family == "all" else (args.family,)
-    model = cluster_mod.select_by_bic(
-        weights, _parse_k_range(args.k_range), families, seed=args.seed
-    )
-    assignment = cluster_mod.assign(model, weights)
+    ks = _parse_k_range(args.k_range)
+    model = cluster_mod.select_by_bic(weights, ks, families, seed=args.seed)
+    pairs = list(zip(labels, cluster_mod.assign(model, weights).labels.tolist()))
     payload = {
         "family": model.family,
         "k": model.k,
@@ -159,15 +138,13 @@ def _cmd_cluster(args):
         "log_likelihood": io.fmt_number(model.log_likelihood),
         "mixing_weights": [io.fmt_number(w) for w in model.mixing_weights],
         "means": [[io.fmt_number(v) for v in row] for row in model.means],
-        "labels": {label: int(lab) for label, lab in zip(labels, assignment.labels)},
+        "labels": dict(pairs),
     }
     if args.format == "json":
         Path(args.out).write_text(json.dumps(payload, indent=2), encoding="utf-8")
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("schedule,cluster\n")
-            for label, lab in zip(labels, assignment.labels):
-                fh.write(f"{label},{int(lab)}\n")
+            csv.writer(fh, lineterminator="\n").writerows([("schedule", "cluster"), *pairs])
     print(f"selected {model.family} mixture with k={model.k} (BIC {model.bic:.2f})")
 
 
@@ -180,19 +157,12 @@ def _cmd_metrics(args):
             predicted.data, observed.scale,
         )
     m = schedule.error_metrics(predicted, observed)
+    mae = io.fmt_number(m.mae)
+    quantiles = {f"p{int(100 * p)}": io.fmt_number(q) for p, q in zip(m.probs, m.quantiles)}
     if args.format == "json":
-        text = json.dumps(
-            {
-                "mae": io.fmt_number(m.mae),
-                "quantiles": {
-                    f"p{int(100 * p)}": io.fmt_number(q) for p, q in zip(m.probs, m.quantiles)
-                },
-            },
-            indent=2,
-        )
+        text = json.dumps({"mae": mae, "quantiles": quantiles}, indent=2)
     else:
-        header = "mae," + ",".join(f"p{int(100 * p)}" for p in m.probs)
-        text = header + "\n" + ",".join([io.fmt_number(m.mae), *(io.fmt_number(q) for q in m.quantiles)])
+        text = ",".join(["mae", *quantiles]) + "\n" + ",".join([mae, *quantiles.values()])
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     else:
@@ -210,11 +180,8 @@ def image_rank_approx(in_path, k: int, out_path) -> None:
 
 
 def _cmd_image(args):
-    if not Path(args.input).exists():
-        raise DataError(f"input file not found: {args.input}")
-    if args.components < 1:
-        raise _UsageError("--components must be >= 1")
-    image_rank_approx(args.input, args.components, args.out)
+    _require_inputs([args.input], concat=False)
+    image_rank_approx(args.input, _component_count(args), args.out)
 
 
 def _parse_age_start(label: str) -> float:
@@ -259,7 +226,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("decompose", help="build a component basis from schedules")
     matrix_input(p)
-    p.add_argument("--components", "-c", type=int, help="component count (default 2)")
+    p.add_argument("--components", "-c", type=int, default=2, help="component count (default 2)")
     p.add_argument("--full", action="store_true", help="keep all components")
     p.add_argument("--source-id", default="")
     p.add_argument("--out", required=True, help="basis JSON path")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DataError
 from .regress import CovariateTable, LinearModel
-from .schedule import ComponentBasis, ScheduleMatrix
+from .schedule import ComponentBasis, ScheduleMatrix, label_index
 
 
 def fmt_number(value) -> str:
@@ -37,6 +37,8 @@ def _read_rows(path):
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # such as a cell over the csv module's field limit
+        raise DataError(f"{path}: {exc}") from None
     if len(rows) < 2:
         raise DataError(f"{path}: need a header row and at least one data row")
     width = len(rows[0])
@@ -131,13 +133,14 @@ def write_weights_csv(labels, weights, path, residual_norms=None) -> None:
 
 
 def load_weights_csv(path):
-    """Return (labels, H x c weight array); extra columns are ignored."""
+    """Return (labels, H x c weight array); extra columns are ignored, labels must be unique."""
     rows = _read_rows(path)
     names = [c.strip() for c in rows[0][1:]]
     keep = [c + 1 for c, name in enumerate(names) if re.fullmatch(r"v\d+", name)]
     if not keep:
         raise DataError(f"{path}: no weight columns (v1, v2, ...) found")
     labels = [row[0].strip() for row in rows[1:]]
+    label_index(labels, "weight row")
     return labels, _parse_block(path, rows, keep)
 
 

@@ -2,7 +2,8 @@
 
 The decomposition is LAPACK's thin SVD as exposed by numpy; this module adds
 input validation, one rank cutoff shared by every caller, and deterministic
-signs.  All functions are pure; results are plain immutable values.
+signs, set for all components at once by one vectorised flip.  All
+functions are pure; results are plain immutable values.
 """
 
 from dataclasses import dataclass
@@ -74,21 +75,14 @@ def canonicalize_signs(f: SvdFactorization) -> SvdFactorization:
 
     Each (u_i, v_i) pair is jointly negated, if necessary, so that the
     entries of v_i sum to a positive number; when the sum is zero the first
-    nonzero entry of v_i is made positive instead.  Reconstruction is
-    unchanged.  Idempotent.
+    nonzero entry of v_i is made positive instead.  All pairs are flipped in
+    one product with a +-1 row, which is exact; u and v come back C-ordered.
+    Reconstruction is unchanged.  Idempotent.
     """
-    u = f.u.copy()
-    v = f.v.copy()
-    for i in range(f.rank):
-        total = v[:, i].sum()
-        if abs(total) <= 1e-12:
-            nz = np.nonzero(v[:, i])[0]
-            flip = nz.size > 0 and v[nz[0], i] < 0
-        else:
-            flip = total < 0
-        if flip:
-            u[:, i] = -u[:, i]
-            v[:, i] = -v[:, i]
+    total = f.v.sum(axis=0)
+    first = f.v[(f.v != 0).argmax(axis=0), np.arange(f.rank)]
+    sign = np.where(np.where(np.abs(total) <= 1e-12, first, total) < 0, -1.0, 1.0)
+    u, v = (np.multiply(x, sign, order="C") for x in (f.u, f.v))
     return SvdFactorization(u=u, s=f.s.copy(), v=v)
 
 

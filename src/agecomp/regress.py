@@ -89,18 +89,16 @@ class LinearModel:
     residuals: np.ndarray
     with_intercept: bool = True
 
-    def predict_one(self, covariates: dict) -> float:
-        coefs = self.coefficients
-        offset = 0
-        value = 0.0
-        if self.with_intercept:
-            value = coefs[0]
-            offset = 1
-        for j, name in enumerate(self.predictor_names):
+    def predict_one(self, covariates: dict):
+        """Model value at one covariate row, a dict of floats.  Given a dict of
+        equal-length columns instead, it is the value at every row, elementwise."""
+        coefs = iter(self.coefficients)
+        value = next(coefs) if self.with_intercept else 0.0
+        for name, coef in zip(self.predictor_names, coefs):
             if name not in covariates:
                 raise DataError(f"missing covariate {name!r}")
-            value += coefs[offset + j] * covariates[name]
-        return float(value)
+            value = value + coef * covariates[name]
+        return value
 
 
 def _betacf(a: float, b: float, x: float) -> float:

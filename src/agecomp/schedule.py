@@ -1,14 +1,16 @@
 """Component model of age-correlated quantities.
 
 A collection of age schedules (columns of a G x H matrix) is decomposed
-once; the scaled left singular vectors become fixed age-varying components,
-and every schedule is then a short weighted sum of those components.  The
-weights for the source schedules are rows of the right singular vectors;
-weights for new schedules come from an intercept-free projection.
+once, by one SVD, into a :class:`Decomposition`: the scaled left singular
+vectors become fixed age-varying components, and every schedule is then a
+short weighted sum of those components.  The weights for the source
+schedules are rows of the right singular vectors; weights for new schedules
+come from an intercept-free projection.  Fitting and reconstruction work on
+one schedule or on a whole matrix of them with the same products.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -144,6 +146,17 @@ class ComponentBasis:
     def n_groups(self) -> int:
         return self.components.shape[0]
 
+    def project(self, y, scale: str) -> np.ndarray:
+        """Least-squares weights of a G-vector (c) or of each column of a G x H y (H x c).
+
+        The components are orthogonal: beta_i = (comp_i . y) / (comp_i . comp_i).
+        """
+        if y.shape[0] != self.n_groups:
+            raise DataError(f"schedule has {y.shape[0]} groups, basis has {self.n_groups}")
+        if scale != self.scale:
+            raise DataError(f"scale mismatch: {scale} vs {self.scale}")
+        return y.T @ self.components / self._sq_norms
+
 
 @dataclass(frozen=True)
 class FittedSchedule:
@@ -154,51 +167,71 @@ class FittedSchedule:
     residual_norm: float = field(default=float("nan"))
 
 
-def _decompose(a: ScheduleMatrix, c: int) -> linalg.SvdFactorization:
-    if c < 1:
-        raise NumericalError(f"component count must be >= 1, got {c}")
+@dataclass(frozen=True)
+class Decomposition:
+    """One SVD of a schedule matrix, kept to c components; each result is made when asked."""
+
+    matrix: ScheduleMatrix
+    factors: linalg.SvdFactorization
+    c: int
+
+    def basis(self, source_id: str = "") -> ComponentBasis:
+        """First c canonicalized scaled left singular vectors."""
+        a, f, c = self.matrix, self.factors, self.c
+        return ComponentBasis(
+            a.group_labels, f.u[:, :c] * f.s[:c], f.s[:c].copy(), a.scale, source_id
+        )
+
+    def weights(self) -> np.ndarray:
+        """H x c matrix of per-schedule weights: row h reconstructs column h."""
+        return self.factors.v[:, : self.c].copy()
+
+    def shares(self) -> np.ndarray:
+        """Fraction of the total squared magnitude each kept component explains."""
+        return linalg.explained_share(self.factors)[: self.c]
+
+    def smoothed(self) -> ScheduleMatrix:
+        """Every column replaced by its c-component reconstruction."""
+        return replace(self.matrix, data=linalg.reconstruct_rank(self.factors, self.c))
+
+
+def decompose(a: ScheduleMatrix, c: int | None = None) -> Decomposition:
+    """Factorize a schedule matrix once; c defaults to its numerical rank."""
     f = linalg.svd(a.data)
-    if c > f.rank:
+    c = f.rank if c is None else c
+    if not 1 <= c <= f.rank:
         raise NumericalError(f"requested {c} components, numerical rank is {f.rank}")
-    return f
+    return Decomposition(a, f, c)
 
 
 def build_basis(a: ScheduleMatrix, c: int, source_id: str = "") -> ComponentBasis:
     """First c canonicalized scaled left singular vectors of a schedule matrix."""
-    f = _decompose(a, c)
-    return ComponentBasis(
-        group_labels=a.group_labels,
-        components=f.u[:, :c] * f.s[:c],
-        singular_values=f.s[:c].copy(),
-        scale=a.scale,
-        source_id=source_id,
-    )
+    return decompose(a, c).basis(source_id)
 
 
 def svd_weights(a: ScheduleMatrix, c: int) -> np.ndarray:
     """H x c matrix of per-schedule weights: row h reconstructs column h."""
-    f = _decompose(a, c)
-    return f.v[:, :c].copy()
+    return decompose(a, c).weights()
+
+
+def smooth_matrix(a: ScheduleMatrix, c: int) -> ScheduleMatrix:
+    """Replace every column by its c-component reconstruction."""
+    return decompose(a, c).smoothed()
 
 
 def fit_weights(observed: AgeSchedule, basis: ComponentBasis) -> FittedSchedule:
-    """Intercept-free least-squares weights of a schedule on the components.
-
-    Because the components are mutually orthogonal the solution is the
-    per-component projection beta_i = (comp_i . y) / (comp_i . comp_i).
-    """
-    if len(observed.group_labels) != basis.n_groups:
-        raise DataError(
-            f"schedule has {len(observed.group_labels)} groups, basis has {basis.n_groups}"
-        )
-    if observed.scale != basis.scale:
-        raise DataError(f"scale mismatch: {observed.scale} vs {basis.scale}")
-    betas = (basis.components.T @ observed.values) / basis._sq_norms
+    """Intercept-free least-squares weights of a schedule on the components."""
+    betas = basis.project(observed.values, observed.scale)
     predicted = reconstruct(basis, betas)
     residual = observed.values - predicted.values
-    return FittedSchedule(
-        betas=betas, predicted=predicted, residual_norm=math.sqrt(residual @ residual)
-    )
+    return FittedSchedule(betas, predicted, math.sqrt(residual @ residual))
+
+
+def fit_matrix(a: ScheduleMatrix, basis: ComponentBasis) -> tuple:
+    """(H x c weights, H residual norms): :func:`fit_weights` of every column at once."""
+    betas = basis.project(a.data, a.scale)
+    residual = a.data - reconstruct_matrix(basis, a.schedule_labels, betas).data
+    return betas, np.sqrt(np.einsum("ij,ij->j", residual, residual))
 
 
 def reconstruct(basis: ComponentBasis, betas) -> AgeSchedule:
@@ -209,12 +242,12 @@ def reconstruct(basis: ComponentBasis, betas) -> AgeSchedule:
     return AgeSchedule(basis.group_labels, basis.components @ b, basis.scale)
 
 
-def smooth_matrix(a: ScheduleMatrix, c: int) -> ScheduleMatrix:
-    """Replace every column by its c-component reconstruction."""
-    f = _decompose(a, c)
-    return ScheduleMatrix(
-        a.group_labels, a.schedule_labels, linalg.reconstruct_rank(f, c), a.scale
-    )
+def reconstruct_matrix(basis: ComponentBasis, labels, weights) -> ScheduleMatrix:
+    """Schedules labelled ``labels`` from H x c weights: column h is components @ weights[h]."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape[-1:] != (basis.c,):
+        raise DataError(f"weights have {w.shape[-1]} components, basis has {basis.c}")
+    return ScheduleMatrix(basis.group_labels, labels, basis.components @ w.T, basis.scale)
 
 
 _QUANTILE_PROBS = (0.01, 0.25, 0.50, 0.75, 0.99)

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -317,3 +318,130 @@ class TestExitCodes:
         )
         assert result.returncode == 0
         assert "decompose" in result.stdout
+
+
+def one_error_line(capsys, prefix="data error:"):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+class TestOneDecomposition:
+    @pytest.mark.parametrize("argv", [
+        ("decompose", "-c", "2", "--out", "b.json", "--weights", "w.csv"),
+        ("decompose", "--full", "--out", "b.json"),
+        ("smooth", "-c", "2", "--out", "s.csv"),
+    ])
+    def test_each_command_factorizes_once(self, argv, tmp_path, data_dir, monkeypatch):
+        from agecomp import linalg
+
+        calls = []
+        real = linalg.svd
+
+        def counted(x):
+            calls.append(np.shape(x))
+            return real(x)
+
+        monkeypatch.setattr(linalg, "svd", counted)
+        command, *rest = argv
+        inputs = (data_dir / MX_F, data_dir / MX_M, "--log", "--concat-sexes")
+        assert run(command, *inputs, *(tmp_path / a if "." in a else a for a in rest)) == 0
+        assert calls == [(38, 19)]
+
+
+class TestWholeMatrixCommands:
+    def test_fit_with_a_basis_of_other_groups(self, tmp_path, data_dir, basis_and_weights, capsys):
+        basis, _ = basis_and_weights
+        out = tmp_path / "f.csv"
+        assert run("fit", data_dir / "agincourt_fx.csv", "--log", "--basis", basis, "--out", out) == 2
+        assert "schedule has 7 groups, basis has 38" in one_error_line(capsys)
+        assert not out.exists()
+
+    def _models(self, tmp_path, data_dir, weights, predictors):
+        models = tmp_path / "m.json"
+        assert run(
+            "regress", "--weights", weights, "--covariates", data_dir / "agincourt_covariates.csv",
+            "--predictors", predictors, "--out", models,
+        ) == 0
+        return models
+
+    def test_predict_with_a_model_count_other_than_c(self, tmp_path, data_dir, capsys):
+        full = tmp_path / "full.json"
+        weights = tmp_path / "w.csv"
+        assert run(
+            "decompose", data_dir / MX_F, data_dir / MX_M, "--log", "--concat-sexes",
+            "-c", "3", "--out", full, "--weights", weights,
+        ) == 0
+        models = self._models(tmp_path, data_dir, weights, "e0")
+        two = tmp_path / "two.json"
+        assert run(
+            "decompose", data_dir / MX_F, data_dir / MX_M, "--log", "--concat-sexes",
+            "-c", "2", "--out", two,
+        ) == 0
+        capsys.readouterr()
+        out = tmp_path / "p.csv"
+        assert run(
+            "predict", "--basis", two, "--models", models,
+            "--covariates", data_dir / "agincourt_covariates.csv", "--out", out,
+        ) == 2
+        assert "3 components, basis has 2" in one_error_line(capsys)
+        assert not out.exists()
+
+    def test_predict_with_intercept_only_models(self, tmp_path, data_dir, basis_and_weights):
+        # a model without predictors is one constant; it holds for every schedule
+        basis, weights = basis_and_weights
+        models = self._models(tmp_path, data_dir, weights, "e0")
+        payload = json.loads(models.read_text())
+        only = payload["models"][1]
+        only["predictor_names"] = []
+        for key in ("coefficients", "standard_errors", "t_values", "p_values"):
+            only[key] = only[key][:1]
+        models.write_text(json.dumps(payload))
+        out = tmp_path / "p.csv"
+        assert run(
+            "predict", "--basis", basis, "--models", models,
+            "--covariates", data_dir / "agincourt_covariates.csv", "--out", out,
+        ) == 0
+        b = io.basis_from_json(basis.read_text())
+        m = io.models_from_json(models.read_text())
+        covariates = io.load_covariates_csv(data_dir / "agincourt_covariates.csv")
+        predicted = io.load_schedule_csv(out, log=False).data
+        for h, label in enumerate(covariates.labels):
+            w = [model.predict_one(covariates.row(label)) for model in m]
+            np.testing.assert_allclose(predicted[:, h], b.components @ w, rtol=1e-14, atol=1e-14)
+
+
+class TestCsvRobustness:
+    def test_cell_over_the_csv_field_limit(self, tmp_path, capsys):
+        big = tmp_path / "big.csv"
+        big.write_text("age,x\n0," + "1" * 200_000 + "\n1,2\n")
+        out = tmp_path / "o.csv"
+        assert run("smooth", big, "-c", "1", "--out", out) == 2
+        assert "big.csv" in one_error_line(capsys)
+        assert not out.exists()
+
+    def _weights(self, tmp_path, weights, first, second):
+        rows = list(csv.reader(weights.open(newline="")))
+        rows[1][0], rows[2][0] = first, second
+        path = tmp_path / "w.csv"
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        return path
+
+    def test_cluster_csv_quotes_labels(self, tmp_path, basis_and_weights):
+        _, weights = basis_and_weights
+        out = tmp_path / "c.csv"
+        path = self._weights(tmp_path, weights, "a,1", 'say "b"')
+        assert run("cluster", "--weights", path, "--k-range", "1:2", "--format", "csv",
+                   "--out", out) == 0
+        rows = list(csv.reader(out.open(newline="")))
+        assert len(rows) == 20 and all(len(row) == 2 for row in rows)
+        assert [rows[1][0], rows[2][0]] == ["a,1", 'say "b"']
+
+    def test_duplicate_weight_labels_are_rejected(self, tmp_path, basis_and_weights, capsys):
+        _, weights = basis_and_weights
+        out = tmp_path / "c.json"
+        path = self._weights(tmp_path, weights, "a", "a")
+        assert run("cluster", "--weights", path, "--k-range", "1:2", "--out", out) == 2
+        assert "duplicate weight row label 'a'" in one_error_line(capsys)
+        assert not out.exists()

@@ -251,3 +251,52 @@ class TestFrobeniusResidual:
     def test_shape_mismatch(self):
         with pytest.raises(DataError):
             linalg.frobenius_residual(np.ones((2, 2)), np.ones((2, 3)))
+
+
+def _canonicalize_by_component(f):
+    """Reference: each (u_i, v_i) pair decided and flipped on its own."""
+    u, v = f.u.copy(), f.v.copy()
+    for i in range(f.rank):
+        total = v[:, i].sum()
+        if abs(total) <= 1e-12:
+            nz = np.nonzero(v[:, i])[0]
+            flip = nz.size > 0 and v[nz[0], i] < 0
+        else:
+            flip = total < 0
+        if flip:
+            u[:, i] = -u[:, i]
+            v[:, i] = -v[:, i]
+    return u, v
+
+
+class TestVectorisedSigns:
+    def _check(self, f):
+        canon = linalg.canonicalize_signs(f)
+        ref_u, ref_v = _canonicalize_by_component(f)
+        np.testing.assert_array_equal(canon.u, ref_u)
+        np.testing.assert_array_equal(canon.v, ref_v)
+        np.testing.assert_array_equal(canon.s, f.s)
+        assert canon.u.flags.c_contiguous and canon.v.flags.c_contiguous
+        return canon
+
+    def test_matches_per_component_loop_on_raw_lapack_factors(self, rng):
+        for shape in ((6, 4), (4, 9), (38, 19)):
+            u, s, vt = np.linalg.svd(rng.normal(size=shape), full_matrices=False)
+            # vt.T is F-ordered, as linalg.svd hands it over
+            self._check(linalg.SvdFactorization(u=u, s=s, v=vt.T))
+            self._check(linalg.SvdFactorization(u=-u, s=s, v=-vt.T))
+
+    def test_zero_sum_columns_follow_their_first_nonzero_entry(self):
+        v = np.array([[0.0, 0.0, 0.0, 0.5], [-0.5, 0.5, 0.0, 0.5], [0.5, -0.5, 0.0, -1.0]])
+        u = np.arange(12.0).reshape(3, 4) + 1.0
+        canon = self._check(linalg.SvdFactorization(u=u, s=np.ones(4), v=v))
+        # column 0 starts negative and flips; 1 starts positive; 2 is all zero;
+        # column 3 sums to exactly zero and starts positive
+        np.testing.assert_array_equal(canon.v[:, 0], [0.0, 0.5, -0.5])
+        np.testing.assert_array_equal(canon.v[:, 1:], v[:, 1:])
+        np.testing.assert_array_equal(canon.u[:, 0], -u[:, 0])
+
+    def test_rank_zero(self):
+        f = linalg.svd(np.zeros((3, 2)))
+        assert f.rank == 0
+        self._check(f)

@@ -301,3 +301,18 @@ class TestTableFivePredictorOrdering:
         assert medians["e0_delta"] <= medians["q5_q45"] + tol
         assert medians["q5_q45"] <= medians["q45"] + tol
         assert medians["q45"] <= medians["q5"] + tol
+
+
+class TestColumnEvaluation:
+    def test_columns_equal_per_row_predictions_bit_for_bit(self, mortality_log, covariates):
+        table = covariates.with_delta()
+        weights = schedule.svd_weights(mortality_log, 2)
+        models = regress.fit_weight_models(weights, table, ["e0", "delta"])
+        models.append(regress.ols_fit(weights[:, 0], {"e0": table.column("e0")}, with_intercept=False))
+        for model in models:
+            by_column = model.predict_one(table.columns)
+            by_row = [model.predict_one(table.row(label)) for label in table.labels]
+            np.testing.assert_array_equal(by_column, by_row)
+        by_column = regress.predict_weights(models, table.columns)
+        by_row = [regress.predict_weights(models, table.row(label)) for label in table.labels]
+        np.testing.assert_array_equal(by_column.T, by_row)

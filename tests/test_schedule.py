@@ -302,3 +302,100 @@ class TestCorrelationSanity:
         corr = np.corrcoef(fertility_log.data.T)
         off = corr[np.triu_indices_from(corr, k=1)]
         assert off.min() >= 0.99
+
+
+class TestDecomposition:
+    def test_results_bit_identical_to_the_wrappers(self, mortality_log):
+        d = schedule.decompose(mortality_log, 2)
+        basis, ref = d.basis("mx"), schedule.build_basis(mortality_log, 2, source_id="mx")
+        assert (basis.group_labels, basis.scale, basis.source_id) == (
+            ref.group_labels, ref.scale, "mx")
+        np.testing.assert_array_equal(basis.components, ref.components)
+        np.testing.assert_array_equal(basis.singular_values, ref.singular_values)
+        np.testing.assert_array_equal(d.weights(), schedule.svd_weights(mortality_log, 2))
+        smooth, ref = d.smoothed(), schedule.smooth_matrix(mortality_log, 2)
+        assert (smooth.group_labels, smooth.schedule_labels, smooth.scale) == (
+            ref.group_labels, ref.schedule_labels, ref.scale)
+        np.testing.assert_array_equal(smooth.data, ref.data)
+        shares = linalg.explained_share(linalg.svd(mortality_log.data))[:2]
+        np.testing.assert_array_equal(d.shares(), shares)
+
+    def test_default_component_count_is_the_numerical_rank(self, mortality_log, rng):
+        assert schedule.decompose(mortality_log).c == 19
+        low = ScheduleMatrix(
+            list("abcdef"), list("vwxyz"), rng.normal(size=(6, 2)) @ rng.normal(size=(2, 5))
+        )
+        d = schedule.decompose(low)
+        assert d.c == 2 and d.basis().c == 2 and d.weights().shape == (5, 2)
+
+    def test_component_count_out_of_range(self):
+        for c in (0, 3):
+            with pytest.raises(NumericalError, match="numerical rank is 2"):
+                schedule.decompose(X32, c)
+        zero = ScheduleMatrix(["a", "b"], ["s"], [[0.0], [0.0]])
+        with pytest.raises(NumericalError, match="numerical rank is 0"):
+            schedule.decompose(zero)
+
+    def test_one_svd_and_nothing_unasked(self, mortality_log, monkeypatch):
+        calls = []
+
+        def spy(name):
+            real = getattr(linalg, name)
+
+            def counted(*args):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(linalg, name, counted)
+
+        for name in ("svd", "explained_share", "reconstruct_rank"):
+            spy(name)
+        d = schedule.decompose(mortality_log, 2)
+        d.basis()
+        d.weights()
+        assert calls == ["svd"]
+        d.shares()
+        d.smoothed()
+        assert calls == ["svd", "explained_share", "reconstruct_rank"]
+
+
+def _within(actual, expected, tol=1e-13):
+    expected = np.asarray(expected)
+    bound = tol * np.maximum(1.0, np.abs(expected))
+    assert np.all(np.abs(np.asarray(actual) - expected) <= bound)
+
+
+class TestWholeMatrixFit:
+    def test_agrees_with_per_column_fit_weights(self, mortality_log, rng):
+        for c in (1, 2, 5):
+            basis = schedule.build_basis(mortality_log, c)
+            noisy = ScheduleMatrix(
+                mortality_log.group_labels, mortality_log.schedule_labels,
+                mortality_log.data + rng.normal(0.0, 0.05, mortality_log.data.shape), "log",
+            )
+            betas, norms = schedule.fit_matrix(noisy, basis)
+            assert betas.shape == (19, c) and norms.shape == (19,)
+            for h, label in enumerate(noisy.schedule_labels):
+                fit = schedule.fit_weights(noisy.column(label), basis)
+                _within(betas[h], fit.betas)
+                _within(norms[h], fit.residual_norm)
+
+    def test_group_count_and_scale_are_checked(self, mortality_log, fertility_log):
+        basis = schedule.build_basis(mortality_log, 2)
+        with pytest.raises(DataError, match="schedule has 7 groups, basis has 38"):
+            schedule.fit_matrix(fertility_log, basis)
+        natural = ScheduleMatrix(
+            mortality_log.group_labels, mortality_log.schedule_labels, mortality_log.data
+        )
+        with pytest.raises(DataError, match="scale mismatch"):
+            schedule.fit_matrix(natural, basis)
+
+    def test_reconstruct_matrix_matches_per_column_reconstruct(self, mortality_log, rng):
+        basis = schedule.build_basis(mortality_log, 3)
+        w = rng.normal(size=(4, 3))
+        out = schedule.reconstruct_matrix(basis, list("abcd"), w)
+        assert out.schedule_labels == tuple("abcd") and out.scale == "log"
+        for h in range(4):
+            _within(out.data[:, h], schedule.reconstruct(basis, w[h]).values)
+        with pytest.raises(DataError, match="weights have 2 components, basis has 3"):
+            schedule.reconstruct_matrix(basis, list("abcd"), w[:, :2])
