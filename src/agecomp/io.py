@@ -181,6 +181,9 @@ def basis_from_json(text: str) -> ComponentBasis:
         raise DataError(f"malformed basis JSON: {exc}") from exc
 
 
+_MODEL_ARRAYS = ("coefficients", "standard_errors", "t_values", "p_values")
+
+
 def models_to_json(models) -> str:
     payload = {
         "models": [
@@ -188,10 +191,7 @@ def models_to_json(models) -> str:
                 "response": f"v{i + 1}",
                 "predictor_names": list(m.predictor_names),
                 "with_intercept": m.with_intercept,
-                "coefficients": [fmt_number(v) for v in m.coefficients],
-                "standard_errors": [fmt_number(v) for v in m.standard_errors],
-                "t_values": [fmt_number(v) for v in m.t_values],
-                "p_values": [fmt_number(v) for v in m.p_values],
+                **{key: [fmt_number(v) for v in getattr(m, key)] for key in _MODEL_ARRAYS},
                 "r_squared": fmt_number(m.r_squared),
                 "n": m.n,
             }
@@ -202,23 +202,25 @@ def models_to_json(models) -> str:
 
 
 def models_from_json(text: str):
+    """Models as written by models_to_json; each array must hold one value per
+    term (the predictors, plus the intercept if any)."""
+    models = []
     try:
-        return [
-            LinearModel(
-                predictor_names=tuple(entry["predictor_names"]),
-                coefficients=np.array(list(map(float, entry["coefficients"]))),
-                standard_errors=np.array(list(map(float, entry["standard_errors"]))),
-                t_values=np.array(list(map(float, entry["t_values"]))),
-                p_values=np.array(list(map(float, entry["p_values"]))),
-                r_squared=float(entry["r_squared"]),
-                n=int(entry["n"]),
-                residuals=np.array([]),
-                with_intercept=bool(entry["with_intercept"]),
-            )
-            for entry in json.loads(text)["models"]
-        ]
+        for i, entry in enumerate(json.loads(text)["models"]):
+            names = tuple(entry["predictor_names"])
+            with_intercept = bool(entry["with_intercept"])
+            terms = len(names) + with_intercept
+            arrays = {key: np.array(list(map(float, entry[key]))) for key in _MODEL_ARRAYS}
+            for key, values in arrays.items():
+                if values.size != terms:
+                    raise DataError(f"model {i + 1} has {values.size} {key} for {terms} terms")
+            models.append(LinearModel(
+                predictor_names=names, **arrays, r_squared=float(entry["r_squared"]),
+                n=int(entry["n"]), residuals=np.array([]), with_intercept=with_intercept,
+            ))
     except (KeyError, ValueError, TypeError) as exc:
         raise DataError(f"malformed models JSON: {exc}") from exc
+    return models
 
 
 # ---------------------------------------------------------------------------

@@ -34,14 +34,6 @@ class LifeTable:
         return float(self.ex[0])
 
 
-def _default_ax(start: float, width: float) -> float:
-    if start == 0.0 and width <= 1.0:
-        return 0.3
-    if start == 1.0 and width == 4.0:
-        return 1.5
-    return width / 2.0
-
-
 def life_table_from_mx(mx: AgeSchedule, age_starts) -> LifeTable:
     """Build an abridged life table from age-specific mortality rates.
 
@@ -67,8 +59,11 @@ def life_table_from_mx(mx: AgeSchedule, age_starts) -> LifeTable:
     widths = np.empty(n_groups)
     widths[:-1] = np.diff(starts)
     widths[-1] = np.inf
-    ax = np.array([_default_ax(s, w) for s, w in zip(starts[:-1], widths[:-1])])
-    ax = np.append(ax, np.nan)  # unused for the open interval
+    ax = np.where(
+        (starts == 0.0) & (widths <= 1.0), 0.3,
+        np.where((starts == 1.0) & (widths == 4.0), 1.5, widths / 2.0),
+    )
+    ax[-1] = np.nan  # unused for the open interval
 
     qx = np.empty(n_groups)
     with np.errstate(invalid="ignore"):
@@ -76,10 +71,7 @@ def life_table_from_mx(mx: AgeSchedule, age_starts) -> LifeTable:
     qx[:-1] = np.clip(qx[:-1], 0.0, 1.0)
     qx[-1] = 1.0
 
-    lx = np.empty(n_groups)
-    lx[0] = 1.0
-    for i in range(n_groups - 1):
-        lx[i + 1] = lx[i] * (1.0 - qx[i])
+    lx = np.cumprod(np.concatenate(([1.0], 1.0 - qx[:-1])))
     deaths = lx * qx
 
     Lx = np.empty(n_groups)
@@ -117,20 +109,26 @@ def tfr(asfr: AgeSchedule, width: float) -> float:
     return float(width * asfr.values.sum())
 
 
-def derive_delta(hiv_prev: float, art_cov: float) -> float:
+def derive_delta(hiv_prev, art_cov):
     """Untreated HIV-positive fraction: prevalence minus ART coverage.
 
-    Negative differences (coverage exceeding prevalence) clamp to zero with
-    a warning.
+    Works elementwise on arrays and returns a float for scalar inputs.  An
+    entry outside [0, 1], or NaN, is a DataError.  Negative differences
+    (coverage exceeding prevalence) clamp to zero with one warning that
+    counts them.
     """
-    for name, value in (("hiv_prev", hiv_prev), ("art_cov", art_cov)):
-        if not 0.0 <= value <= 1.0:
-            raise DataError(f"{name}={value} outside [0, 1]")
-    delta = hiv_prev - art_cov
-    if delta < 0.0:
+    h, a = np.asarray(hiv_prev, dtype=float), np.asarray(art_cov, dtype=float)
+    for name, value in (("hiv_prev", h), ("art_cov", a)):
+        bad = ~((value >= 0.0) & (value <= 1.0))
+        if bad.any():
+            raise DataError(f"{name}={value[bad].flat[0]} outside [0, 1]")
+    delta = h - a
+    negative = delta < 0.0
+    if negative.any():
         warnings.warn(
-            f"ART coverage {art_cov} exceeds HIV prevalence {hiv_prev}; delta clamped to 0",
+            f"ART coverage exceeds HIV prevalence in {np.count_nonzero(negative)} of "
+            f"{delta.size} entries; delta clamped to 0",
             stacklevel=2,
         )
-        return 0.0
-    return delta
+        delta = np.where(negative, 0.0, delta)
+    return float(delta) if delta.ndim == 0 else delta

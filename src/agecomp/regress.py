@@ -55,12 +55,7 @@ class CovariateTable:
             return self
         if "hiv_prev" not in self.columns or "art_cov" not in self.columns:
             raise DataError("delta needs both hiv_prev and art_cov")
-        delta = np.array(
-            [
-                100.0 * derive_delta(h, a)
-                for h, a in zip(self.columns["hiv_prev"], self.columns["art_cov"])
-            ]
-        )
+        delta = 100.0 * derive_delta(self.columns["hiv_prev"], self.columns["art_cov"])
         return CovariateTable(self.labels, {**self.columns, "delta": delta})
 
     def column(self, name: str) -> np.ndarray:
@@ -164,65 +159,66 @@ def student_t_p_value(t: float, df: int) -> float:
     return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
 
 
-def ols_fit(y, predictors: dict, with_intercept: bool = True) -> LinearModel:
-    """Least-squares fit of y on named predictor columns.
+def _fit_columns(ys: np.ndarray, predictors: dict, with_intercept: bool) -> list:
+    """One least-squares model per column of the n x c response matrix ys.
 
-    The fit goes through the thin SVD X = U S V' of the design, with the
-    rank cutoff of :func:`linalg.svd`: coefficients are V S^-1 U'y, and
-    standard errors are the square roots of the diagonal of
+    Every column is fitted through the same thin SVD X = U S V' of the
+    design, with the rank cutoff of :func:`linalg.svd`: coefficients are
+    V S^-1 U'y, and standard errors are the square roots of the diagonal of
     sigma^2 (X'X)^-1 = sigma^2 V S^-2 V', with sigma^2 = RSS/(n-p).
     p-values are two-sided Student-t.  R^2 uses the centered total sum of
     squares when an intercept is present, uncentered otherwise.
     """
-    yv = np.asarray(y, dtype=float)
-    if yv.ndim != 1:
-        raise DataError("response must be a vector")
     names = tuple(predictors.keys())
     cols = [np.asarray(predictors[name], dtype=float) for name in names]
     for name, col in zip(names, cols):
-        if col.shape != yv.shape:
+        if col.shape != ys.shape[:1]:
             raise DataError(f"predictor {name!r} length mismatch")
-    design_cols = ([np.ones_like(yv)] if with_intercept else []) + cols
-    design = np.column_stack(design_cols)
+    design = np.column_stack(([np.ones(ys.shape[0])] if with_intercept else []) + cols)
     n, p = design.shape
     if n <= p:
         raise NumericalError(f"{n} observations cannot identify {p} parameters")
     f = linalg.svd(design)
     if f.rank < p:
         raise NumericalError("rank-deficient design matrix")
-    coefs = f.v @ ((f.u.T @ yv) / f.s)
-    residuals = yv - design @ coefs
-    rss = float(residuals @ residuals)
-    sigma2 = rss / (n - p)
-    se = np.sqrt(sigma2 * ((f.v / f.s) ** 2).sum(axis=1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_values = np.where(se > 0, coefs / se, np.inf)
-    p_values = np.array([student_t_p_value(t, n - p) for t in t_values])
-    tss = float(((yv - yv.mean()) ** 2).sum()) if with_intercept else float(yv @ yv)
-    r_squared = 1.0 - rss / tss if tss > 0 else 1.0
-    return LinearModel(
-        predictor_names=names,
-        coefficients=coefs,
-        standard_errors=se,
-        t_values=t_values,
-        p_values=p_values,
-        r_squared=float(r_squared),
-        n=n,
-        residuals=residuals,
-        with_intercept=with_intercept,
-    )
+    inverse_gram_diag = ((f.v / f.s) ** 2).sum(axis=1)
+    models = []
+    for y in ys.T:
+        coefs = f.v @ ((f.u.T @ y) / f.s)
+        residuals = y - design @ coefs
+        rss = float(residuals @ residuals)
+        se = np.sqrt(rss / (n - p) * inverse_gram_diag)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_values = np.where(se > 0, coefs / se, np.inf)
+        tss = float(((y - y.mean()) ** 2).sum()) if with_intercept else float(y @ y)
+        models.append(LinearModel(
+            names, coefs, standard_errors=se, t_values=t_values,
+            p_values=np.array([student_t_p_value(t, n - p) for t in t_values]),
+            r_squared=float(1.0 - rss / tss if tss > 0 else 1.0), n=n,
+            residuals=residuals, with_intercept=with_intercept,
+        ))
+    return models
+
+
+def ols_fit(y, predictors: dict, with_intercept: bool = True) -> LinearModel:
+    """Least-squares fit of the vector y on named predictor columns (see _fit_columns)."""
+    yv = np.asarray(y, dtype=float)
+    if yv.ndim != 1:
+        raise DataError("response must be a vector")
+    return _fit_columns(yv[:, None], predictors, with_intercept)[0]
 
 
 def fit_weight_models(
     weights: np.ndarray, covariates: CovariateTable, predictor_names
 ) -> list:
-    """One linear model per weight column, each on the same predictors."""
+    """One linear model per weight column, all from one factorization of the
+    shared design.  A predictor named twice is a DataError."""
     w = linalg.as_matrix(weights)
     if w.shape[0] != len(covariates.labels):
         raise DataError("weight rows do not match covariate rows")
+    label_index(predictor_names, "predictor")
     table = covariates.with_delta() if "delta" in predictor_names else covariates
-    predictors = {name: table.column(name) for name in predictor_names}
-    return [ols_fit(w[:, i], predictors) for i in range(w.shape[1])]
+    return _fit_columns(w, {name: table.column(name) for name in predictor_names}, True)
 
 
 def predict_weights(models, covariates: dict) -> np.ndarray:

@@ -1,13 +1,16 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import agecomp
 from agecomp import io
 from agecomp.cli import main
 
@@ -17,6 +20,13 @@ MX_M = "agincourt_mx_male.csv"
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def child_env():
+    """This environment, with the directory agecomp was imported from first
+    on PYTHONPATH, so a child interpreter finds the same package."""
+    path = [str(Path(agecomp.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
 @pytest.fixture()
@@ -306,7 +316,7 @@ class TestExitCodes:
     def test_console_script_help(self):
         result = subprocess.run(
             [sys.executable, "-m", "agecomp.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert result.returncode == 0
         assert "decompose" in result.stdout
@@ -314,7 +324,7 @@ class TestExitCodes:
     def test_package_module_help(self):
         result = subprocess.run(
             [sys.executable, "-m", "agecomp", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert result.returncode == 0
         assert "decompose" in result.stdout
@@ -409,6 +419,62 @@ class TestWholeMatrixCommands:
         for h, label in enumerate(covariates.labels):
             w = [model.predict_one(covariates.row(label)) for model in m]
             np.testing.assert_allclose(predicted[:, h], b.components @ w, rtol=1e-14, atol=1e-14)
+
+
+class TestRegressAndModels:
+    def _weights(self, tmp_path, data_dir, c):
+        weights = tmp_path / "w.csv"
+        assert run(
+            "decompose", data_dir / MX_F, data_dir / MX_M, "--log", "--concat-sexes",
+            "-c", c, "--out", tmp_path / "b.json", "--weights", weights,
+        ) == 0
+        return weights
+
+    def _regress(self, tmp_path, data_dir, weights, predictors):
+        return run(
+            "regress", "--weights", weights, "--covariates", data_dir / "agincourt_covariates.csv",
+            "--predictors", predictors, "--out", tmp_path / "m.json",
+        )
+
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    def test_regress_factorizes_the_design_once(self, c, tmp_path, data_dir, monkeypatch):
+        from agecomp import linalg
+
+        weights = self._weights(tmp_path, data_dir, c)
+        calls = []
+        real = linalg.svd
+
+        def counted(x):
+            calls.append(np.shape(x))
+            return real(x)
+
+        monkeypatch.setattr(linalg, "svd", counted)
+        assert self._regress(tmp_path, data_dir, weights, "e0,delta") == 0
+        assert calls == [(19, 3)]
+        assert len(json.loads((tmp_path / "m.json").read_text())["models"]) == c
+
+    def test_regress_rejects_a_repeated_predictor(self, tmp_path, data_dir, capsys):
+        weights = self._weights(tmp_path, data_dir, 2)
+        capsys.readouterr()
+        assert self._regress(tmp_path, data_dir, weights, "e0,e0") == 2
+        assert "duplicate predictor label 'e0'" in one_error_line(capsys)
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("key", ["coefficients", "standard_errors", "t_values", "p_values"])
+    def test_predict_rejects_a_model_with_the_wrong_term_count(self, key, tmp_path, data_dir, capsys):
+        assert self._regress(tmp_path, data_dir, self._weights(tmp_path, data_dir, 2), "e0,delta") == 0
+        models = tmp_path / "m.json"
+        payload = json.loads(models.read_text())
+        payload["models"][0][key] = payload["models"][0][key][:2]
+        models.write_text(json.dumps(payload))
+        capsys.readouterr()
+        out = tmp_path / "p.csv"
+        assert run(
+            "predict", "--basis", tmp_path / "b.json", "--models", models,
+            "--covariates", data_dir / "agincourt_covariates.csv", "--out", out,
+        ) == 2
+        assert f"model 1 has 2 {key} for 3 terms" in one_error_line(capsys)
+        assert not out.exists()
 
 
 class TestCsvRobustness:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -189,3 +191,72 @@ class TestDeriveDelta:
             measures.derive_delta(1.2, 0.0)
         with pytest.raises(DataError):
             measures.derive_delta(0.5, -0.1)
+
+
+def loop_ax_lx(starts, qx):
+    """The average-years rule and survivor column one interval at a time."""
+    ax, lx = [], [1.0]
+    for start, width, q in zip(starts[:-1], np.diff(starts), qx[:-1]):
+        if start == 0.0 and width <= 1.0:
+            ax.append(0.3)
+        elif start == 1.0 and width == 4.0:
+            ax.append(1.5)
+        else:
+            ax.append(width / 2.0)
+        lx.append(lx[-1] * (1.0 - q))
+    return np.array(ax), np.array(lx)
+
+
+class TestLifeTableVectorized:
+    def test_every_bundled_schedule_matches_the_loops_bit_for_bit(self, data_dir):
+        starts = np.asarray(ABRIDGED_STARTS, dtype=float)
+        for name in ("agincourt_mx_female.csv", "agincourt_mx_male.csv"):
+            table = load_schedule_csv(data_dir / name)
+            for label in table.schedule_labels:
+                lt = measures.life_table_from_mx(table.column(label), starts)
+                ax, lx = loop_ax_lx(starts, lt.qx)
+                np.testing.assert_array_equal(lt.ax[:-1], ax)
+                assert np.isnan(lt.ax[-1])
+                np.testing.assert_array_equal(lt.lx, lx)
+
+    def test_random_rates_and_grids_match_the_loops_bit_for_bit(self, rng):
+        for _ in range(200):
+            starts = np.concatenate(([0.0], np.cumsum(rng.choice([0.5, 1.0, 4.0, 5.0], size=9))))
+            rates = rng.uniform(0.0, 3.0, size=starts.size)
+            rates[-1] += 0.1
+            lt = measures.life_table_from_mx(AgeSchedule([str(s) for s in starts], rates), starts)
+            ax, lx = loop_ax_lx(starts, lt.qx)
+            np.testing.assert_array_equal(lt.ax[:-1], ax)
+            np.testing.assert_array_equal(lt.lx, lx)
+
+
+class TestDeriveDeltaOnArrays:
+    def test_arrays_equal_scalar_results_elementwise(self, rng):
+        hiv = rng.uniform(0.0, 0.3, size=50)
+        art = rng.uniform(0.0, 0.2, size=50) * (hiv > 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            delta = measures.derive_delta(hiv, art)
+            scalars = [measures.derive_delta(float(h), float(a)) for h, a in zip(hiv, art)]
+        assert isinstance(delta, np.ndarray) and delta.shape == (50,)
+        np.testing.assert_array_equal(delta, scalars)
+        assert isinstance(measures.derive_delta(0.2, 0.1), float)
+
+    def test_several_clamped_rows_give_one_warning_with_the_count(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            delta = measures.derive_delta([0.05, 0.2, 0.01, 0.3], [0.08, 0.1, 0.02, 0.4])
+        assert len(caught) == 1
+        assert "clamped" in str(caught[0].message) and "3 of 4" in str(caught[0].message)
+        np.testing.assert_array_equal(delta, [0.0, 0.2 - 0.1, 0.0, 0.0])
+
+    @pytest.mark.parametrize("hiv, art", [
+        ([0.1, np.nan], [0.0, 0.0]),
+        ([0.1, 0.2], [np.nan, 0.0]),
+        ([0.1, 1.2], [0.0, 0.0]),
+        ([0.1, 0.2], [0.0, -0.1]),
+        ([0.1, np.inf], [0.0, 0.0]),
+    ])
+    def test_nan_and_out_of_range_entries_raise(self, hiv, art):
+        with pytest.raises(DataError, match=r"outside \[0, 1\]"):
+            measures.derive_delta(np.array(hiv), np.array(art))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from agecomp import regress, schedule
+from agecomp import linalg, regress, schedule
 from agecomp.errors import DataError, NumericalError
 from agecomp.regress import CovariateTable
 
@@ -316,3 +316,70 @@ class TestColumnEvaluation:
         by_column = regress.predict_weights(models, table.columns)
         by_row = [regress.predict_weights(models, table.row(label)) for label in table.labels]
         np.testing.assert_array_equal(by_column.T, by_row)
+
+
+def per_column_reference(y, predictors):
+    """One column fitted on its own factorization of the design, step by step
+    as a single-response OLS fit; kept here as the oracle for the shared one."""
+    yv = np.asarray(y, dtype=float)
+    cols = [np.asarray(predictors[name], dtype=float) for name in predictors]
+    design = np.column_stack([np.ones_like(yv)] + cols)
+    n, p = design.shape
+    f = linalg.svd(design)
+    coefs = f.v @ ((f.u.T @ yv) / f.s)
+    residuals = yv - design @ coefs
+    rss = float(residuals @ residuals)
+    sigma2 = rss / (n - p)
+    se = np.sqrt(sigma2 * ((f.v / f.s) ** 2).sum(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_values = np.where(se > 0, coefs / se, np.inf)
+    p_values = np.array([regress.student_t_p_value(t, n - p) for t in t_values])
+    tss = float(((yv - yv.mean()) ** 2).sum())
+    return coefs, se, t_values, p_values, float(1.0 - rss / tss), residuals
+
+
+def spy_svd(monkeypatch):
+    calls = []
+    real = linalg.svd
+
+    def counted(x):
+        calls.append(np.shape(x))
+        return real(x)
+
+    monkeypatch.setattr(linalg, "svd", counted)
+    return calls
+
+
+class TestOneFactorizationPerDesign:
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    def test_fit_weight_models_factorizes_once(self, c, mortality_log, covariates, monkeypatch):
+        weights = schedule.svd_weights(mortality_log, c)
+        calls = spy_svd(monkeypatch)
+        models = regress.fit_weight_models(weights, covariates, ["e0", "delta"])
+        assert len(models) == c
+        assert calls == [(19, 3)]
+
+    @pytest.mark.parametrize("data, predictors, c", [
+        *(("mortality", ["e0", "delta"], c) for c in range(1, 6)),
+        *(("fertility", ["tfr"], c) for c in range(1, 4)),
+    ])
+    def test_models_equal_the_per_column_reference_bit_for_bit(self, data, predictors, c, request):
+        matrix = request.getfixturevalue(f"{data}_log")
+        table = request.getfixturevalue("covariates" if data == "mortality" else "fertility_covariates")
+        weights = schedule.svd_weights(matrix, c)
+        models = regress.fit_weight_models(weights, table, predictors)
+        columns = {name: table.with_delta().column(name) if name == "delta" else table.column(name)
+                   for name in predictors}
+        for i, model in enumerate(models):
+            coefs, se, t, p, r2, residuals = per_column_reference(weights[:, i], columns)
+            np.testing.assert_array_equal(model.coefficients, coefs)
+            np.testing.assert_array_equal(model.standard_errors, se)
+            np.testing.assert_array_equal(model.t_values, t)
+            np.testing.assert_array_equal(model.p_values, p)
+            assert model.r_squared == r2
+            np.testing.assert_array_equal(model.residuals, residuals)
+
+    def test_repeated_predictor_is_rejected(self, mortality_log, covariates):
+        weights = schedule.svd_weights(mortality_log, 2)
+        with pytest.raises(DataError, match="duplicate predictor label 'e0'"):
+            regress.fit_weight_models(weights, covariates, ["e0", "delta", "e0"])
