@@ -1,6 +1,7 @@
 """Command-line front end for the age-schedule component model pipeline.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Each warning prints as one "warning: ..." line on stderr.
 """
 
 import argparse
@@ -8,6 +9,7 @@ import csv
 import functools
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,18 +28,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _require_inputs(paths, concat):
+def _load_matrix(paths, log, concat) -> schedule.ScheduleMatrix:
     if concat and len(paths) != 2:
         raise _UsageError("--concat-sexes needs exactly two inputs (female male)")
     if not concat and len(paths) != 1:
         raise _UsageError("expected one input file (or two with --concat-sexes)")
-    for p in paths:
-        if not Path(p).exists():
-            raise DataError(f"input file not found: {p}")
-
-
-def _load_matrix(paths, log, concat) -> schedule.ScheduleMatrix:
-    _require_inputs(paths, concat)
     matrices = [io.load_schedule_csv(p, log=log) for p in paths]
     if concat:
         return schedule.concat_sexes(matrices[0], matrices[1])
@@ -180,7 +175,6 @@ def image_rank_approx(in_path, k: int, out_path) -> None:
 
 
 def _cmd_image(args):
-    _require_inputs([args.input], concat=False)
     image_rank_approx(args.input, _component_count(args), args.out)
 
 
@@ -293,19 +287,22 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    try:
-        args = _build_parser().parse_args(argv)
-        # looked up per call, so a replaced _cmd_* is the one that runs
-        globals()[f"_cmd_{args.command}"](args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (DataError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            args = _build_parser().parse_args(argv)
+            # looked up per call, so a replaced _cmd_* is the one that runs
+            globals()[f"_cmd_{args.command}"](args)
+        except _UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 1
+        except (DataError, OSError) as exc:  # io reads raise DataError; OSError is from writes
+            print(f"data error: {exc}", file=sys.stderr)
+            return 2
+        except NumericalError as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 3
     return 0
 
 

@@ -3,12 +3,13 @@
 Numbers are written as shortest round-trip decimal strings (``fmt_number``)
 so a load restores the exact float.  CSV rows are parsed and formatted whole,
 a row per call, with the same bytes as formatting each cell by ``fmt_number``.
-Bytes that are not UTF-8 text raise DataError.
+An input that cannot be read, or whose bytes are not UTF-8 text, raises DataError.
 """
 
 import csv
 import json
 import re
+from contextlib import contextmanager
 from itertools import compress
 from pathlib import Path
 from types import SimpleNamespace
@@ -28,17 +29,23 @@ def fmt_number(value) -> str:
 # ---------------------------------------------------------------------------
 # CSV
 
-def _read_rows(path):
+@contextmanager
+def _reading(path):
+    """The one place where failing to read input ``path`` becomes a DataError."""
     try:
-        # utf-8-sig drops the byte-order mark spreadsheet exports put first
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+        yield
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:  # such as a cell over the csv module's field limit
         raise DataError(f"{path}: {exc}") from None
+
+
+def _read_rows(path):
+    # utf-8-sig drops the byte-order mark spreadsheet exports put first
+    with _reading(path), open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = [row for row in csv.reader(fh) if row]
     if len(rows) < 2:
         raise DataError(f"{path}: need a header row and at least one data row")
     width = len(rows[0])
@@ -145,11 +152,9 @@ def load_weights_csv(path):
 
 
 def read_text(path) -> str:
-    """UTF-8 text of a file, such as a basis or models JSON; raises DataError if undecodable."""
-    try:
+    """UTF-8 text of a file, such as a basis or models JSON; raises DataError if unreadable."""
+    with _reading(path):
         return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +182,7 @@ def basis_from_json(text: str) -> ComponentBasis:
             scale=payload["scale"],
             source_id=payload.get("source_id", ""),
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, RecursionError) as exc:
         raise DataError(f"malformed basis JSON: {exc}") from exc
 
 
@@ -207,7 +212,7 @@ def models_from_json(text: str):
     models = []
     try:
         for i, entry in enumerate(json.loads(text)["models"]):
-            names = tuple(entry["predictor_names"])
+            names = tuple(label_index(entry["predictor_names"], "predictor"))
             with_intercept = bool(entry["with_intercept"])
             terms = len(names) + with_intercept
             arrays = {key: np.array(list(map(float, entry[key]))) for key in _MODEL_ARRAYS}
@@ -218,7 +223,7 @@ def models_from_json(text: str):
                 predictor_names=names, **arrays, r_squared=float(entry["r_squared"]),
                 n=int(entry["n"]), residuals=np.array([]), with_intercept=with_intercept,
             ))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, RecursionError) as exc:
         raise DataError(f"malformed models JSON: {exc}") from exc
     return models
 
@@ -228,7 +233,8 @@ def models_from_json(text: str):
 
 def read_ppm(path):
     """Read a PPM image; returns (pixels H x W x 3 float array, magic)."""
-    raw = Path(path).read_bytes()
+    with _reading(path):
+        raw = Path(path).read_bytes()
     if raw[:2] not in (b"P3", b"P6"):
         raise DataError(f"{path}: unsupported format {raw[:2]!r}, need P3 or P6")
     magic = raw[:2].decode()

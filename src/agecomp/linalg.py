@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 
-# Singular values below max(K, L) * s1 * RANK_RTOL are treated as zero.
+# Singular values below s1 * (max(K, L) * RANK_RTOL) are treated as zero.
 RANK_RTOL = 1e-12
 
 
@@ -64,7 +64,9 @@ def svd(x) -> SvdFactorization:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed: {exc}") from None
-    cutoff = max(a.shape) * s[0] * RANK_RTOL
+    if not np.isfinite(s[0]):
+        raise NumericalError("SVD overflowed: the largest singular value is not finite")
+    cutoff = s[0] * (max(a.shape) * RANK_RTOL)  # this order cannot overflow a finite s[0]
     keep = s > cutoff
     u, s, v = u[:, keep], s[keep], vt[keep].T
     return canonicalize_signs(SvdFactorization(u=u, s=s, v=v))

@@ -132,6 +132,7 @@ class ComponentBasis:
             self, "singular_values", np.asarray(self.singular_values, dtype=float)
         )
         object.__setattr__(self, "group_labels", tuple(self.group_labels))
+        label_index(self.group_labels, "age-group")
         if comps.shape[0] != len(self.group_labels):
             raise DataError("component length does not match group labels")
         if comps.shape[1] != self.singular_values.size:

@@ -476,6 +476,65 @@ class TestRegressAndModels:
         assert f"model 1 has 2 {key} for 3 terms" in one_error_line(capsys)
         assert not out.exists()
 
+    def test_clamped_delta_is_one_warning_line_per_run(self, tmp_path, data_dir, capsys):
+        weights = self._weights(tmp_path, data_dir, 2)
+        with (data_dir / "agincourt_covariates.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][1:3] == ["hiv_prev", "art_cov"]
+        for row in rows[1:4]:
+            row[2] = "0.9"  # coverage above prevalence
+        covariates = tmp_path / "cov.csv"
+        with covariates.open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        for _ in range(2):
+            assert run(
+                "regress", "--weights", weights, "--covariates", covariates,
+                "--predictors", "e0,delta", "--out", tmp_path / "m.json",
+            ) == 0
+            assert capsys.readouterr().err == (
+                "warning: ART coverage exceeds HIV prevalence in 3 of 19 entries; "
+                "delta clamped to 0\n"
+            )
+
+    def _predict(self, tmp_path, data_dir, basis, models):
+        return run(
+            "predict", "--basis", basis, "--models", models,
+            "--covariates", data_dir / "agincourt_covariates.csv", "--out", tmp_path / "p.csv",
+        )
+
+    def test_predict_with_a_deeply_nested_basis_json(self, tmp_path, data_dir, capsys):
+        assert self._regress(tmp_path, data_dir, self._weights(tmp_path, data_dir, 2), "e0") == 0
+        basis = tmp_path / "b.json"
+        basis.write_text("[" * 200_000)
+        capsys.readouterr()
+        assert self._predict(tmp_path, data_dir, basis, tmp_path / "m.json") == 2
+        assert "malformed basis JSON" in one_error_line(capsys)
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_predict_with_a_list_as_predictor_name(self, tmp_path, data_dir, capsys):
+        assert self._regress(tmp_path, data_dir, self._weights(tmp_path, data_dir, 2), "e0") == 0
+        models = tmp_path / "m.json"
+        payload = json.loads(models.read_text())
+        payload["models"][0]["predictor_names"] = [["e0"]]
+        models.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert self._predict(tmp_path, data_dir, tmp_path / "b.json", models) == 2
+        assert "malformed models JSON" in one_error_line(capsys)
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_reconstruct_with_lists_as_group_labels(self, tmp_path, data_dir, capsys):
+        weights = self._weights(tmp_path, data_dir, 2)
+        basis = tmp_path / "b.json"
+        payload = json.loads(basis.read_text())
+        payload["group_labels"] = [[label] for label in payload["group_labels"]]
+        basis.write_text(json.dumps(payload))
+        capsys.readouterr()
+        out = tmp_path / "r.csv"
+        assert run("reconstruct", "--basis", basis, "--weights", weights, "--out", out) == 2
+        assert "malformed basis JSON" in one_error_line(capsys)
+        assert not out.exists()
+
 
 class TestCsvRobustness:
     def test_cell_over_the_csv_field_limit(self, tmp_path, capsys):
@@ -487,7 +546,8 @@ class TestCsvRobustness:
         assert not out.exists()
 
     def _weights(self, tmp_path, weights, first, second):
-        rows = list(csv.reader(weights.open(newline="")))
+        with weights.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         rows[1][0], rows[2][0] = first, second
         path = tmp_path / "w.csv"
         with path.open("w", newline="") as fh:
@@ -500,7 +560,8 @@ class TestCsvRobustness:
         path = self._weights(tmp_path, weights, "a,1", 'say "b"')
         assert run("cluster", "--weights", path, "--k-range", "1:2", "--format", "csv",
                    "--out", out) == 0
-        rows = list(csv.reader(out.open(newline="")))
+        with out.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert len(rows) == 20 and all(len(row) == 2 for row in rows)
         assert [rows[1][0], rows[2][0]] == ["a,1", 'say "b"']
 

@@ -89,6 +89,17 @@ class TestSvd:
             assert g.rank == f.rank == 4, scale
             np.testing.assert_allclose(g.s / g.s[0], f.s / f.s[0], rtol=1e-12)
 
+    def test_cutoff_of_a_finite_spectrum_near_the_float_limit(self):
+        # max(K, L) * s1 overflows here; the cutoff must not, nor warn
+        f = linalg.svd([[1e308, 1e308], [1e308, -1e308]])
+        assert f.rank == 2
+        np.testing.assert_allclose(f.s, [np.sqrt(2) * 1e308] * 2, rtol=1e-15)
+
+    def test_an_infinite_largest_singular_value_is_named(self):
+        x = 1.7e308 * np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, 1.0, -1.0]])
+        with pytest.raises(NumericalError, match="overflow"):
+            linalg.svd(x)
+
 
 class TestCanonicalizeSigns:
     def test_idempotent(self, rng):

@@ -48,6 +48,8 @@ class TestTypes:
             ScheduleMatrix(["a", "b"], ["s1", "s2", "s1"], np.ones((2, 3)))
         with pytest.raises(DataError, match="duplicate age-group label 'b'"):
             ScheduleMatrix(["a", "b", "b"], ["s1"], np.ones((3, 1)))
+        with pytest.raises(DataError, match="duplicate age-group label 'b'"):
+            schedule.ComponentBasis(["a", "b", "b"], np.ones((3, 1)), [1.0], "log")
 
     def test_column_lookup_every_label(self, rng):
         m = random_schedule_matrix(rng, n_scheds=50)
