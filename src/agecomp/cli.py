@@ -10,6 +10,7 @@ import functools
 import json
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -146,12 +147,8 @@ def _cmd_cluster(args):
 def _cmd_metrics(args):
     predicted = io.load_schedule_csv(args.predicted)
     observed = io.load_schedule_csv(args.observed, log=args.log)
-    if predicted.scale != observed.scale:
-        predicted = schedule.ScheduleMatrix(
-            predicted.group_labels, predicted.schedule_labels,
-            predicted.data, observed.scale,
-        )
-    m = schedule.error_metrics(predicted, observed)
+    # CSVs carry no scale: the predicted file is on the scale that --log states
+    m = schedule.error_metrics(replace(predicted, scale=observed.scale), observed)
     mae = io.fmt_number(m.mae)
     quantiles = {f"p{int(100 * p)}": io.fmt_number(q) for p, q in zip(m.probs, m.quantiles)}
     if args.format == "json":
@@ -201,7 +198,7 @@ def _cmd_lifetable(args):
 
 def _cmd_plot(args):
     x_label, series = io.load_series_csv(args.input)
-    svg = io.render_plot(series, kind=args.kind, x_label=x_label, y_label="")
+    svg = io.render_plot(series, kind=args.kind, x_label=x_label)
     Path(args.out).write_text(svg, encoding="utf-8")
 
 
@@ -210,8 +207,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="agecomp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def matrix_input(p, multi=True):
-        p.add_argument("inputs", nargs="+" if multi else 1, help="schedule CSV file(s)")
+    def matrix_input(p):
+        p.add_argument("inputs", nargs="+", help="schedule CSV file(s)")
         p.add_argument("--log", action="store_true", help="log-transform on load")
         p.add_argument(
             "--concat-sexes", action="store_true",

@@ -230,9 +230,11 @@ def select_by_bic(points, k_range, families=FAMILIES, seed: int = 0) -> GmmModel
     Ties prefer smaller k, then the simpler family.  Raises only if every
     grid point fails; ``grid`` lists each point's diagnostics or error.
     """
-    ks = list(k_range)
+    ks, families = list(k_range), tuple(families)
     if not ks:
         raise DataError("empty k range")
+    if not families:
+        raise DataError("empty family list")
     candidates = []
     grid = []
     for family in families:

@@ -7,6 +7,7 @@ An input that cannot be read, or whose bytes are not UTF-8 text, raises DataErro
 """
 
 import csv
+import html
 import json
 import re
 from contextlib import contextmanager
@@ -231,6 +232,11 @@ def models_from_json(text: str):
 # ---------------------------------------------------------------------------
 # PPM (P3 ascii / P6 binary, 8-bit)
 
+# width, height and maxval: a token is a whole run of non-space bytes that does
+# not start with '#'; a '#' where a token would start comments out its line
+_PPM_HEADER = re.compile(rb"P[36]" + rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)(?!\S)" * 3)
+
+
 def read_ppm(path):
     """Read a PPM image; returns (pixels H x W x 3 float array, magic)."""
     with _reading(path):
@@ -238,26 +244,12 @@ def read_ppm(path):
     if raw[:2] not in (b"P3", b"P6"):
         raise DataError(f"{path}: unsupported format {raw[:2]!r}, need P3 or P6")
     magic = raw[:2].decode()
-
-    # tokenize the header, skipping '#' comments
-    tokens = []
-    pos = 2
-    while len(tokens) < 3 and pos < len(raw):
-        ch = raw[pos:pos + 1]
-        if ch == b"#":
-            while pos < len(raw) and raw[pos:pos + 1] != b"\n":
-                pos += 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            start = pos
-            while pos < len(raw) and not raw[pos:pos + 1].isspace():
-                pos += 1
-            tokens.append(raw[start:pos])
-    if len(tokens) < 3:
+    header = _PPM_HEADER.match(raw)
+    if header is None:
         raise DataError(f"{path}: truncated PPM header")
+    pos = header.end()
     try:
-        width, height, maxval = (int(t) for t in tokens)
+        width, height, maxval = (int(t) for t in header.groups())
     except ValueError:
         raise DataError(f"{path}: malformed PPM header") from None
     if maxval != 255:
@@ -304,6 +296,8 @@ def write_ppm(pixels, path, magic: str = "P6") -> None:
 _PALETTE = ("#1f6fb4", "#d1342c", "#2c8a4b", "#8a5cb4", "#c97f1e", "#4f4f4f")
 _WIDTH, _HEIGHT = 800, 560
 _MARGIN = 70
+# control characters and noncharacters that XML 1.0 text cannot contain
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
 
 
 def _scale(lo, hi):
@@ -314,13 +308,22 @@ def _scale(lo, hi):
     return lo - pad, hi + pad
 
 
-def render_plot(series, kind: str = "line", x_label: str = "", y_label: str = "") -> str:
+def _svg_text(label) -> str:
+    """``label`` escaped for an SVG text node; DataError on a character XML cannot hold."""
+    label = str(label)
+    if _NOT_XML.search(label):
+        raise DataError(f"plot label {label!r} has a character that SVG text cannot hold")
+    return html.escape(label, quote=False)  # &, < and >; xml.sax.saxutils loads urllib
+
+
+def render_plot(series, kind: str = "line", x_label: str = "") -> str:
     """Self-contained SVG line or scatter plot with axes and a legend.
 
     ``series`` is a list of (label, x values, y values) triples.
     """
     if not series:
         raise DataError("nothing to plot")
+    x_label = _svg_text(x_label)
     cleaned = []
     for label, xs, ys in series:
         xv = np.asarray(xs, dtype=float)
@@ -329,7 +332,7 @@ def render_plot(series, kind: str = "line", x_label: str = "", y_label: str = ""
             raise DataError(f"series {label!r} is empty or has mismatched x/y")
         if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(yv))):
             raise DataError(f"series {label!r} has non-finite values")
-        cleaned.append((str(label), xv, yv))
+        cleaned.append((_svg_text(label), xv, yv))
 
     x_lo, x_hi = _scale(min(s[1].min() for s in cleaned), max(s[1].max() for s in cleaned))
     y_lo, y_hi = _scale(min(s[2].min() for s in cleaned), max(s[2].max() for s in cleaned))
@@ -366,11 +369,6 @@ def render_plot(series, kind: str = "line", x_label: str = "", y_label: str = ""
         parts.append(
             f'<text x="{_WIDTH / 2:.0f}" y="{_HEIGHT - 15}" font-size="13" '
             f'text-anchor="middle">{x_label}</text>'
-        )
-    if y_label:
-        parts.append(
-            f'<text x="18" y="{_HEIGHT / 2:.0f}" font-size="13" text-anchor="middle" '
-            f'transform="rotate(-90 18 {_HEIGHT / 2:.0f})">{y_label}</text>'
         )
 
     for idx, (label, xs, ys) in enumerate(cleaned):

@@ -48,8 +48,8 @@ def life_table_from_mx(mx: AgeSchedule, age_starts) -> LifeTable:
     rates = mx.values
     if starts.ndim != 1 or starts.size != rates.size:
         raise DataError("age grid does not match the rate schedule")
-    if starts.size < 1 or np.any(np.diff(starts) <= 0):
-        raise DataError("age grid must be ascending")
+    if starts.size < 1 or not (np.all(np.isfinite(starts)) and np.all(np.diff(starts) > 0)):
+        raise DataError("age grid must be finite and strictly ascending")
     if np.any(rates < 0) or not np.all(np.isfinite(rates)):
         raise DataError("mortality rates must be nonnegative and finite")
     if rates[-1] <= 0:

@@ -271,11 +271,13 @@ def error_metrics(predicted: ScheduleMatrix, observed: ScheduleMatrix) -> ErrorM
         )
     if predicted.scale != observed.scale:
         raise DataError(f"scale mismatch: {predicted.scale} vs {observed.scale}")
-    abserr = np.abs(predicted.data - observed.data).ravel()
-    return ErrorMetrics(
-        mae=float(abserr.mean()),
-        quantiles=np.quantile(abserr, _QUANTILE_PROBS),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        abserr = np.abs(predicted.data - observed.data).ravel()
+        mae = float(abserr.mean())
+    # errors are >= 0, so one overflowed difference or sum makes the mean inf
+    if not math.isfinite(mae):
+        raise NumericalError("absolute errors overflow float64")
+    return ErrorMetrics(mae=mae, quantiles=np.quantile(abserr, _QUANTILE_PROBS))
 
 
 def concat_sexes(female: ScheduleMatrix, male: ScheduleMatrix) -> ScheduleMatrix:

@@ -572,3 +572,106 @@ class TestCsvRobustness:
         assert run("cluster", "--weights", path, "--k-range", "1:2", "--out", out) == 2
         assert "duplicate weight row label 'a'" in one_error_line(capsys)
         assert not out.exists()
+
+
+class TestOneLineFailures:
+    @pytest.mark.parametrize("argv, code, text", [
+        (("smooth", "{F}", "--concat-sexes", "-c", "1", "--out", "{out}"), 1,
+         "--concat-sexes needs exactly two inputs"),
+        (("decompose", "{F}", "--components", "0", "--out", "{out}"), 1,
+         "--components must be >= 1"),
+        (("regress", "--weights", "{other}", "--covariates", "{COV}", "--predictors", "e0",
+          "--out", "{out}"), 2, "weight labels and covariate labels do not match"),
+        (("regress", "--weights", "{W}", "--covariates", "{COV}", "--predictors", ",",
+          "--out", "{out}"), 1, "--predictors must name at least one covariate column"),
+        (("cluster", "--weights", "{W}", "--k-range", "a:b", "--out", "{out}"), 1,
+         "bad --k-range 'a:b'"),
+        (("cluster", "--weights", "{W}", "--k-range", "0:2", "--out", "{out}"), 1,
+         "--k-range must cover k >= 1"),
+        (("lifetable", "{ages}", "--out", "{out}"), 2, "cannot parse age-group label 'x-y'"),
+    ])
+    def test_exit_code_and_message(self, argv, code, text, tmp_path, data_dir,
+                                   basis_and_weights, capsys):
+        _, weights = basis_and_weights
+        other, ages = tmp_path / "other.csv", tmp_path / "ages.csv"
+        other.write_text("schedule,v1\nx,1\ny,2\n")
+        ages.write_text("age,a\n0,0.1\nx-y,0.05\n5+,0.2\n")
+        paths = {"F": data_dir / MX_F, "W": weights, "COV": data_dir / "agincourt_covariates.csv",
+                 "other": other, "ages": ages, "out": tmp_path / "out"}
+        assert run(*(a.format(**paths) for a in argv)) == code
+        prefix = "usage error:" if code == 1 else "data error:"
+        assert text in one_error_line(capsys, prefix)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("ages", [("0", "nan", "5+"), ("nan", "1", "5+"), ("0", "1", "nan"),
+                                      ("0", "1", "inf")])
+    def test_lifetable_needs_a_finite_ascending_age_grid(self, ages, tmp_path, capsys):
+        path, out = tmp_path / "lt.csv", tmp_path / "lt_out.csv"
+        path.write_text("age,a\n" + "".join(f"{g},{r}\n" for g, r in zip(ages, (0.1, 0.05, 0.2))))
+        assert run("lifetable", path, "--out", out) == 2
+        assert "finite and strictly ascending" in one_error_line(capsys)
+        assert not out.exists()
+
+    def test_metrics_overflow_is_a_numerical_failure(self, tmp_path, capsys):
+        pred, obs, out = tmp_path / "p.csv", tmp_path / "o.csv", tmp_path / "m.json"
+        pred.write_text("age,a,b\n0,1e308,-1e308\n")
+        obs.write_text("age,a,b\n0,-1e308,1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("metrics", pred, obs, "--out", out) == 3
+        assert "overflow" in one_error_line(capsys, "numerical failure:")  # no warning: lines
+        assert not out.exists()
+
+    def test_plot_escapes_markup_in_labels(self, tmp_path):
+        path, out = tmp_path / "s.csv", tmp_path / "s.svg"
+        path.write_text("age&x,a<b,c>d\n1,1,2\n2,2,1\n")
+        assert run("plot", path, "--out", out) == 0
+        texts = [el.text for el in ET.fromstring(out.read_text()).iter(
+            "{http://www.w3.org/2000/svg}text")]
+        assert {"age&x", "a<b", "c>d"} <= set(texts)
+
+    def test_plot_control_character_in_a_label(self, tmp_path, capsys):
+        path, out = tmp_path / "s.csv", tmp_path / "s.svg"
+        path.write_text("age\x01,a\n1,1\n2,2\n")
+        assert run("plot", path, "--out", out) == 2
+        assert "'age\\x01'" in one_error_line(capsys)
+        assert not out.exists()
+
+
+class TestMetricsOutput:
+    @pytest.fixture()
+    def pair(self, tmp_path, data_dir):
+        """A log-scale smoothed female matrix and the natural-scale file it came from."""
+        pred = tmp_path / "pred.csv"
+        assert run("smooth", data_dir / MX_F, "--log", "-c", "2", "--out", pred) == 0
+        return pred, data_dir / MX_F
+
+    def test_csv_format(self, pair, tmp_path):
+        pred, raw = pair
+        out = tmp_path / "m.csv"
+        assert run("metrics", pred, raw, "--log", "--format", "csv", "--out", out) == 0
+        with out.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["mae", "p1", "p25", "p50", "p75", "p99"]
+        assert len(rows) == 2 and all(float(v) >= 0 for v in rows[1])
+
+    def test_without_out_prints_to_stdout(self, pair, tmp_path, capsys):
+        pred, raw = pair
+        out = tmp_path / "m.json"
+        assert run("metrics", pred, raw, "--log", "--out", out) == 0
+        capsys.readouterr()
+        assert run("metrics", pred, raw, "--log") == 0
+        assert capsys.readouterr().out == out.read_text()
+
+    def test_log_applies_to_the_observed_file_only(self, pair, tmp_path, capsys):
+        # the predicted CSV is taken to be on the scale that --log gives the observed one
+        pred, raw = pair
+        matrix = io.load_schedule_csv(raw)
+        logged = tmp_path / "logged.csv"
+        io.write_schedule_csv(
+            agecomp.ScheduleMatrix(matrix.group_labels, matrix.schedule_labels,
+                                   np.log(matrix.data)), logged)
+        assert run("metrics", pred, raw, "--log") == 0
+        with_log = json.loads(capsys.readouterr().out)
+        assert run("metrics", pred, logged) == 0
+        assert json.loads(capsys.readouterr().out)["mae"] == with_log["mae"]

@@ -353,6 +353,10 @@ class TestSelectByBic:
         with pytest.raises(DataError):
             cluster.select_by_bic(np.zeros((4, 2)), [], seed=0)
 
+    def test_empty_family_list(self, rng):
+        with pytest.raises(DataError, match="empty family list"):
+            cluster.select_by_bic(two_blobs(rng), range(1, 3), families=(), seed=0)
+
     def test_two_triples_select_two(self):
         # Larger k can only split a triple into one- and two-point components
         # whose covariances sit on the variance floor; such fits used to win

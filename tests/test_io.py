@@ -1,7 +1,10 @@
+import hashlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from agecomp import io, schedule
 from agecomp.errors import DataError
@@ -208,7 +211,67 @@ class TestPpm:
             io.read_ppm(path)
 
 
+def _tokenize_by_byte(raw):
+    # byte-at-a-time reference for io._PPM_HEADER: returns the header tokens
+    # after the magic (at most three) and the offset just past the last one
+    tokens = []
+    pos = 2
+    while len(tokens) < 3 and pos < len(raw):
+        ch = raw[pos:pos + 1]
+        if ch == b"#":
+            while pos < len(raw) and raw[pos:pos + 1] != b"\n":
+                pos += 1
+        elif ch.isspace():
+            pos += 1
+        else:
+            start = pos
+            while pos < len(raw) and not raw[pos:pos + 1].isspace():
+                pos += 1
+            tokens.append(raw[start:pos])
+    return tokens, pos
+
+
+_HEADER_PIECES = [
+    *(bytes([b]) for b in b" \t\n\r\x0b\x0c#0123456789aZ\x80\xff"), b"P3", b"P6", b"255",
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(magic=st.sampled_from([b"P3", b"P6"]),
+       pieces=st.lists(st.sampled_from(_HEADER_PIECES), max_size=40))
+@example(magic=b"P3", pieces=[b"#3P2\n1 2 3"])  # a comment runs to its newline
+@example(magic=b"P6", pieces=[b"1#2 3\n4"])  # a '#' inside a token is part of it
+def test_ppm_header_regex_matches_the_byte_tokenizer(magic, pieces):
+    raw = magic + b"".join(pieces)
+    tokens, pos = _tokenize_by_byte(raw)
+    header = io._PPM_HEADER.match(raw)
+    if len(tokens) < 3:
+        assert header is None
+    else:
+        assert header is not None
+        assert list(header.groups()) == tokens and header.end() == pos
+
+
 class TestRenderPlot:
+    def test_plain_labels_give_the_same_bytes(self):
+        # the bytes render_plot gave before labels were escaped
+        svg = io.render_plot(
+            [("first", [0, 1, 2], [1, 2, 0.5]), ("b c", [0, 2], [2, 1])], x_label="year"
+        )
+        digest = "900bb929c587c7ee03a5e08d94ebb14d6d75fab0c875c420dae3590768b3478f"
+        assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
+    def test_markup_in_labels_is_escaped(self):
+        svg = io.render_plot([("a<b", [0, 1], [1, 2]), ("c&d>", [0, 1], [2, 1])],
+                             x_label="age & <x>")
+        texts = [el.text for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+        assert {"age & <x>", "a<b", "c&d>"} <= set(texts)
+
+    @pytest.mark.parametrize("x_label, label", [("age\x01", "a"), ("age", "a\x1fb")])
+    def test_control_character_in_a_label_is_a_data_error(self, x_label, label):
+        with pytest.raises(DataError, match="cannot hold"):
+            io.render_plot([(label, [0, 1], [1, 2])], x_label=x_label)
+
     def test_single_point_series_has_marker(self):
         svg = io.render_plot([("solo", [1.0], [2.0])], kind="line")
         ET.fromstring(svg)

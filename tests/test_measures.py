@@ -97,6 +97,12 @@ class TestLifeTable:
         with pytest.raises(DataError):
             measures.life_table_from_mx(AgeSchedule(["0", "5+"], [0.1, 0.0]), [0, 5])
 
+    @pytest.mark.parametrize("starts", [[0, np.nan, 5], [np.nan, 1, 5], [0, 1, np.nan],
+                                        [0, 1, np.inf], [-np.inf, 1, 5]])
+    def test_non_finite_age_start(self, starts):
+        with pytest.raises(DataError, match="finite and strictly ascending"):
+            measures.life_table_from_mx(AgeSchedule(["a", "b", "c"], [0.1, 0.1, 0.2]), starts)
+
 
 class TestIntervalDeathProb:
     def _table(self, rates):

@@ -262,6 +262,21 @@ class TestErrorMetrics:
         with pytest.raises(DataError):
             schedule.error_metrics(mortality_log, fertility_log)
 
+    @pytest.mark.parametrize("pred, obs", [
+        ([[1e308, -1e308]], [[-1e308, 1e308]]),  # a difference overflows
+        ([[1.5e308, 1.5e308]], [[0.0, 0.0]]),  # every difference is finite, their sum is not
+    ])
+    def test_overflow_is_a_numerical_error_without_warnings(self, pred, obs):
+        # the suite turns warnings into errors, so a stray overflow warning fails here too
+        with pytest.raises(NumericalError, match="overflow"):
+            schedule.error_metrics(ScheduleMatrix(["a"], ["x", "y"], pred),
+                                   ScheduleMatrix(["a"], ["x", "y"], obs))
+
+    def test_largest_finite_errors_pass(self):
+        m = schedule.error_metrics(ScheduleMatrix(["a"], ["x", "y"], [[1e308, 0.0]]),
+                                   ScheduleMatrix(["a"], ["x", "y"], [[0.0, 0.0]]))
+        assert m.mae == 5e307 and np.all(np.isfinite(m.quantiles))
+
 
 class TestConcatSexes:
     def test_appendix_shapes(self, mortality_log):
