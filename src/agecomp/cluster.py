@@ -87,8 +87,10 @@ def _seed_centers(points, k, rng):
     # k-means++ style: first center uniform, later ones by squared distance
     n = points.shape[0]
     centers = [points[rng.integers(n)]]
+    dist2 = np.inf
     while len(centers) < k:
-        dist2 = np.min([((points - c) ** 2).sum(axis=1) for c in centers], axis=0)
+        # squared distance to the nearest center, updated by the newest one
+        dist2 = np.minimum(dist2, ((points - centers[-1]) ** 2).sum(axis=1))
         total = dist2.sum()
         if total == 0.0:
             centers.append(points[rng.integers(n)])

@@ -96,10 +96,13 @@ def reconstruct_rank(f: SvdFactorization, k: int) -> np.ndarray:
 
 
 def explained_share(f: SvdFactorization) -> np.ndarray:
-    """Fraction of total squared magnitude captured by each component."""
+    """Fraction of total squared magnitude captured by each component.
+
+    Squaring s / s[0], not s, keeps a finite spectrum from overflowing.
+    """
     if f.rank == 0:
         raise NumericalError("explained shares undefined for a rank-0 factorization")
-    sq = f.s**2
+    sq = (f.s / f.s[0]) ** 2
     return sq / sq.sum()
 
 

@@ -1,7 +1,9 @@
 """Component model of age-correlated quantities.
 
-A collection of age schedules (columns of a G x H matrix) is decomposed
-once, by one SVD, into a :class:`Decomposition`: the scaled left singular
+A collection of age schedules (columns of a G x H matrix) is factorized
+once: a :class:`ScheduleMatrix` is read-only and computes its one SVD the
+first time it is asked, and every :class:`Decomposition` of it, with any
+component count, reads that factorization.  The scaled left singular
 vectors become fixed age-varying components, and every schedule is then a
 short weighted sum of those components.  The weights for the source
 schedules are rows of the right singular vectors; weights for new schedules
@@ -11,6 +13,7 @@ one schedule or on a whole matrix of them with the same products.
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -71,7 +74,12 @@ class AgeSchedule:
 
 @dataclass(frozen=True)
 class ScheduleMatrix:
-    """Labeled G x H matrix: one age schedule per column."""
+    """Labeled G x H matrix: one age schedule per column.
+
+    ``data`` is kept as a read-only view, not a copy, of the array passed in,
+    and its SVD is computed once, on first use, by :attr:`factors`.  A caller
+    must not write to an array after building a matrix from it.
+    """
 
     group_labels: tuple
     schedule_labels: tuple
@@ -80,7 +88,8 @@ class ScheduleMatrix:
     _columns: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        data = linalg.as_matrix(self.data)
+        data = linalg.as_matrix(self.data).view()
+        data.flags.writeable = False
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "group_labels", tuple(self.group_labels))
         object.__setattr__(self, "schedule_labels", tuple(self.schedule_labels))
@@ -92,6 +101,14 @@ class ScheduleMatrix:
         _check_scale(self.scale)
         label_index(self.group_labels, "age-group")
         object.__setattr__(self, "_columns", label_index(self.schedule_labels, "schedule"))
+
+    @cached_property
+    def factors(self) -> linalg.SvdFactorization:
+        """The matrix's one SVD, with read-only factors."""
+        f = linalg.svd(self.data)
+        for x in (f.u, f.s, f.v):
+            x.flags.writeable = False
+        return f
 
     def column(self, label) -> AgeSchedule:
         h = self._columns.get(label)
@@ -170,7 +187,10 @@ class FittedSchedule:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """One SVD of a schedule matrix, kept to c components; each result is made when asked."""
+    """A schedule matrix's one SVD, kept to c components; each result is made when asked.
+
+    ``factors`` is the matrix's shared, read-only :attr:`ScheduleMatrix.factors`.
+    """
 
     matrix: ScheduleMatrix
     factors: linalg.SvdFactorization
@@ -197,8 +217,8 @@ class Decomposition:
 
 
 def decompose(a: ScheduleMatrix, c: int | None = None) -> Decomposition:
-    """Factorize a schedule matrix once; c defaults to its numerical rank."""
-    f = linalg.svd(a.data)
+    """Keep c components of the matrix's one SVD; c defaults to its numerical rank."""
+    f = a.factors
     c = f.rank if c is None else c
     if not 1 <= c <= f.rank:
         raise NumericalError(f"requested {c} components, numerical rank is {f.rank}")

@@ -622,6 +622,15 @@ class TestOneLineFailures:
         assert "overflow" in one_error_line(capsys, "numerical failure:")  # no warning: lines
         assert not out.exists()
 
+    def test_decompose_near_the_float_limit_reports_a_finite_share(self, tmp_path, capsys):
+        path, out = tmp_path / "big.csv", tmp_path / "b.json"
+        path.write_text("age,a,b\n0,1e200,2e200\n1,3e200,1e200\n2,2e200,3e200\n")
+        assert run("decompose", path, "-c", "1", "--out", out) == 0
+        captured = capsys.readouterr()
+        assert "warning:" not in captured.err
+        share = float(captured.out.split("explaining ")[1].split("%")[0])
+        assert 0.0 < share <= 100.0
+
     def test_plot_escapes_markup_in_labels(self, tmp_path):
         path, out = tmp_path / "s.csv", tmp_path / "s.svg"
         path.write_text("age&x,a<b,c>d\n1,1,2\n2,2,1\n")

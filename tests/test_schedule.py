@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -367,13 +369,67 @@ class TestDecomposition:
 
         for name in ("svd", "explained_share", "reconstruct_rank"):
             spy(name)
-        d = schedule.decompose(mortality_log, 2)
+        m = replace(mortality_log)  # a fresh matrix: the session fixture may be factored already
+        d = schedule.decompose(m, 2)
         d.basis()
         d.weights()
         assert calls == ["svd"]
         d.shares()
         d.smoothed()
         assert calls == ["svd", "explained_share", "reconstruct_rank"]
+        schedule.build_basis(m, 2)
+        schedule.svd_weights(m, 2)
+        schedule.smooth_matrix(m, 2)
+        assert calls.count("svd") == 1
+
+    def test_every_decomposition_of_a_matrix_shares_one_svd(self, rng, monkeypatch):
+        calls = []
+        real = linalg.svd
+
+        def counted(x):
+            calls.append(np.shape(x))
+            return real(x)
+
+        monkeypatch.setattr(linalg, "svd", counted)
+        m = random_schedule_matrix(rng)
+        schedule.decompose(m)
+        schedule.decompose(m, 2)
+        schedule.build_basis(m, 2)
+        schedule.svd_weights(m, 2)
+        schedule.smooth_matrix(m, 2)
+        assert calls == [(8, 5)]
+
+    def test_replaced_data_gets_its_own_factorization(self, rng):
+        m = random_schedule_matrix(rng)
+        other = np.exp(rng.normal(size=m.data.shape))
+        first = schedule.decompose(m).factors
+        m2 = replace(m, data=other)
+        f = schedule.decompose(m2).factors
+        assert f is m2.factors and f is not first and m.factors is first
+        ref = linalg.svd(other)
+        for got, want in zip((f.u, f.s, f.v), (ref.u, ref.s, ref.v)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_matrix_and_factors_are_read_only(self, rng):
+        raw = np.exp(rng.normal(size=(4, 3)))
+        m = ScheduleMatrix(list("abcd"), list("xyz"), raw)
+        assert np.shares_memory(m.data, raw) and raw.flags.writeable  # a view, not a copy
+        with pytest.raises(ValueError, match="read-only"):
+            m.data[0, 0] = 1.0
+        f = schedule.decompose(m).factors
+        for x in (f.u, f.s, f.v):
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 0.0
+
+    def test_results_are_fresh_arrays(self, rng):
+        m = random_schedule_matrix(rng)
+        ref = linalg.svd(m.data)
+        d = schedule.decompose(m, 2)
+        d.weights()[:] = 0.0
+        d.basis().singular_values[:] = 0.0
+        np.testing.assert_array_equal(schedule.svd_weights(m, 2), ref.v[:, :2])
+        np.testing.assert_array_equal(schedule.build_basis(m, 2).singular_values, ref.s[:2])
+        np.testing.assert_array_equal(m.factors.s, ref.s)
 
 
 def _within(actual, expected, tol=1e-13):
