@@ -196,12 +196,6 @@ def _cmd_lifetable(args):
     print(f"life expectancy at birth for {label!r}: {lt.e0:.2f} years")
 
 
-def _cmd_plot(args):
-    x_label, series = io.load_series_csv(args.input)
-    svg = io.render_plot(series, kind=args.kind, x_label=x_label)
-    Path(args.out).write_text(svg, encoding="utf-8")
-
-
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="agecomp", description=__doc__)
@@ -273,11 +267,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("lifetable", help="abridged life table from mortality rates")
     p.add_argument("input")
     p.add_argument("--column", help="schedule label to use (default: first)")
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("plot", help="render a CSV of series to SVG")
-    p.add_argument("input")
-    p.add_argument("--kind", default="line", choices=("line", "scatter"))
     p.add_argument("--out", required=True)
 
     return parser

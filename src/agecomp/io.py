@@ -1,4 +1,4 @@
-"""File formats: schedule/weight/covariate CSV, basis and model JSON, PPM, SVG.
+"""File formats: schedule/weight/covariate CSV, basis and model JSON, PPM.
 
 Numbers are written as shortest round-trip decimal strings (``fmt_number``)
 so a load restores the exact float.  CSV rows are parsed and formatted whole,
@@ -7,7 +7,6 @@ An input that cannot be read, or whose bytes are not UTF-8 text, raises DataErro
 """
 
 import csv
-import html
 import json
 import re
 from contextlib import contextmanager
@@ -123,13 +122,6 @@ def load_covariates_csv(path) -> CovariateTable:
     return CovariateTable(labels, dict(zip(names, columns)))
 
 
-def load_series_csv(path):
-    """Read plot series: (x label, [(name, x, y), ...]) from an x column and y columns."""
-    rows = _read_rows(path)
-    x, *ys = _parse_block(path, rows, range(len(rows[0])), by_column=True)
-    return rows[0][0], [(name.strip(), x, y) for name, y in zip(rows[0][1:], ys)]
-
-
 def write_weights_csv(labels, weights, path, residual_norms=None) -> None:
     """Weight rows (one per schedule), columns v1..vc, optional residual norm."""
     w = np.asarray(weights, dtype=float)
@@ -141,12 +133,15 @@ def write_weights_csv(labels, weights, path, residual_norms=None) -> None:
 
 
 def load_weights_csv(path):
-    """Return (labels, H x c weight array); extra columns are ignored, labels must be unique."""
+    """Return (unique labels, H x c weights) from columns v1..vc in order; others are ignored."""
     rows = _read_rows(path)
     names = [c.strip() for c in rows[0][1:]]
     keep = [c + 1 for c, name in enumerate(names) if re.fullmatch(r"v\d+", name)]
     if not keep:
         raise DataError(f"{path}: no weight columns (v1, v2, ...) found")
+    found = [names[c - 1] for c in keep]
+    if found != [f"v{i + 1}" for i in range(len(found))]:
+        raise DataError(f"{path}: weight columns must be v1..v{len(found)} in order, got {found}")
     labels = [row[0].strip() for row in rows[1:]]
     label_index(labels, "weight row")
     return labels, _parse_block(path, rows, keep)
@@ -288,107 +283,3 @@ def write_ppm(pixels, path, magic: str = "P6") -> None:
             lines = [" ".join(f"{r} {g} {b}" for r, g, b in flat[i:i + 5])
                      for i in range(0, len(flat), 5)]
             fh.write(("\n".join(lines) + "\n").encode())
-
-
-# ---------------------------------------------------------------------------
-# SVG plots
-
-_PALETTE = ("#1f6fb4", "#d1342c", "#2c8a4b", "#8a5cb4", "#c97f1e", "#4f4f4f")
-_WIDTH, _HEIGHT = 800, 560
-_MARGIN = 70
-# control characters and noncharacters that XML 1.0 text cannot contain
-_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
-
-
-def _scale(lo, hi):
-    if hi == lo:
-        pad = abs(lo) if lo != 0 else 1.0
-        return lo - pad, hi + pad
-    pad = 0.05 * (hi - lo)
-    return lo - pad, hi + pad
-
-
-def _svg_text(label) -> str:
-    """``label`` escaped for an SVG text node; DataError on a character XML cannot hold."""
-    label = str(label)
-    if _NOT_XML.search(label):
-        raise DataError(f"plot label {label!r} has a character that SVG text cannot hold")
-    return html.escape(label, quote=False)  # &, < and >; xml.sax.saxutils loads urllib
-
-
-def render_plot(series, kind: str = "line", x_label: str = "") -> str:
-    """Self-contained SVG line or scatter plot with axes and a legend.
-
-    ``series`` is a list of (label, x values, y values) triples.
-    """
-    if not series:
-        raise DataError("nothing to plot")
-    x_label = _svg_text(x_label)
-    cleaned = []
-    for label, xs, ys in series:
-        xv = np.asarray(xs, dtype=float)
-        yv = np.asarray(ys, dtype=float)
-        if xv.size == 0 or xv.shape != yv.shape:
-            raise DataError(f"series {label!r} is empty or has mismatched x/y")
-        if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(yv))):
-            raise DataError(f"series {label!r} has non-finite values")
-        cleaned.append((_svg_text(label), xv, yv))
-
-    x_lo, x_hi = _scale(min(s[1].min() for s in cleaned), max(s[1].max() for s in cleaned))
-    y_lo, y_hi = _scale(min(s[2].min() for s in cleaned), max(s[2].max() for s in cleaned))
-    inner_w = _WIDTH - 2 * _MARGIN
-    inner_h = _HEIGHT - 2 * _MARGIN
-
-    def px(x):
-        return _MARGIN + (x - x_lo) / (x_hi - x_lo) * inner_w
-
-    def py(y):
-        return _HEIGHT - _MARGIN - (y - y_lo) / (y_hi - y_lo) * inner_h
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
-        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<line x1="{_MARGIN}" y1="{_HEIGHT - _MARGIN}" x2="{_WIDTH - _MARGIN}" '
-        f'y2="{_HEIGHT - _MARGIN}" stroke="black"/>',
-        f'<line x1="{_MARGIN}" y1="{_MARGIN}" x2="{_MARGIN}" '
-        f'y2="{_HEIGHT - _MARGIN}" stroke="black"/>',
-    ]
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        xv = x_lo + frac * (x_hi - x_lo)
-        yv = y_lo + frac * (y_hi - y_lo)
-        parts.append(
-            f'<text x="{px(xv):.1f}" y="{_HEIGHT - _MARGIN + 20}" font-size="11" '
-            f'text-anchor="middle">{xv:.4g}</text>'
-        )
-        parts.append(
-            f'<text x="{_MARGIN - 8}" y="{py(yv):.1f}" font-size="11" '
-            f'text-anchor="end">{yv:.4g}</text>'
-        )
-    if x_label:
-        parts.append(
-            f'<text x="{_WIDTH / 2:.0f}" y="{_HEIGHT - 15}" font-size="13" '
-            f'text-anchor="middle">{x_label}</text>'
-        )
-
-    for idx, (label, xs, ys) in enumerate(cleaned):
-        color = _PALETTE[idx % len(_PALETTE)]
-        if kind == "line" and xs.size > 1:
-            points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
-            parts.append(
-                f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-            )
-        else:
-            for x, y in zip(xs, ys):
-                parts.append(
-                    f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="{color}" '
-                    f'fill-opacity="0.6"/>'
-                )
-        ly = _MARGIN + 18 * idx + 6
-        lx = _WIDTH - _MARGIN - 150
-        parts.append(f'<rect x="{lx}" y="{ly - 9}" width="12" height="12" fill="{color}"/>')
-        parts.append(
-            f'<text x="{lx + 18}" y="{ly + 1}" font-size="12" class="legend">{label}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts)

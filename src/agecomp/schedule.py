@@ -132,7 +132,11 @@ class ScheduleMatrix:
 
 @dataclass(frozen=True)
 class ComponentBasis:
-    """Fixed age-varying components: columns of ``components`` are s_i * u_i."""
+    """Fixed age-varying components: columns of ``components`` are s_i * u_i.
+
+    ``components`` is a read-only view, not a copy, of the array passed in, and
+    a caller must not write to that array afterwards.  No column is all zeros.
+    """
 
     group_labels: tuple
     components: np.ndarray  # G x c
@@ -142,7 +146,8 @@ class ComponentBasis:
     _sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        comps = linalg.as_matrix(self.components)
+        comps = linalg.as_matrix(self.components).view()
+        comps.flags.writeable = False
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "_sq_norms", np.einsum("ij,ij->j", comps, comps))
         object.__setattr__(
@@ -154,6 +159,8 @@ class ComponentBasis:
             raise DataError("component length does not match group labels")
         if comps.shape[1] != self.singular_values.size:
             raise DataError("component count does not match singular values")
+        if (zero := np.flatnonzero(~comps.any(axis=0))).size:
+            raise DataError(f"component {zero[0] + 1} is all zeros")
         _check_scale(self.scale)
 
     @property

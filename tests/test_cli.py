@@ -1,10 +1,10 @@
+import argparse
 import csv
 import json
 import os
 import subprocess
 import sys
 import warnings
-import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 
 import agecomp
 from agecomp import io
-from agecomp.cli import main
+from agecomp.cli import _build_parser, main
 
 MX_F = "agincourt_mx_female.csv"
 MX_M = "agincourt_mx_male.csv"
@@ -216,45 +216,6 @@ class TestLifetablePlot:
         assert lines[0] == "age,mx,ax,qx,lx,Lx,Tx,ex"
         assert len(lines) == 20
 
-    def test_plot_scatter_marker_count(self, tmp_path, rng):
-        csv_path = tmp_path / "cloud.csv"
-        n = 722
-        xs = rng.normal(size=n)
-        ys = xs + 0.05 * rng.normal(size=n)
-        with open(csv_path, "w") as fh:
-            fh.write("observed,predicted\n")
-            for x, y in zip(xs, ys):
-                fh.write(f"{x},{y}\n")
-        out = tmp_path / "cloud.svg"
-        assert run("plot", csv_path, "--kind", "scatter", "--out", out) == 0
-        text = out.read_text()
-        ET.fromstring(text)
-        assert text.count("<circle") == 722
-
-    def test_plot_non_finite_value_is_a_data_error(self, tmp_path, capsys):
-        csv_path = tmp_path / "inf.csv"
-        csv_path.write_text("year,a,b\n1,1,2\n2,inf,1\n3,3,4\n")
-        out = tmp_path / "inf.svg"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert run("plot", csv_path, "--out", out) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("data error:") and "non-finite" in err
-        assert err.count("\n") == 1
-        assert not out.exists()
-
-    def test_plot_line_two_series_legend(self, tmp_path):
-        csv_path = tmp_path / "two.csv"
-        csv_path.write_text("year,a,b\n1,1,2\n2,2,1\n3,3,4\n")
-        out = tmp_path / "two.svg"
-        assert run("plot", csv_path, "--out", out) == 0
-        root = ET.fromstring(out.read_text())
-        legends = [
-            el.text for el in root.iter("{http://www.w3.org/2000/svg}text")
-            if el.get("class") == "legend"
-        ]
-        assert legends == ["a", "b"]
-
 
 class TestExitCodes:
     def test_usage_errors(self, tmp_path):
@@ -328,6 +289,15 @@ class TestExitCodes:
         )
         assert result.returncode == 0
         assert "decompose" in result.stdout
+
+    def test_readme_lists_every_subcommand(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = next(b for b in readme.split("```sh")[1:] if "agecomp decompose" in b)
+        listed = {line.split()[1] for line in block.split("```")[0].splitlines()
+                  if line.startswith("agecomp ")}
+        parser = _build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert listed == set(subparsers.choices)
 
 
 def one_error_line(capsys, prefix="data error:"):
@@ -535,6 +505,19 @@ class TestRegressAndModels:
         assert "malformed basis JSON" in one_error_line(capsys)
         assert not out.exists()
 
+    def test_fit_with_an_all_zero_basis_component(self, tmp_path, data_dir, capsys):
+        self._weights(tmp_path, data_dir, 2)
+        basis = tmp_path / "b.json"
+        payload = json.loads(basis.read_text())
+        payload["components"][1] = ["0"] * len(payload["components"][1])
+        basis.write_text(json.dumps(payload))
+        capsys.readouterr()
+        out = tmp_path / "f.csv"
+        assert run("fit", data_dir / MX_F, data_dir / MX_M, "--log", "--concat-sexes",
+                   "--basis", basis, "--out", out) == 2
+        assert "component 2 is all zeros" in one_error_line(capsys)  # and no warning: line
+        assert not out.exists()
+
 
 class TestCsvRobustness:
     def test_cell_over_the_csv_field_limit(self, tmp_path, capsys):
@@ -589,6 +572,7 @@ class TestOneLineFailures:
         (("cluster", "--weights", "{W}", "--k-range", "0:2", "--out", "{out}"), 1,
          "--k-range must cover k >= 1"),
         (("lifetable", "{ages}", "--out", "{out}"), 2, "cannot parse age-group label 'x-y'"),
+        (("plot", "{F}", "--out", "{out}"), 1, "invalid choice: 'plot'"),
     ])
     def test_exit_code_and_message(self, argv, code, text, tmp_path, data_dir,
                                    basis_and_weights, capsys):
@@ -630,21 +614,6 @@ class TestOneLineFailures:
         assert "warning:" not in captured.err
         share = float(captured.out.split("explaining ")[1].split("%")[0])
         assert 0.0 < share <= 100.0
-
-    def test_plot_escapes_markup_in_labels(self, tmp_path):
-        path, out = tmp_path / "s.csv", tmp_path / "s.svg"
-        path.write_text("age&x,a<b,c>d\n1,1,2\n2,2,1\n")
-        assert run("plot", path, "--out", out) == 0
-        texts = [el.text for el in ET.fromstring(out.read_text()).iter(
-            "{http://www.w3.org/2000/svg}text")]
-        assert {"age&x", "a<b", "c>d"} <= set(texts)
-
-    def test_plot_control_character_in_a_label(self, tmp_path, capsys):
-        path, out = tmp_path / "s.csv", tmp_path / "s.svg"
-        path.write_text("age\x01,a\n1,1\n2,2\n")
-        assert run("plot", path, "--out", out) == 2
-        assert "'age\\x01'" in one_error_line(capsys)
-        assert not out.exists()
 
 
 class TestMetricsOutput:

@@ -28,7 +28,6 @@ LOADERS = {
     "schedule": io.load_schedule_csv,
     "covariates": io.load_covariates_csv,
     "weights": io.load_weights_csv,
-    "series": io.load_series_csv,
     "basis": lambda path: io.basis_from_json(io.read_text(path)),
     "models": lambda path: io.models_from_json(io.read_text(path)),
     "ppm": io.read_ppm,
@@ -46,7 +45,6 @@ COMMANDS = {
     "metrics": "metrics {mx} {observed} --out {out}",
     "image": "image {ppm} -c 1 --out {out}",
     "lifetable": "lifetable {mx} --out {out}",
-    "plot": "plot {series} --out {out}",
 }
 SLOTS = [(cmd, slot) for cmd, template in COMMANDS.items()
          for slot in re.findall(r"\{(\w+)\}", template) if slot != "out"]
@@ -85,7 +83,6 @@ def inputs(tmp_path_factory, data_dir):
                          ("cov", "agincourt_covariates.csv")):
         shutil.copy(data_dir / source, d / name)
     io.write_ppm(np.random.default_rng(3).integers(0, 256, (4, 5, 3)), d / "ppm")
-    (d / "series").write_text("x,a,b\n0,1,2\n1,2,3\n2,5,1\n")
     for argv in ("decompose {mx} --log -c 2 --out {basis} --weights {weights}",
                  "regress --weights {weights} --covariates {cov} --predictors e0,delta "
                  "--out {models}"):

@@ -1,5 +1,4 @@
-import hashlib
-import xml.etree.ElementTree as ET
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +101,14 @@ class TestWeightsCsv:
         labels, w = io.load_weights_csv(path)
         assert labels == ["a", "b"]
         np.testing.assert_array_equal(w, [[1.5, 2.5], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("header", ["schedule,v2,v1", "schedule,v1,v3"])
+    def test_weight_columns_must_be_v1_to_vc_in_order(self, tmp_path, header):
+        path = tmp_path / "w.csv"
+        path.write_text(f"{header}\na,1,2\nb,3,4\n")
+        got = header.split(",")[1:]
+        with pytest.raises(DataError, match=re.escape(f"must be v1..v2 in order, got {got}")):
+            io.load_weights_csv(path)
 
 
 def _block_csv(path, first, names, bad=()):
@@ -251,57 +258,3 @@ def test_ppm_header_regex_matches_the_byte_tokenizer(magic, pieces):
         assert header is not None
         assert list(header.groups()) == tokens and header.end() == pos
 
-
-class TestRenderPlot:
-    def test_plain_labels_give_the_same_bytes(self):
-        # the bytes render_plot gave before labels were escaped
-        svg = io.render_plot(
-            [("first", [0, 1, 2], [1, 2, 0.5]), ("b c", [0, 2], [2, 1])], x_label="year"
-        )
-        digest = "900bb929c587c7ee03a5e08d94ebb14d6d75fab0c875c420dae3590768b3478f"
-        assert hashlib.sha256(svg.encode()).hexdigest() == digest
-
-    def test_markup_in_labels_is_escaped(self):
-        svg = io.render_plot([("a<b", [0, 1], [1, 2]), ("c&d>", [0, 1], [2, 1])],
-                             x_label="age & <x>")
-        texts = [el.text for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
-        assert {"age & <x>", "a<b", "c&d>"} <= set(texts)
-
-    @pytest.mark.parametrize("x_label, label", [("age\x01", "a"), ("age", "a\x1fb")])
-    def test_control_character_in_a_label_is_a_data_error(self, x_label, label):
-        with pytest.raises(DataError, match="cannot hold"):
-            io.render_plot([(label, [0, 1], [1, 2])], x_label=x_label)
-
-    def test_single_point_series_has_marker(self):
-        svg = io.render_plot([("solo", [1.0], [2.0])], kind="line")
-        ET.fromstring(svg)
-        assert svg.count("<circle") == 1
-
-    def test_two_series_two_legend_entries(self):
-        svg = io.render_plot(
-            [("first", [0, 1], [1, 2]), ("second", [0, 1], [2, 1])], kind="line"
-        )
-        root = ET.fromstring(svg)
-        legends = [
-            el for el in root.iter("{http://www.w3.org/2000/svg}text")
-            if el.get("class") == "legend"
-        ]
-        assert [el.text for el in legends] == ["first", "second"]
-
-    def test_scatter_marker_count(self, rng):
-        xs = rng.normal(size=722)
-        ys = rng.normal(size=722)
-        svg = io.render_plot([("cloud", xs, ys)], kind="scatter")
-        ET.fromstring(svg)
-        assert svg.count("<circle") == 722
-
-    def test_non_finite_values_error(self):
-        for xs, ys in (([0, 1], [1, np.inf]), ([0, np.nan], [1, 2])):
-            with pytest.raises(DataError, match="non-finite"):
-                io.render_plot([("bad", xs, ys)])
-
-    def test_empty_series_errors(self):
-        with pytest.raises(DataError):
-            io.render_plot([])
-        with pytest.raises(DataError):
-            io.render_plot([("empty", [], [])])

@@ -53,6 +53,13 @@ class TestTypes:
         with pytest.raises(DataError, match="duplicate age-group label 'b'"):
             schedule.ComponentBasis(["a", "b", "b"], np.ones((3, 1)), [1.0], "log")
 
+    def test_basis_components_are_read_only(self, rng):
+        raw = rng.normal(size=(6, 3))
+        b = schedule.ComponentBasis(list("abcdef"), raw, [3.0, 2.0, 1.0], "log")
+        assert np.shares_memory(b.components, raw) and raw.flags.writeable  # a view, not a copy
+        with pytest.raises(ValueError, match="read-only"):
+            b.components[:] *= 2
+
     def test_column_lookup_every_label(self, rng):
         m = random_schedule_matrix(rng, n_scheds=50)
         for h, label in enumerate(m.schedule_labels):
