@@ -42,13 +42,11 @@ from .regress import (
 from .schedule import (
     AgeSchedule,
     ComponentBasis,
-    Decomposition,
     ErrorMetrics,
     FittedSchedule,
     ScheduleMatrix,
     build_basis,
     concat_sexes,
-    decompose,
     error_metrics,
     fit_weights,
     reconstruct,
@@ -64,7 +62,6 @@ __all__ = [
     "ComponentBasis",
     "CovariateTable",
     "DataError",
-    "Decomposition",
     "ErrorMetrics",
     "FittedSchedule",
     "GmmModel",
@@ -79,7 +76,6 @@ __all__ = [
     "center_columns",
     "characteristic_schedules",
     "concat_sexes",
-    "decompose",
     "derive_delta",
     "error_metrics",
     "explained_share",

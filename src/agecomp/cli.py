@@ -51,13 +51,15 @@ def _component_count(args):
 
 def _cmd_decompose(args):
     matrix = _load_matrix(args.inputs, args.log, args.concat_sexes)
-    d = schedule.decompose(matrix, _component_count(args))
-    Path(args.out).write_text(io.basis_to_json(d.basis(args.source_id)), encoding="utf-8")
+    basis = schedule.build_basis(matrix, _component_count(args), args.source_id)
+    Path(args.out).write_text(io.basis_to_json(basis), encoding="utf-8")
     if args.weights:
-        io.write_weights_csv(matrix.schedule_labels, d.weights(), args.weights)
+        weights = schedule.svd_weights(matrix, basis.c)
+        io.write_weights_csv(matrix.schedule_labels, weights, args.weights)
+    share = linalg.explained_share(matrix.factors)[: basis.c].sum()
     print(
         f"decomposed {matrix.data.shape[0]}x{matrix.data.shape[1]} matrix; "
-        f"kept {d.c} components explaining {100 * d.shares().sum():.4f}% of squared magnitude"
+        f"kept {basis.c} components explaining {100 * share:.4f}% of squared magnitude"
     )
 
 
@@ -69,7 +71,7 @@ def _cmd_reconstruct(args):
 
 def _cmd_smooth(args):
     matrix = _load_matrix(args.inputs, args.log, args.concat_sexes)
-    io.write_schedule_csv(schedule.decompose(matrix, _component_count(args)).smoothed(), args.out)
+    io.write_schedule_csv(schedule.smooth_matrix(matrix, _component_count(args)), args.out)
 
 
 def _cmd_fit(args):
@@ -167,7 +169,8 @@ def image_rank_approx(in_path, k: int, out_path) -> None:
     out = np.empty_like(pixels)
     for ch in range(3):
         f = linalg.svd(pixels[:, :, ch])
-        out[:, :, ch] = linalg.reconstruct_rank(f, min(k, f.rank))
+        # an all-zero channel has rank 0, and its rank-k approximation is itself
+        out[:, :, ch] = linalg.reconstruct_rank(f, min(k, f.rank)) if f.rank else 0.0
     io.write_ppm(out, out_path, magic)
 
 

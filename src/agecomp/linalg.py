@@ -106,25 +106,12 @@ def explained_share(f: SvdFactorization) -> np.ndarray:
     return sq / sq.sum()
 
 
-def center_columns(x, normalize: bool = False) -> np.ndarray:
-    """Subtract each column mean; optionally rescale columns to unit norm.
-
-    With ``normalize`` the centered columns are scaled by 1/sqrt(N-1) and
-    then divided by their norm, the preprocessing under which the Gram
-    matrix of the result is the correlation matrix of the input.
-    """
+def center_columns(x) -> np.ndarray:
+    """Subtract each column mean."""
     a = as_matrix(x)
     if a.shape[0] < 2:
         raise DataError("centering needs at least two rows")
-    centered = a - a.mean(axis=0)
-    if not normalize:
-        return centered
-    scaled = centered / np.sqrt(a.shape[0] - 1)
-    norms = np.sqrt(np.einsum("ij,ij->j", scaled, scaled))
-    if np.any(norms == 0.0):
-        bad = int(np.nonzero(norms == 0.0)[0][0])
-        raise DataError(f"column {bad} has zero variance, cannot normalize")
-    return scaled / norms
+    return a - a.mean(axis=0)
 
 
 def frobenius_residual(a, b) -> float:

@@ -2,8 +2,8 @@
 
 A collection of age schedules (columns of a G x H matrix) is factorized
 once: a :class:`ScheduleMatrix` is read-only and computes its one SVD the
-first time it is asked, and every :class:`Decomposition` of it, with any
-component count, reads that factorization.  The scaled left singular
+first time it is asked; the basis, the weights and the smoothed matrix, for
+any component count, all read that factorization.  The scaled left singular
 vectors become fixed age-varying components, and every schedule is then a
 short weighted sum of those components.  The weights for the source
 schedules are rows of the right singular vectors; weights for new schedules
@@ -189,62 +189,36 @@ class FittedSchedule:
 
     betas: np.ndarray
     predicted: AgeSchedule
-    residual_norm: float = field(default=float("nan"))
+    residual_norm: float
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """A schedule matrix's one SVD, kept to c components; each result is made when asked.
-
-    ``factors`` is the matrix's shared, read-only :attr:`ScheduleMatrix.factors`.
-    """
-
-    matrix: ScheduleMatrix
-    factors: linalg.SvdFactorization
-    c: int
-
-    def basis(self, source_id: str = "") -> ComponentBasis:
-        """First c canonicalized scaled left singular vectors."""
-        a, f, c = self.matrix, self.factors, self.c
-        return ComponentBasis(
-            a.group_labels, f.u[:, :c] * f.s[:c], f.s[:c].copy(), a.scale, source_id
-        )
-
-    def weights(self) -> np.ndarray:
-        """H x c matrix of per-schedule weights: row h reconstructs column h."""
-        return self.factors.v[:, : self.c].copy()
-
-    def shares(self) -> np.ndarray:
-        """Fraction of the total squared magnitude each kept component explains."""
-        return linalg.explained_share(self.factors)[: self.c]
-
-    def smoothed(self) -> ScheduleMatrix:
-        """Every column replaced by its c-component reconstruction."""
-        return replace(self.matrix, data=linalg.reconstruct_rank(self.factors, self.c))
-
-
-def decompose(a: ScheduleMatrix, c: int | None = None) -> Decomposition:
-    """Keep c components of the matrix's one SVD; c defaults to its numerical rank."""
+def _kept(a: ScheduleMatrix, c: int | None) -> tuple:
+    """(the matrix's one SVD, c checked against its rank); c=None means the rank."""
     f = a.factors
     c = f.rank if c is None else c
     if not 1 <= c <= f.rank:
         raise NumericalError(f"requested {c} components, numerical rank is {f.rank}")
-    return Decomposition(a, f, c)
+    return f, c
 
 
-def build_basis(a: ScheduleMatrix, c: int, source_id: str = "") -> ComponentBasis:
+def build_basis(a: ScheduleMatrix, c: int | None, source_id: str = "") -> ComponentBasis:
     """First c canonicalized scaled left singular vectors of a schedule matrix."""
-    return decompose(a, c).basis(source_id)
+    f, c = _kept(a, c)
+    return ComponentBasis(
+        a.group_labels, f.u[:, :c] * f.s[:c], f.s[:c].copy(), a.scale, source_id
+    )
 
 
-def svd_weights(a: ScheduleMatrix, c: int) -> np.ndarray:
+def svd_weights(a: ScheduleMatrix, c: int | None) -> np.ndarray:
     """H x c matrix of per-schedule weights: row h reconstructs column h."""
-    return decompose(a, c).weights()
+    f, c = _kept(a, c)
+    return f.v[:, :c].copy()
 
 
-def smooth_matrix(a: ScheduleMatrix, c: int) -> ScheduleMatrix:
+def smooth_matrix(a: ScheduleMatrix, c: int | None) -> ScheduleMatrix:
     """Replace every column by its c-component reconstruction."""
-    return decompose(a, c).smoothed()
+    f, c = _kept(a, c)
+    return replace(a, data=linalg.reconstruct_rank(f, c))
 
 
 def fit_weights(observed: AgeSchedule, basis: ComponentBasis) -> FittedSchedule:

@@ -204,6 +204,16 @@ class TestImage:
         assert run("image", src, "--components", "1", "--out", out) == 0
         assert out.read_bytes().startswith(b"P3")
 
+    def test_all_zero_channels(self, tmp_path):
+        red = np.zeros((6, 8, 3))
+        red[:, :, 0] = np.add.outer(10.0 * np.arange(6), 5.0 * np.arange(8))  # rank 2
+        for name, pixels in (("red", red), ("black", np.zeros((6, 8, 3)))):
+            src, out = tmp_path / f"{name}.ppm", tmp_path / f"{name}_out.ppm"
+            io.write_ppm(pixels, src, "P6")
+            assert run("image", src, "--components", "2", "--out", out) == 0
+            back, _ = io.read_ppm(out)
+            np.testing.assert_array_equal(back, pixels)
+
 
 class TestLifetablePlot:
     def test_lifetable_csv(self, tmp_path, data_dir, capsys):
@@ -298,6 +308,15 @@ class TestExitCodes:
         parser = _build_parser()
         subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         assert listed == set(subparsers.choices)
+
+    def test_readme_python_quick_start_runs(self, monkeypatch):
+        root = Path(__file__).parents[1]
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```python\n")[1].split("```")[0]
+        monkeypatch.chdir(root)  # the block names data files relative to the repo root
+        namespace = {}
+        exec(compile(block, "README.md", "exec"), namespace)
+        assert namespace["predicted"].values.shape == (38,)
 
 
 def one_error_line(capsys, prefix="data error:"):

@@ -222,17 +222,6 @@ class TestCenterColumns:
         x -= x.mean(axis=0)
         np.testing.assert_allclose(linalg.center_columns(x), x, atol=1e-12)
 
-    def test_normalize_gives_unit_columns(self, rng):
-        x = rng.normal(size=(12, 4))
-        c = linalg.center_columns(x, normalize=True)
-        np.testing.assert_allclose(np.linalg.norm(c, axis=0), np.ones(4), atol=1e-12)
-
-    def test_zero_variance_column_errors_under_normalize(self):
-        x = np.column_stack([np.ones(5), np.arange(5.0)])
-        with pytest.raises(DataError):
-            linalg.center_columns(x, normalize=True)
-        linalg.center_columns(x)  # fine without normalize
-
     def test_pca_equivalence_with_eigen_oracle(self, rng):
         # right singular vectors of centered data = Gram eigenvectors (up to sign)
         x = rng.normal(size=(20, 3)) * [1.0, 2.5, 0.5] + [4.0, -1.0, 2.0]

@@ -331,36 +331,27 @@ class TestCorrelationSanity:
 
 
 class TestDecomposition:
-    def test_results_bit_identical_to_the_wrappers(self, mortality_log):
-        d = schedule.decompose(mortality_log, 2)
-        basis, ref = d.basis("mx"), schedule.build_basis(mortality_log, 2, source_id="mx")
-        assert (basis.group_labels, basis.scale, basis.source_id) == (
-            ref.group_labels, ref.scale, "mx")
-        np.testing.assert_array_equal(basis.components, ref.components)
-        np.testing.assert_array_equal(basis.singular_values, ref.singular_values)
-        np.testing.assert_array_equal(d.weights(), schedule.svd_weights(mortality_log, 2))
-        smooth, ref = d.smoothed(), schedule.smooth_matrix(mortality_log, 2)
-        assert (smooth.group_labels, smooth.schedule_labels, smooth.scale) == (
-            ref.group_labels, ref.schedule_labels, ref.scale)
-        np.testing.assert_array_equal(smooth.data, ref.data)
-        shares = linalg.explained_share(linalg.svd(mortality_log.data))[:2]
-        np.testing.assert_array_equal(d.shares(), shares)
+    """build_basis, svd_weights and smooth_matrix read the matrix's one cached SVD."""
 
     def test_default_component_count_is_the_numerical_rank(self, mortality_log, rng):
-        assert schedule.decompose(mortality_log).c == 19
+        assert schedule.build_basis(mortality_log, None).c == 19
         low = ScheduleMatrix(
             list("abcdef"), list("vwxyz"), rng.normal(size=(6, 2)) @ rng.normal(size=(2, 5))
         )
-        d = schedule.decompose(low)
-        assert d.c == 2 and d.basis().c == 2 and d.weights().shape == (5, 2)
+        assert schedule.build_basis(low, None).c == 2
+        assert schedule.svd_weights(low, None).shape == (5, 2)
+        ref = schedule.smooth_matrix(low, 2).data
+        np.testing.assert_array_equal(schedule.smooth_matrix(low, None).data, ref)
 
     def test_component_count_out_of_range(self):
-        for c in (0, 3):
-            with pytest.raises(NumericalError, match="numerical rank is 2"):
-                schedule.decompose(X32, c)
         zero = ScheduleMatrix(["a", "b"], ["s"], [[0.0], [0.0]])
-        with pytest.raises(NumericalError, match="numerical rank is 0"):
-            schedule.decompose(zero)
+        for fn in (schedule.build_basis, schedule.svd_weights, schedule.smooth_matrix):
+            for c in (0, 3):
+                message = f"requested {c} components, numerical rank is 2"
+                with pytest.raises(NumericalError, match=message):
+                    fn(X32, c)
+            with pytest.raises(NumericalError, match="numerical rank is 0"):
+                fn(zero, None)
 
     def test_one_svd_and_nothing_unasked(self, mortality_log, monkeypatch):
         calls = []
@@ -377,17 +368,11 @@ class TestDecomposition:
         for name in ("svd", "explained_share", "reconstruct_rank"):
             spy(name)
         m = replace(mortality_log)  # a fresh matrix: the session fixture may be factored already
-        d = schedule.decompose(m, 2)
-        d.basis()
-        d.weights()
-        assert calls == ["svd"]
-        d.shares()
-        d.smoothed()
-        assert calls == ["svd", "explained_share", "reconstruct_rank"]
         schedule.build_basis(m, 2)
         schedule.svd_weights(m, 2)
+        assert calls == ["svd"]
         schedule.smooth_matrix(m, 2)
-        assert calls.count("svd") == 1
+        assert calls == ["svd", "reconstruct_rank"]
 
     def test_every_decomposition_of_a_matrix_shares_one_svd(self, rng, monkeypatch):
         calls = []
@@ -399,23 +384,24 @@ class TestDecomposition:
 
         monkeypatch.setattr(linalg, "svd", counted)
         m = random_schedule_matrix(rng)
-        schedule.decompose(m)
-        schedule.decompose(m, 2)
-        schedule.build_basis(m, 2)
-        schedule.svd_weights(m, 2)
-        schedule.smooth_matrix(m, 2)
+        for c in (None, 2):
+            schedule.build_basis(m, c)
+            schedule.svd_weights(m, c)
+            schedule.smooth_matrix(m, c)
         assert calls == [(8, 5)]
 
     def test_replaced_data_gets_its_own_factorization(self, rng):
         m = random_schedule_matrix(rng)
         other = np.exp(rng.normal(size=m.data.shape))
-        first = schedule.decompose(m).factors
+        first = m.factors
         m2 = replace(m, data=other)
-        f = schedule.decompose(m2).factors
-        assert f is m2.factors and f is not first and m.factors is first
+        basis = schedule.build_basis(m2, None)
+        assert m2.factors is not first and m.factors is first
         ref = linalg.svd(other)
-        for got, want in zip((f.u, f.s, f.v), (ref.u, ref.s, ref.v)):
+        for got, want in zip((m2.factors.u, m2.factors.s, m2.factors.v), (ref.u, ref.s, ref.v)):
             np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(basis.singular_values, ref.s)
+        np.testing.assert_array_equal(schedule.svd_weights(m2, None), ref.v)
 
     def test_matrix_and_factors_are_read_only(self, rng):
         raw = np.exp(rng.normal(size=(4, 3)))
@@ -423,7 +409,8 @@ class TestDecomposition:
         assert np.shares_memory(m.data, raw) and raw.flags.writeable  # a view, not a copy
         with pytest.raises(ValueError, match="read-only"):
             m.data[0, 0] = 1.0
-        f = schedule.decompose(m).factors
+        schedule.build_basis(m, None)
+        f = m.factors
         for x in (f.u, f.s, f.v):
             with pytest.raises(ValueError, match="read-only"):
                 x[0] = 0.0
@@ -431,9 +418,8 @@ class TestDecomposition:
     def test_results_are_fresh_arrays(self, rng):
         m = random_schedule_matrix(rng)
         ref = linalg.svd(m.data)
-        d = schedule.decompose(m, 2)
-        d.weights()[:] = 0.0
-        d.basis().singular_values[:] = 0.0
+        schedule.svd_weights(m, 2)[:] = 0.0
+        schedule.build_basis(m, 2).singular_values[:] = 0.0
         np.testing.assert_array_equal(schedule.svd_weights(m, 2), ref.v[:, :2])
         np.testing.assert_array_equal(schedule.build_basis(m, 2).singular_values, ref.s[:2])
         np.testing.assert_array_equal(m.factors.s, ref.s)
