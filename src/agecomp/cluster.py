@@ -6,8 +6,11 @@ count and family are picked by minimum BIC over a grid.  Fits are
 deterministic for a fixed seed: centers are drawn by squared-distance
 weighted (k-means++ style) sampling from a seeded generator, with a fixed
 number of restarts keeping the best likelihood among those whose component
-covariances stay off the variance floor.  Each EM step handles all R
-restarts and k components at once, as an R x k x d x d covariance stack.
+covariances stay off the variance floor.  The restarts of every family at
+one k start from the same seeded centers, and each EM step handles all of
+them at once: F families x R restarts x k components, as one
+F*R x k x d x d covariance stack, each family's rows constrained by its own
+rule.  The grid runs one such stack per k.
 """
 
 from dataclasses import dataclass, replace
@@ -119,29 +122,39 @@ def _posterior(points, weights, means, covs):
     return logsum, np.exp(logp - logsum[..., None])
 
 
-def _run_restarts(points, family, seeds):
-    # EM on all restarts at once: R x k x d means, R x k weights, R x k x d x d
-    # covariances.  A restart leaves the stack when it ends, so each runs its own
-    # iterations; after a LAPACK failure each reruns alone, so only that one fails.
-    # Returns per restart its failure or (path, converged, weights, means, covs).
+def _run_restarts(points, families, seeds):
+    # EM on every (family, restart) pair at once, one row each, family-major:
+    # F*R x k x d means, F*R x k weights, F*R x k x d x d covariances.  Every
+    # family starts from the same R seeds and its own pooled covariance; after
+    # the shared E- and M-step each family's block of rows is constrained by its
+    # own rule.  A row leaves the stacks when it ends, so each runs its own
+    # iterations; after a LAPACK failure each pair reruns alone, so only that one
+    # fails.  Returns per pair its failure or (path, converged, weights, means, covs).
     n_restarts, k, d = seeds.shape
-    means, weights = seeds, np.full((n_restarts, k), 1.0 / k)
+    n_rows = len(families) * n_restarts
     floor = _floor_for(points)
-    pooled, degenerate = _pooled_cov(points, family, floor)
-    covs = np.broadcast_to(pooled, (n_restarts, k, d, d))
-    rows = list(range(n_restarts))  # the restart in each row of the stacks
-    paths, out = [[] for _ in rows], [None] * n_restarts
+    pooled = [_pooled_cov(points, family, floor) for family in families]
+    means, weights = np.concatenate([seeds] * len(families)), np.full((n_rows, k), 1.0 / k)
+    covs = np.concatenate([np.broadcast_to(cov, (n_restarts, k, d, d)) for cov, _ in pooled])
+    rows = list(range(n_rows))  # the pair in each row of the stacks, ascending
+    # family f owns pairs bounds[f]:bounds[f + 1], and so the rows edges[f]:edges[f + 1]
+    bounds = edges = list(range(0, n_rows + 1, n_restarts))
+    paths, out = [[] for _ in rows], [None] * n_rows
     try:
         while rows:
             logsum, resp = _posterior(points, weights, means, covs)
             counts = resp.sum(axis=1)
             collapsed = np.any(counts < 1e-10, axis=1)
-            counts = np.maximum(counts, 1e-10)  # a collapsed restart's update is dropped
+            counts = np.maximum(counts, 1e-10)  # a collapsed row's update is dropped
             weights = counts / len(points)
             means = (resp.swapaxes(1, 2) @ points) / counts[..., None]
             diff = points - means[..., None, :]
             scatter = (resp.swapaxes(1, 2)[..., None] * diff).swapaxes(2, 3) @ diff
-            covs, floored = _constrain(scatter / counts[..., None, None], family, floor)
+            raw = scatter / counts[..., None, None]
+            blocks = [_constrain(raw[lo:hi], family, floor)
+                      for family, lo, hi in zip(families, edges, edges[1:]) if lo < hi]
+            covs = np.concatenate([block for block, _ in blocks])
+            floored = [hit for _, hits in blocks for hit in hits]
             going = []
             for row, (r, ll) in enumerate(zip(rows, logsum.sum(axis=1))):
                 path = paths[r]
@@ -151,22 +164,65 @@ def _run_restarts(points, family, seeds):
                     out[r] = NumericalError("mixture component collapsed to zero weight")
                 elif not (met or len(path) == _MAX_ITER):
                     going.append(row)
-                elif floored[row] and not degenerate:
+                elif floored[row] and not pooled[r // n_restarts][1]:
                     out[r] = "a component covariance rests on the variance floor"
                 else:
                     out[r] = (path, met, weights[row], means[row], covs[row])
-            rows = [rows[row] for row in going]
-            weights, means, covs = weights[going], means[going], covs[going]
+            if len(going) < len(rows):
+                rows = [rows[row] for row in going]
+                weights, means, covs = weights[going], means[going], covs[going]
+                edges = np.searchsorted(rows, bounds).tolist()
     except np.linalg.LinAlgError as exc:
-        if n_restarts == 1:
+        if n_rows == 1:
             return [exc]
-        return [run for seed in seeds for run in _run_restarts(points, family, seed[None])]
+        return [run for family in families for seed in seeds
+                for run in _run_restarts(points, (family,), seed[None])]
     return out
 
 
 def _param_count(k, d, family):
     per_cov = {"spherical": 1, "diagonal": d, "full": d * (d + 1) // 2}[family]
     return k * d + k * per_cov + (k - 1)
+
+
+def _fit_families(pts, k, families, seed):
+    # per family, the model of its best restart or the NumericalError it failed
+    # with; every family starts from the same k-means++ seeds, all in one stack
+    n, d = pts.shape
+    if k < 1:
+        raise DataError(f"k must be >= 1, got {k}")
+    if n < k:
+        return [NumericalError(f"cannot fit {k} clusters to {n} observations") for _ in families]
+    rng = np.random.default_rng(seed)
+    seeds = np.array([_seed_centers(pts, k, rng) for _ in range(_RESTARTS)])
+    runs = _run_restarts(pts, families, seeds)
+    models = []
+    for i, family in enumerate(families):
+        family_runs = runs[i * _RESTARTS : (i + 1) * _RESTARTS]
+        kept = [run for run in family_runs if isinstance(run, tuple)]
+        if not kept:
+            models.append(NumericalError(f"all EM restarts failed: {family_runs[-1]}"))
+            continue
+        path, converged, weights, means, covs = max(kept, key=lambda run: run[0][-1])
+        n_params = _param_count(k, d, family)
+        models.append(
+            GmmModel(
+                k=k,
+                family=family,
+                mixing_weights=weights,
+                means=means,
+                covariances=covs,
+                log_likelihood=path[-1],
+                bic=-2.0 * path[-1] + n_params * np.log(n),
+                n_params=n_params,
+                n_obs=n,
+                n_iter=len(path),
+                converged=converged,
+                failed_restarts=len(family_runs) - len(kept),
+                log_likelihood_path=tuple(path),
+            )
+        )
+    return models
 
 
 def fit_gmm_em(points, k: int, family: str = "full", seed: int = 0) -> GmmModel:
@@ -184,36 +240,12 @@ def fit_gmm_em(points, k: int, family: str = "full", seed: int = 0) -> GmmModel:
     log-likelihood tolerance, and how many restarts failed.
     """
     pts = linalg.as_matrix(points)
-    n, d = pts.shape
     if family not in FAMILIES:
         raise DataError(f"family must be one of {FAMILIES}, got {family!r}")
-    if k < 1:
-        raise DataError(f"k must be >= 1, got {k}")
-    if n < k:
-        raise NumericalError(f"cannot fit {k} clusters to {n} observations")
-    rng = np.random.default_rng(seed)
-    seeds = np.array([_seed_centers(pts, k, rng) for _ in range(_RESTARTS)])
-    runs = _run_restarts(pts, family, seeds)
-    kept = [run for run in runs if isinstance(run, tuple)]
-    if not kept:
-        raise NumericalError(f"all EM restarts failed: {runs[-1]}")
-    path, converged, weights, means, covs = max(kept, key=lambda run: run[0][-1])
-    n_params = _param_count(k, d, family)
-    return GmmModel(
-        k=k,
-        family=family,
-        mixing_weights=weights,
-        means=means,
-        covariances=covs,
-        log_likelihood=path[-1],
-        bic=-2.0 * path[-1] + n_params * np.log(n),
-        n_params=n_params,
-        n_obs=n,
-        n_iter=len(path),
-        converged=converged,
-        failed_restarts=len(runs) - len(kept),
-        log_likelihood_path=tuple(path),
-    )
+    (model,) = _fit_families(pts, k, (family,), seed)
+    if isinstance(model, NumericalError):
+        raise model
+    return model
 
 
 def assign(model: GmmModel, points) -> ClusterAssignment:
@@ -229,24 +261,30 @@ def select_by_bic(points, k_range, families=FAMILIES, seed: int = 0) -> GmmModel
     A grid point is skipped, like a selection returning NA for an
     unfittable model, when every EM restart fails: a component collapses,
     or its covariance rests on the variance floor (see :func:`fit_gmm_em`).
-    Ties prefer smaller k, then the simpler family.  Raises only if every
-    grid point fails; ``grid`` lists each point's diagnostics or error.
+    Ties prefer smaller k, then the simpler family.  An unknown family, or
+    one listed twice, is a DataError before any fit; otherwise raises only
+    if every grid point fails.  ``grid`` lists each point's diagnostics or
+    error, family by family.
     """
     ks, families = list(k_range), tuple(families)
     if not ks:
         raise DataError("empty k range")
     if not families:
         raise DataError("empty family list")
-    candidates = []
-    grid = []
-    for family in families:
+    for i, family in enumerate(families):
         if family not in FAMILIES:
             raise DataError(f"unknown family {family!r}")
-        for k in ks:
-            try:
-                model = fit_gmm_em(points, k, family, seed)
-            except NumericalError as exc:
-                grid.append({"k": k, "family": family, "error": str(exc)})
+        if family in families[:i]:
+            raise DataError(f"family {family!r} listed twice")
+    pts = linalg.as_matrix(points)
+    fits = [_fit_families(pts, k, families, seed) for k in ks]
+    candidates = []
+    grid = []
+    for i, family in enumerate(families):
+        for k, fits_k in zip(ks, fits):
+            model = fits_k[i]
+            if isinstance(model, NumericalError):
+                grid.append({"k": k, "family": family, "error": str(model)})
                 continue
             candidates.append(model)
             grid.append({f: getattr(model, f) for f in _GRID_FIELDS})

@@ -136,6 +136,8 @@ class ComponentBasis:
 
     ``components`` is a read-only view, not a copy, of the array passed in, and
     a caller must not write to that array afterwards.  No column is all zeros.
+    A basis whose squared column norms leave the normal float range loads,
+    but cannot project.
     """
 
     group_labels: tuple
@@ -144,12 +146,18 @@ class ComponentBasis:
     scale: str
     source_id: str = ""
     _sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
+    _off_range: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         comps = linalg.as_matrix(self.components).view()
         comps.flags.writeable = False
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "_sq_norms", np.einsum("ij,ij->j", comps, comps))
+        sq = np.einsum("ij,ij->j", comps, comps)
+        object.__setattr__(self, "_sq_norms", sq)
+        # components whose squared norm is not a normal positive float
+        object.__setattr__(
+            self, "_off_range", np.flatnonzero(~((sq >= np.finfo(float).tiny) & (sq < np.inf)))
+        )
         object.__setattr__(
             self, "singular_values", np.asarray(self.singular_values, dtype=float)
         )
@@ -180,6 +188,12 @@ class ComponentBasis:
             raise DataError(f"schedule has {y.shape[0]} groups, basis has {self.n_groups}")
         if scale != self.scale:
             raise DataError(f"scale mismatch: {scale} vs {self.scale}")
+        if self._off_range.size:
+            j = self._off_range[0]
+            raise NumericalError(
+                f"basis component {j + 1} has squared norm {float(self._sq_norms[j])}, "
+                "outside the normal float range"
+            )
         return y.T @ self.components / self._sq_norms
 
 
@@ -195,6 +209,8 @@ class FittedSchedule:
 def _kept(a: ScheduleMatrix, c: int | None) -> tuple:
     """(the matrix's one SVD, c checked against its rank); c=None means the rank."""
     f = a.factors
+    if f.rank == 0:
+        raise NumericalError("the matrix is all zeros (numerical rank 0)")
     c = f.rank if c is None else c
     if not 1 <= c <= f.rank:
         raise NumericalError(f"requested {c} components, numerical rank is {f.rank}")
@@ -226,14 +242,16 @@ def fit_weights(observed: AgeSchedule, basis: ComponentBasis) -> FittedSchedule:
     betas = basis.project(observed.values, observed.scale)
     predicted = reconstruct(basis, betas)
     residual = observed.values - predicted.values
-    return FittedSchedule(betas, predicted, math.sqrt(residual @ residual))
+    sumsq = np.vdot(residual, residual)  # residual @ residual's bytes, with no overflow warning
+    return FittedSchedule(betas, predicted, float(linalg.root_sum_squares(residual, sumsq)))
 
 
 def fit_matrix(a: ScheduleMatrix, basis: ComponentBasis) -> tuple:
     """(H x c weights, H residual norms): :func:`fit_weights` of every column at once."""
     betas = basis.project(a.data, a.scale)
     residual = a.data - reconstruct_matrix(basis, a.schedule_labels, betas).data
-    return betas, np.sqrt(np.einsum("ij,ij->j", residual, residual))
+    sumsq = np.einsum("ij,ij->j", residual, residual)
+    return betas, linalg.root_sum_squares(residual, sumsq, axis=0)
 
 
 def reconstruct(basis: ComponentBasis, betas) -> AgeSchedule:

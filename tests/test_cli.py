@@ -537,6 +537,23 @@ class TestRegressAndModels:
         assert "component 2 is all zeros" in one_error_line(capsys)  # and no warning: line
         assert not out.exists()
 
+    @pytest.mark.parametrize("factor, sq", [(1e-200, "0.0"), (1e200, "inf")])
+    def test_fit_with_a_basis_component_whose_squared_norm_is_out_of_range(
+        self, factor, sq, tmp_path, data_dir, capsys
+    ):
+        self._weights(tmp_path, data_dir, 2)
+        basis = tmp_path / "b.json"
+        payload = json.loads(basis.read_text())
+        payload["components"][1] = [repr(float(v) * factor) for v in payload["components"][1]]
+        basis.write_text(json.dumps(payload))
+        capsys.readouterr()
+        out = tmp_path / "f.csv"
+        assert run("fit", data_dir / MX_F, data_dir / MX_M, "--log", "--concat-sexes",
+                   "--basis", basis, "--out", out) == 3
+        message = f"basis component 2 has squared norm {sq}, outside the normal float range"
+        assert message in one_error_line(capsys, "numerical failure:")  # and no warning: line
+        assert not out.exists()
+
 
 class TestCsvRobustness:
     def test_cell_over_the_csv_field_limit(self, tmp_path, capsys):
@@ -624,6 +641,35 @@ class TestOneLineFailures:
             assert run("metrics", pred, obs, "--out", out) == 3
         assert "overflow" in one_error_line(capsys, "numerical failure:")  # no warning: lines
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("decompose", "--full"), ("decompose", "-c", "2"), ("smooth", "-c", "1"),
+    ])
+    def test_an_all_zero_matrix_is_named(self, argv, tmp_path, capsys):
+        path, out = tmp_path / "zero.csv", tmp_path / "out"
+        path.write_text("age,a,b\n0,0,0\n1,0,0\n")
+        assert run(argv[0], path, *argv[1:], "--out", out) == 3
+        err = one_error_line(capsys, "numerical failure:")
+        assert err == "numerical failure: the matrix is all zeros (numerical rank 0)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_fit_residual_norms_at_extreme_magnitudes(self, scale, tmp_path, capsys):
+        # the squared residuals overflow (1e200) or underflow (1e-200) float64
+        cells = np.array([[1.0, 2.0, 4.0], [2.0, 1.0, 1.0], [3.0, 1.0, 2.0]])
+        path, basis, out = tmp_path / "m.csv", tmp_path / "b.json", tmp_path / "w.csv"
+
+        def residual_norms(data):
+            io.write_schedule_csv(agecomp.ScheduleMatrix(list("xyz"), list("abc"), data), path)
+            assert run("fit", path, "--basis", basis, "--out", out) == 0
+            return np.array([float(line.split(",")[-1]) for line in out.read_text().split()[1:]])
+
+        io.write_schedule_csv(agecomp.ScheduleMatrix(list("xyz"), list("abc"), cells), path)
+        assert run("decompose", path, "-c", "1", "--out", basis) == 0
+        ref = residual_norms(cells)
+        assert np.all(ref > 0)
+        np.testing.assert_allclose(residual_norms(cells * scale), ref * scale, rtol=1e-13)
+        assert "warning:" not in capsys.readouterr().err
 
     def test_decompose_near_the_float_limit_reports_a_finite_share(self, tmp_path, capsys):
         path, out = tmp_path / "big.csv", tmp_path / "b.json"

@@ -274,15 +274,47 @@ class TestRestartStack:
         outcomes[2] = "Matrix is not positive definite"
         assert model.log_likelihood == pytest.approx(_kept(outcomes)[0][-1], rel=1e-12)
 
-    def test_one_runner_call_per_grid_point(self, rng, monkeypatch):
+    def test_one_runner_call_per_k(self, rng, monkeypatch):
         real_run = cluster._run_restarts
+        calls = []
+
+        def recording(points, families, seeds):
+            calls.append((families, seeds.shape))
+            return real_run(points, families, seeds)
+
+        monkeypatch.setattr(cluster, "_run_restarts", recording)
+        cluster.select_by_bic(two_blobs(rng), range(1, 7), seed=0)
+        # one stack per k, holding every (family, restart) pair
+        assert [shape[1] for _, shape in calls] == list(range(1, 7))
+        for families, shape in calls:
+            assert families == cluster.FAMILIES
+            assert len(families) * shape[0] == 3 * cluster._RESTARTS
+
+    def test_lapack_failure_in_the_family_stack_fails_only_that_pair(self, rng, monkeypatch):
+        pts = two_blobs(rng)
+        ref = cluster.select_by_bic(pts, [2], seed=0)
+        assert all(point["failed_restarts"] == 0 for point in ref.grid)
+        real_cholesky = np.linalg.cholesky
         stacks = []
         monkeypatch.setattr(
-            cluster, "_run_restarts", lambda *args: stacks.append(args[2].shape) or real_run(*args)
+            np.linalg, "cholesky", lambda a: stacks.append(np.array(a)) or real_cholesky(a)
         )
-        cluster.select_by_bic(two_blobs(rng), range(1, 7), seed=0)
-        assert len(stacks) == 18
-        assert all(shape[0] == cluster._RESTARTS for shape in stacks)
+        cluster.select_by_bic(pts, [2], seed=0)
+        # full restart 2's covariances after its first EM step, unique in the stack
+        assert stacks[1].shape[0] == 3 * cluster._RESTARTS
+        target = stacks[1][2 * cluster._RESTARTS + 2]
+        assert sum(np.array_equal(target, cov) for cov in stacks[1]) == 1
+
+        def failing(a):
+            if any(np.array_equal(target, cov) for cov in np.reshape(a, (-1,) + target.shape)):
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return real_cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        got = cluster.select_by_bic(pts, [2], seed=0)
+        assert [p["family"] for p in got.grid] == list(cluster.FAMILIES)
+        assert [p["failed_restarts"] for p in got.grid] == [0, 0, 1]
+        assert got.grid[:2] == ref.grid[:2]  # spherical and diagonal as unpatched
 
     def test_kept_path_is_recorded(self, rng):
         pts = rng.normal(size=(40, 2))
@@ -373,13 +405,22 @@ class TestSelectByBic:
         with pytest.raises(NumericalError, match="variance floor"):
             cluster.fit_gmm_em(pts, k=6, family="spherical", seed=0)
 
-    def test_grid_records_every_point(self):
-        model = cluster.select_by_bic(TWO_TRIPLES, range(1, 7), seed=0)
+    @pytest.mark.parametrize(
+        "dataset, n_errors", [("two_triples", 11), ("mortality", 1), ("blobs", 2), ("normal3d", 1)]
+    )
+    def test_grid_records_every_point(self, dataset, n_errors, mortality_log):
+        # one EM stack per k fits every family; each point equals its own fit
+        pts = {
+            "two_triples": TWO_TRIPLES,
+            "mortality": schedule.svd_weights(mortality_log, 2),
+            **_reference_datasets(),
+        }[dataset]
+        model = cluster.select_by_bic(pts, range(1, 7), seed=0)
         points = [(p["k"], p["family"]) for p in model.grid]
         assert points == [(k, f) for f in cluster.FAMILIES for k in range(1, 7)]
         for point in model.grid:
             try:
-                fit = cluster.fit_gmm_em(TWO_TRIPLES, point["k"], point["family"], seed=0)
+                fit = cluster.fit_gmm_em(pts, point["k"], point["family"], seed=0)
             except NumericalError as exc:
                 assert point == {"k": point["k"], "family": point["family"], "error": str(exc)}
                 continue
@@ -392,8 +433,19 @@ class TestSelectByBic:
                 "converged": fit.converged,
                 "failed_restarts": fit.failed_restarts,
             }
-        assert sum("error" in p for p in model.grid) == 11
+            if (fit.k, fit.family) == (model.k, model.family):
+                for name in ("mixing_weights", "means", "covariances"):
+                    np.testing.assert_array_equal(getattr(model, name), getattr(fit, name))
+                assert model.log_likelihood_path == fit.log_likelihood_path
+        assert sum("error" in p for p in model.grid) == n_errors
         assert model.bic == min(p["bic"] for p in model.grid if "error" not in p)
+
+    @pytest.mark.parametrize("families, twice", [
+        (("full", "full"), "full"), (("spherical", "diagonal", "spherical"), "spherical"),
+    ])
+    def test_a_family_listed_twice(self, families, twice):
+        with pytest.raises(DataError, match=f"family '{twice}' listed twice"):
+            cluster.select_by_bic(TWO_TRIPLES, range(1, 3), families=families, seed=0)
 
     @pytest.mark.parametrize("scale", [1e-10, 1e-12])
     def test_mortality_selection_does_not_depend_on_floor(

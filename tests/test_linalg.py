@@ -252,6 +252,29 @@ class TestFrobeniusResidual:
         with pytest.raises(DataError):
             linalg.frobenius_residual(np.ones((2, 2)), np.ones((2, 3)))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_squares_out_of_the_float_range(self, scale):
+        # the squares overflow (1e200) or underflow (1e-200); run with warnings as errors
+        got = linalg.frobenius_residual([[3.0 * scale, 0.0]], [[0.0, -4.0 * scale]])
+        assert got == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
+
+
+class TestRootSumSquares:
+    def test_in_range_results_are_the_plain_square_root(self, rng):
+        x = rng.normal(size=(7, 5)) * 10.0 ** rng.integers(-150, 150, size=5)
+        sumsq = np.einsum("ij,ij->j", x, x)
+        got = linalg.root_sum_squares(x, sumsq, axis=0)
+        assert got.tobytes() == np.sqrt(sumsq).tobytes()
+        assert linalg.root_sum_squares(x[:, 0], x[:, 0] @ x[:, 0]) == np.sqrt(x[:, 0] @ x[:, 0])
+
+    def test_only_out_of_range_columns_are_rescaled(self):
+        x = np.array([[3e200, 3.0, 3e-200, 0.0], [4e200, 4.0, 4e-200, 0.0]])
+        with np.errstate(over="ignore"):
+            sumsq = np.einsum("ij,ij->j", x, x)
+        got = linalg.root_sum_squares(x, sumsq, axis=0)
+        np.testing.assert_allclose(got, [5e200, 5.0, 5e-200, 0.0], rtol=1e-15)
+        assert got[1] == 5.0 and got[3] == 0.0
+
 
 def _canonicalize_by_component(f):
     """Reference: each (u_i, v_i) pair decided and flipped on its own."""

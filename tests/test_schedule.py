@@ -350,8 +350,9 @@ class TestDecomposition:
                 message = f"requested {c} components, numerical rank is 2"
                 with pytest.raises(NumericalError, match=message):
                     fn(X32, c)
-            with pytest.raises(NumericalError, match="numerical rank is 0"):
-                fn(zero, None)
+            for c in (None, 1, 2):
+                with pytest.raises(NumericalError, match=r"all zeros \(numerical rank 0\)$"):
+                    fn(zero, c)
 
     def test_one_svd_and_nothing_unasked(self, mortality_log, monkeypatch):
         calls = []
@@ -455,6 +456,37 @@ class TestWholeMatrixFit:
         )
         with pytest.raises(DataError, match="scale mismatch"):
             schedule.fit_matrix(natural, basis)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_residual_norms_at_extreme_magnitudes(self, mortality_log, scale):
+        # the squared residuals of rates near 1e200 overflow, and near 1e-200 underflow
+        natural = ScheduleMatrix(
+            mortality_log.group_labels, mortality_log.schedule_labels, np.exp(mortality_log.data)
+        )
+        basis = schedule.build_basis(natural, 2)
+        ref = schedule.fit_matrix(natural, basis)[1]
+        scaled = replace(natural, data=natural.data * scale)
+        np.testing.assert_allclose(schedule.fit_matrix(scaled, basis)[1], ref * scale, rtol=1e-12)
+        for h, label in enumerate(scaled.schedule_labels):
+            fit = schedule.fit_weights(scaled.column(label), basis)
+            assert fit.residual_norm == pytest.approx(ref[h] * scale, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("factor", [1e-200, 1e-160, 1e200])
+    def test_a_component_whose_squared_norm_is_out_of_range_cannot_project(
+        self, mortality_log, factor
+    ):
+        # 1e-160 leaves a subnormal squared norm, which is not a normal float either
+        basis = schedule.build_basis(mortality_log, 2)
+        components = basis.components * [1.0, factor]
+        scaled = schedule.ComponentBasis(
+            basis.group_labels, components, basis.singular_values, basis.scale
+        )
+        np.testing.assert_array_equal(scaled.components, components)
+        message = r"basis component 2 has squared norm \S+, outside the normal float range"
+        with pytest.raises(NumericalError, match=message):
+            schedule.fit_weights(mortality_log.column(mortality_log.schedule_labels[0]), scaled)
+        with pytest.raises(NumericalError, match=message):
+            schedule.fit_matrix(mortality_log, scaled)
 
     def test_reconstruct_matrix_matches_per_column_reconstruct(self, mortality_log, rng):
         basis = schedule.build_basis(mortality_log, 3)
