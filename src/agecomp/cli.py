@@ -11,7 +11,6 @@ import json
 import sys
 import warnings
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
@@ -52,7 +51,8 @@ def _component_count(args):
 def _cmd_decompose(args):
     matrix = _load_matrix(args.inputs, args.log, args.concat_sexes)
     basis = schedule.build_basis(matrix, _component_count(args), args.source_id)
-    Path(args.out).write_text(io.basis_to_json(basis), encoding="utf-8")
+    with io.writing(args.out) as fh:
+        fh.write(io.basis_to_json(basis))
     if args.weights:
         weights = schedule.svd_weights(matrix, basis.c)
         io.write_weights_csv(matrix.schedule_labels, weights, args.weights)
@@ -90,7 +90,8 @@ def _cmd_regress(args):
     if not predictors:
         raise _UsageError("--predictors must name at least one covariate column")
     models = regress.fit_weight_models(weights, covariates, predictors)
-    Path(args.out).write_text(io.models_to_json(models), encoding="utf-8")
+    with io.writing(args.out) as fh:
+        fh.write(io.models_to_json(models))
     for i, model in enumerate(models):
         names = ("intercept", *model.predictor_names)
         terms = ", ".join(f"{name}={coef:.6g}" for name, coef in zip(names, model.coefficients))
@@ -138,10 +139,10 @@ def _cmd_cluster(args):
         "means": [[io.fmt_number(v) for v in row] for row in model.means],
         "labels": dict(pairs),
     }
-    if args.format == "json":
-        Path(args.out).write_text(json.dumps(payload, indent=2), encoding="utf-8")
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    with io.writing(args.out) as fh:
+        if args.format == "json":
+            fh.write(json.dumps(payload, indent=2))
+        else:
             csv.writer(fh, lineterminator="\n").writerows([("schedule", "cluster"), *pairs])
     print(f"selected {model.family} mixture with k={model.k} (BIC {model.bic:.2f})")
 
@@ -158,7 +159,8 @@ def _cmd_metrics(args):
     else:
         text = ",".join(["mae", *quantiles]) + "\n" + ",".join([mae, *quantiles.values()])
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        with io.writing(args.out) as fh:
+            fh.write(text + "\n")
     else:
         print(text)
 
@@ -193,7 +195,7 @@ def _cmd_lifetable(args):
     starts = [_parse_age_start(g) for g in matrix.group_labels]
     lt = measures.life_table_from_mx(matrix.column(label), starts)
     table = np.column_stack([lt.mx, lt.ax, lt.qx, lt.lx, lt.Lx, lt.Tx, lt.ex])
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with io.writing(args.out) as fh:
         fh.write("age,mx,ax,qx,lx,Lx,Tx,ex\n")
         fh.writelines(io.format_rows(matrix.group_labels, table, lineterminator="\n"))
     print(f"life expectancy at birth for {label!r}: {lt.e0:.2f} years")

@@ -15,6 +15,8 @@ from .errors import DataError, NumericalError
 # Singular values below s1 * (max(K, L) * RANK_RTOL) are treated as zero.
 RANK_RTOL = 1e-12
 
+_TINY = np.finfo(float).tiny  # the smallest normal float
+
 
 def as_matrix(x) -> np.ndarray:
     """Coerce to a 2-D float array, rejecting empty or non-finite input."""
@@ -126,19 +128,27 @@ def frobenius_residual(a, b) -> float:
     return float(root_sum_squares(diff, sumsq))
 
 
-def root_sum_squares(x, sumsq, axis=None):
-    """The 2-norm of x over ``axis`` from ``sumsq``, the caller's sum of its squares.
+def scaled_sum_squares(x, sumsq, axis=None):
+    """(scale, ss) with scale**2 * ss the sum of squares of x over ``axis``,
+    from ``sumsq``, the caller's own sum of its squares.
 
-    That is sqrt(sumsq) unless it is inf, or 0 for a nonzero x: the squares
-    overflowed or underflowed.  Only those norms are recomputed, from
-    x / max|x| (Blue, ACM TOMS 4(1), 1978), so every other result keeps its
-    bytes.  ``axis`` is None (all of x) or 0 (each column of a matrix).
+    That is (1.0, sumsq) unless sumsq is inf, or below the smallest normal
+    float for a nonzero x: the squares overflowed, or underflowed and lost
+    bits.  Only those sums are recomputed, from x / max|x| with scale max|x|
+    (Blue, ACM TOMS 4(1), 1978), so every other result keeps its bytes.
+    ``axis`` is None (all of x) or 0 (each column of a matrix).
     """
-    norm = np.sqrt(sumsq)
-    off = (norm == 0.0) | (norm == np.inf)
+    off = (sumsq < _TINY) | (sumsq == np.inf)
     if not (off.any() if off.ndim else off):  # .any() on a numpy scalar costs ~2 us a call
-        return norm
+        return 1.0, sumsq
     top = np.abs(x).max(axis=axis)
-    redo = ((norm == np.inf) & (top < np.inf)) | ((norm == 0.0) & (top > 0.0))
+    redo = ((sumsq == np.inf) & (top < np.inf)) | ((sumsq < _TINY) & (top > 0.0))
     top = np.where(redo, top, 1.0)
-    return np.where(redo, top * np.sqrt(((x / top) ** 2).sum(axis=axis)), norm)
+    return top, np.where(redo, ((x / top) ** 2).sum(axis=axis), sumsq)
+
+
+def root_sum_squares(x, sumsq, axis=None):
+    """The 2-norm of x over ``axis``: sqrt(sumsq), rescaled as in
+    :func:`scaled_sum_squares` only when the sum is off the normal range."""
+    scale, ss = scaled_sum_squares(x, sumsq, axis)
+    return scale * np.sqrt(ss)

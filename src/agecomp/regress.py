@@ -178,16 +178,22 @@ def _fit_columns(ys: np.ndarray, predictors: dict, with_intercept: bool) -> list
     for y in ys.T:
         coefs = f.v @ ((f.u.T @ y) / f.s)
         residuals = y - design @ coefs
-        rss = float(residuals @ residuals)
-        se = np.sqrt(rss / (n - p) * inverse_gram_diag)
+        total = y - y.mean() if with_intercept else y
+        # RSS = r_scale**2 * rss and TSS = t_scale**2 * tss; the scales are 1.0
+        # unless a sum of squares over- or underflowed
+        with np.errstate(over="ignore"):
+            r_scale, rss = linalg.scaled_sum_squares(residuals, residuals @ residuals)
+            t_scale, tss = linalg.scaled_sum_squares(
+                total, (total**2).sum() if with_intercept else total @ total
+            )
+        se = r_scale * np.sqrt(rss / (n - p) * inverse_gram_diag)
         with np.errstate(divide="ignore", invalid="ignore"):
             t_values = np.where(se > 0, coefs / se, np.inf)
-        tss = float(((y - y.mean()) ** 2).sum()) if with_intercept else float(y @ y)
         models.append(LinearModel(
             names, coefs, standard_errors=se, t_values=t_values,
             p_values=np.array([student_t_p_value(t, n - p) for t in t_values]),
-            r_squared=float(1.0 - rss / tss if tss > 0 else 1.0), n=n,
-            residuals=residuals, with_intercept=with_intercept,
+            r_squared=float(1.0 - (r_scale / t_scale) ** 2 * (rss / tss) if tss > 0 else 1.0),
+            n=n, residuals=residuals, with_intercept=with_intercept,
         ))
     return models
 

@@ -554,6 +554,24 @@ class TestRegressAndModels:
         assert message in one_error_line(capsys, "numerical failure:")  # and no warning: line
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e160])
+    def test_regress_on_weights_whose_squares_leave_the_float_range(
+        self, scale, tmp_path, capsys
+    ):
+        weights, covariates, out = tmp_path / "w.csv", tmp_path / "x.csv", tmp_path / "m.json"
+        rows = [(1.0, 2.0, 1.0), (2.0, 3.0, 2.0), (3.0, 5.0, 3.0), (4.0, 4.0, 4.0), (6.0, 7.0, 6.0)]
+        weights.write_text("schedule,v1,v2\n" + "".join(
+            f"y{i},{v1 * scale!r},{v2 * scale!r}\n" for i, (v1, v2, _) in enumerate(rows)))
+        covariates.write_text("label,x\n" + "".join(
+            f"y{i},{x!r}\n" for i, (*_, x) in enumerate(rows)))
+        assert run("regress", "--weights", weights, "--covariates", covariates,
+                   "--predictors", "x", "--out", out) == 0
+        printed = capsys.readouterr()
+        assert printed.err == "" and printed.out.splitlines()[1].endswith("; R^2=0.8694")
+        model = json.loads(out.read_text())["models"][1]
+        values = [float(v) for key in ("standard_errors", "t_values") for v in model[key]]
+        assert all(np.isfinite(values)) and all(v != 0.0 for v in values)
+
 
 class TestCsvRobustness:
     def test_cell_over_the_csv_field_limit(self, tmp_path, capsys):

@@ -275,6 +275,27 @@ class TestRootSumSquares:
         np.testing.assert_allclose(got, [5e200, 5.0, 5e-200, 0.0], rtol=1e-15)
         assert got[1] == 5.0 and got[3] == 0.0
 
+    @pytest.mark.parametrize("scale", [1e-160, 3e-162, 1e-155 * 2**-20])
+    def test_subnormal_sums_are_rescaled(self, scale):
+        # the squares land below the smallest normal float, where they keep few bits
+        x = np.array([[3.0 * scale, 3.0], [4.0 * scale, 4.0]])
+        sumsq = np.einsum("ij,ij->j", x, x)
+        assert 0.0 < sumsq[0] < np.finfo(float).tiny
+        got = linalg.root_sum_squares(x, sumsq, axis=0)
+        assert got[0] == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0) and got[1] == 5.0
+        assert linalg.frobenius_residual(x[:, :1].T, [[0.0, 0.0]]) == pytest.approx(
+            5.0 * scale, rel=1e-15, abs=0.0)
+
+    def test_scaled_sums_keep_in_range_sums_and_rescale_the_others(self):
+        x = np.array([[3e200, 3.0, 3e-170, 0.0], [4e200, 4.0, 4e-170, 0.0]])
+        with np.errstate(over="ignore"):
+            sumsq = np.einsum("ij,ij->j", x, x)
+        scale, ss = linalg.scaled_sum_squares(x, sumsq, axis=0)
+        np.testing.assert_allclose(scale, [4e200, 1.0, 4e-170, 1.0], rtol=0.0)
+        np.testing.assert_allclose(ss, [25 / 16, 25.0, 25 / 16, 0.0], rtol=1e-15)
+        y = x[:, 1]
+        assert linalg.scaled_sum_squares(y, y @ y) == (1.0, 25.0)
+
 
 def _canonicalize_by_component(f):
     """Reference: each (u_i, v_i) pair decided and flipped on its own."""

@@ -132,6 +132,25 @@ class TestOlsFit:
         assert model.r_squared == pytest.approx(1.0)
 
 
+class TestScaleSafeStatistics:
+    Y = np.array([2.0, 3.0, 5.0, 4.0, 7.0])  # R^2 0.8694 on X unscaled
+    X = np.array([1.0, 2.0, 3.0, 4.0, 6.0])
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e160])
+    @pytest.mark.parametrize("with_intercept", [True, False])
+    def test_statistics_follow_a_weight_scale_out_of_the_squares_range(
+        self, scale, with_intercept
+    ):
+        # the squared residuals and totals underflow (1e-170) or overflow (1e160);
+        # run with warnings as errors
+        ref = regress.ols_fit(self.Y, {"x": self.X}, with_intercept)
+        got = regress.ols_fit(self.Y * scale, {"x": self.X}, with_intercept)
+        assert got.r_squared == pytest.approx(ref.r_squared, rel=1e-13)
+        np.testing.assert_allclose(got.standard_errors, ref.standard_errors * scale, rtol=1e-13)
+        np.testing.assert_allclose(got.t_values, ref.t_values, rtol=1e-13)
+        np.testing.assert_allclose(got.p_values, ref.p_values, rtol=1e-9)
+
+
 class TestStudentT:
     def test_against_scipy_oracle(self):
         for df in (1, 2, 5, 16, 17, 50, 200):
