@@ -39,8 +39,8 @@ def life_table_from_mx(mx: AgeSchedule, age_starts) -> LifeTable:
 
     ``age_starts`` holds the ascending start age of every group; the last
     group is open-ended.  Closed intervals convert rates to probabilities
-    with qx = n*mx / (1 + (n - ax)*mx); the open interval has qx = 1 and
-    person-years lx/mx.
+    with qx = n*mx / (1 + (n - ax)*mx); the open interval has qx = 1,
+    ax = 1/mx and person-years lx/mx.
     """
     if mx.scale != NATURAL:
         raise DataError("life table needs natural-scale rates")
@@ -63,7 +63,7 @@ def life_table_from_mx(mx: AgeSchedule, age_starts) -> LifeTable:
         (starts == 0.0) & (widths <= 1.0), 0.3,
         np.where((starts == 1.0) & (widths == 4.0), 1.5, widths / 2.0),
     )
-    ax[-1] = np.nan  # unused for the open interval
+    ax[-1] = 1.0 / rates[-1]  # the open interval's Lx / dx
 
     qx = np.empty(n_groups)
     with np.errstate(invalid="ignore"):

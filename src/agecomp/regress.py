@@ -178,7 +178,12 @@ def _fit_columns(ys: np.ndarray, predictors: dict, with_intercept: bool) -> list
     for y in ys.T:
         coefs = f.v @ ((f.u.T @ y) / f.s)
         residuals = y - design @ coefs
-        total = y - y.mean() if with_intercept else y
+        total = y
+        if with_intercept:
+            with np.errstate(over="ignore"):  # where the sum of y overflows, y / max|y| does not
+                if not math.isfinite(mean := y.mean()):
+                    mean = (top := np.abs(y).max()) * (y / top).mean()
+            total = y - mean
         # RSS = r_scale**2 * rss and TSS = t_scale**2 * tss; the scales are 1.0
         # unless a sum of squares over- or underflowed
         with np.errstate(over="ignore"):

@@ -202,7 +202,6 @@ class FittedSchedule:
     """Least-squares weights of one schedule on a component basis."""
 
     betas: np.ndarray
-    predicted: AgeSchedule
     residual_norm: float
 
 
@@ -240,16 +239,18 @@ def smooth_matrix(a: ScheduleMatrix, c: int | None) -> ScheduleMatrix:
 def fit_weights(observed: AgeSchedule, basis: ComponentBasis) -> FittedSchedule:
     """Intercept-free least-squares weights of a schedule on the components."""
     betas = basis.project(observed.values, observed.scale)
-    predicted = reconstruct(basis, betas)
-    residual = observed.values - predicted.values
+    fitted = basis.components @ betas
+    residual = observed.values - fitted
     sumsq = np.vdot(residual, residual)  # residual @ residual's bytes, with no overflow warning
-    return FittedSchedule(betas, predicted, float(linalg.root_sum_squares(residual, sumsq)))
+    if not (math.isfinite(sumsq) or np.isfinite(fitted).all()):  # a finite sumsq has a finite fit
+        raise DataError("schedule contains non-finite values")
+    return FittedSchedule(betas, float(linalg.root_sum_squares(residual, sumsq)))
 
 
 def fit_matrix(a: ScheduleMatrix, basis: ComponentBasis) -> tuple:
     """(H x c weights, H residual norms): :func:`fit_weights` of every column at once."""
     betas = basis.project(a.data, a.scale)
-    residual = a.data - reconstruct_matrix(basis, a.schedule_labels, betas).data
+    residual = a.data - linalg.as_matrix(basis.components @ betas.T)
     sumsq = np.einsum("ij,ij->j", residual, residual)
     return betas, linalg.root_sum_squares(residual, sumsq, axis=0)
 

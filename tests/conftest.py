@@ -3,8 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from agecomp import concat_sexes
 from agecomp.io import load_covariates_csv, load_schedule_csv
+from agecomp.schedule import concat_sexes
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import agecomp
-from agecomp import io
+from agecomp import io, schedule
 from agecomp.cli import _build_parser, main
 
 MX_F = "agincourt_mx_female.csv"
@@ -225,6 +225,7 @@ class TestLifetablePlot:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "age,mx,ax,qx,lx,Lx,Tx,ex"
         assert len(lines) == 20
+        assert not any(cell == "nan" for line in lines for cell in line.split(","))
 
 
 class TestExitCodes:
@@ -299,6 +300,11 @@ class TestExitCodes:
         )
         assert result.returncode == 0
         assert "decompose" in result.stdout
+
+    def test_package_binds_only_its_submodules_and_version(self):
+        public = [name for name in vars(agecomp) if not name.startswith("_")]
+        assert [n for n in public if getattr(agecomp, n).__name__ != f"agecomp.{n}"] == []
+        assert isinstance(agecomp.__version__, str)
 
     def test_readme_lists_every_subcommand(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -554,7 +560,7 @@ class TestRegressAndModels:
         assert message in one_error_line(capsys, "numerical failure:")  # and no warning: line
         assert not out.exists()
 
-    @pytest.mark.parametrize("scale", [1e-170, 1e160])
+    @pytest.mark.parametrize("scale", [1e-170, 1e160, 1e307])
     def test_regress_on_weights_whose_squares_leave_the_float_range(
         self, scale, tmp_path, capsys
     ):
@@ -678,11 +684,11 @@ class TestOneLineFailures:
         path, basis, out = tmp_path / "m.csv", tmp_path / "b.json", tmp_path / "w.csv"
 
         def residual_norms(data):
-            io.write_schedule_csv(agecomp.ScheduleMatrix(list("xyz"), list("abc"), data), path)
+            io.write_schedule_csv(schedule.ScheduleMatrix(list("xyz"), list("abc"), data), path)
             assert run("fit", path, "--basis", basis, "--out", out) == 0
             return np.array([float(line.split(",")[-1]) for line in out.read_text().split()[1:]])
 
-        io.write_schedule_csv(agecomp.ScheduleMatrix(list("xyz"), list("abc"), cells), path)
+        io.write_schedule_csv(schedule.ScheduleMatrix(list("xyz"), list("abc"), cells), path)
         assert run("decompose", path, "-c", "1", "--out", basis) == 0
         ref = residual_norms(cells)
         assert np.all(ref > 0)
@@ -730,8 +736,8 @@ class TestMetricsOutput:
         matrix = io.load_schedule_csv(raw)
         logged = tmp_path / "logged.csv"
         io.write_schedule_csv(
-            agecomp.ScheduleMatrix(matrix.group_labels, matrix.schedule_labels,
-                                   np.log(matrix.data)), logged)
+            schedule.ScheduleMatrix(matrix.group_labels, matrix.schedule_labels,
+                                    np.log(matrix.data)), logged)
         assert run("metrics", pred, raw, "--log") == 0
         with_log = json.loads(capsys.readouterr().out)
         assert run("metrics", pred, logged) == 0

@@ -222,7 +222,7 @@ class TestLifeTableVectorized:
                 lt = measures.life_table_from_mx(table.column(label), starts)
                 ax, lx = loop_ax_lx(starts, lt.qx)
                 np.testing.assert_array_equal(lt.ax[:-1], ax)
-                assert np.isnan(lt.ax[-1])
+                assert lt.ax[-1] == 1.0 / lt.mx[-1]
                 np.testing.assert_array_equal(lt.lx, lx)
 
     def test_random_rates_and_grids_match_the_loops_bit_for_bit(self, rng):

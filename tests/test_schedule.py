@@ -471,6 +471,22 @@ class TestWholeMatrixFit:
             fit = schedule.fit_weights(scaled.column(label), basis)
             assert fit.residual_norm == pytest.approx(ref[h] * scale, rel=1e-12, abs=0.0)
 
+    def test_weights_that_overflow_are_a_data_error(self, mortality_log):
+        # rates near 1e308 on components of norm near 1e-10 give weights beyond the float range
+        natural = ScheduleMatrix(
+            mortality_log.group_labels, mortality_log.schedule_labels, np.exp(mortality_log.data)
+        )
+        basis = schedule.build_basis(natural, 2)
+        small = schedule.ComponentBasis(
+            basis.group_labels, basis.components * 1e-10, basis.singular_values, basis.scale
+        )
+        big = replace(natural, data=natural.data * 1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DataError, match="matrix contains NaN or infinite entries"):
+                schedule.fit_matrix(big, small)
+            with pytest.raises(DataError, match="schedule contains non-finite values"):
+                schedule.fit_weights(big.column(big.schedule_labels[0]), small)
+
     @pytest.mark.parametrize("factor", [1e-200, 1e-160, 1e200])
     def test_a_component_whose_squared_norm_is_out_of_range_cannot_project(
         self, mortality_log, factor
