@@ -2,7 +2,8 @@
 
 Gaussian mixtures are fitted by EM with a choice of covariance family
 (spherical, diagonal or full, each varying per cluster), and the cluster
-count and family are picked by minimum BIC over a grid.  Fits are
+count and family are picked by minimum BIC over a grid, among the fits whose
+every component holds at least d + 1 effective members.  Fits are
 deterministic for a fixed seed: centers are drawn by squared-distance
 weighted (k-means++ style) sampling from a seeded generator, with a fixed
 number of restarts keeping the best likelihood among those whose component
@@ -261,10 +262,13 @@ def select_by_bic(points, k_range, families=FAMILIES, seed: int = 0) -> GmmModel
     A grid point is skipped, like a selection returning NA for an
     unfittable model, when every EM restart fails: a component collapses,
     or its covariance rests on the variance floor (see :func:`fit_gmm_em`).
-    Ties prefer smaller k, then the simpler family.  An unknown family, or
-    one listed twice, is a DataError before any fit; otherwise raises only
-    if every grid point fails.  ``grid`` lists each point's diagnostics or
-    error, family by family.
+    So is a fit with a component of fewer than d + 1 effective members
+    (mixing weight x n), too few to span its covariance: a spurious maximum
+    of the unbounded mixture likelihood (Hathaway, Ann. Statist. 13(2), 1985)
+    that some seeds find.  Ties prefer smaller k, then the simpler family.
+    An unknown family, or one listed twice, is a DataError before any fit;
+    otherwise raises only if every grid point fails.  ``grid`` lists each
+    point's diagnostics or error, family by family.
     """
     ks, families = list(k_range), tuple(families)
     if not ks:
@@ -277,12 +281,18 @@ def select_by_bic(points, k_range, families=FAMILIES, seed: int = 0) -> GmmModel
         if family in families[:i]:
             raise DataError(f"family {family!r} listed twice")
     pts = linalg.as_matrix(points)
+    n, d = pts.shape
     fits = [_fit_families(pts, k, families, seed) for k in ks]
     candidates = []
     grid = []
     for i, family in enumerate(families):
         for k, fits_k in zip(ks, fits):
             model = fits_k[i]
+            if isinstance(model, GmmModel) and (least := model.mixing_weights.min() * n) < d + 1:
+                model = NumericalError(
+                    f"a component holds {least:.4g} effective members (mixing weight x n), "
+                    f"fewer than d + 1 = {d + 1}"
+                )
             if isinstance(model, NumericalError):
                 grid.append({"k": k, "family": family, "error": str(model)})
                 continue
@@ -314,8 +324,3 @@ def characteristic_schedules(
             raise DataError(f"cluster {cluster} is empty")
         out.append(reconstruct(basis, np.median(members, axis=0)))
     return out
-
-
-def em_log_likelihood_path(points, k: int, family: str = "full", seed: int = 0):
-    """Log-likelihood at each EM iteration of the restart fit_gmm_em keeps."""
-    return list(fit_gmm_em(points, k, family, seed).log_likelihood_path)

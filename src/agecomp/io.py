@@ -89,25 +89,19 @@ def _read_rows(path):
     return rows
 
 
-def _parse_block(path, rows, cols, by_column: bool = False) -> np.ndarray:
+def _parse_block(path, rows, cols) -> np.ndarray:
     """Float array of the data cells in ascending columns ``cols``, a row per
-    data row (per column with ``by_column``), each parsed by one map(float);
-    cells are tried one at a time, in that order, only to name a bad one."""
+    data row, each parsed by one map(float); cells are tried one at a time, in
+    that order, only to name a bad one."""
     keep = [c in cols for c in range(len(rows[0]))]
-
-    def lines():
-        picked = (compress(row, keep) for row in rows[1:])
-        return zip(*picked) if by_column else picked
-
     try:
-        return np.array([list(map(float, line)) for line in lines()])
+        return np.array([list(map(float, compress(row, keep))) for row in rows[1:]])
     except ValueError:
-        for i, line in enumerate(lines()):
-            for j, cell in enumerate(line):
+        for r, row in enumerate(rows[1:]):
+            for c, cell in enumerate(compress(row, keep)):
                 try:
                     float(cell)
                 except ValueError:
-                    r, c = (j, i) if by_column else (i, j)
                     raise DataError(
                         f"{path}: non-numeric cell {cell!r} at row {r + 2}, column {cols[c] + 1}"
                     ) from None
@@ -152,7 +146,7 @@ def load_covariates_csv(path) -> CovariateTable:
     rows = _read_rows(path)
     names = [c.strip() for c in rows[0][1:]]
     labels = [row[0].strip() for row in rows[1:]]
-    columns = _parse_block(path, rows, range(1, len(rows[0])), by_column=True)
+    columns = _parse_block(path, rows, range(1, len(rows[0]))).T
     return CovariateTable(labels, dict(zip(names, columns)))
 
 
@@ -225,7 +219,7 @@ def models_to_json(models) -> str:
             {
                 "response": f"v{i + 1}",
                 "predictor_names": list(m.predictor_names),
-                "with_intercept": m.with_intercept,
+                "with_intercept": True,
                 **{key: [fmt_number(v) for v in getattr(m, key)] for key in _MODEL_ARRAYS},
                 "r_squared": fmt_number(m.r_squared),
                 "n": m.n,
@@ -237,21 +231,22 @@ def models_to_json(models) -> str:
 
 
 def models_from_json(text: str):
-    """Models as written by models_to_json; each array must hold one value per
-    term (the predictors, plus the intercept if any)."""
+    """Models as written by models_to_json; each has an intercept, and each
+    array holds one value per term (the intercept, then the predictors)."""
     models = []
     try:
         for i, entry in enumerate(json.loads(text)["models"]):
             names = tuple(label_index(entry["predictor_names"], "predictor"))
-            with_intercept = bool(entry["with_intercept"])
-            terms = len(names) + with_intercept
+            if entry["with_intercept"] is not True:
+                raise DataError(f"model {i + 1} has no intercept; every model needs one")
+            terms = len(names) + 1
             arrays = {key: np.array(list(map(float, entry[key]))) for key in _MODEL_ARRAYS}
             for key, values in arrays.items():
                 if values.size != terms:
                     raise DataError(f"model {i + 1} has {values.size} {key} for {terms} terms")
             models.append(LinearModel(
                 predictor_names=names, **arrays, r_squared=float(entry["r_squared"]),
-                n=int(entry["n"]), residuals=np.array([]), with_intercept=with_intercept,
+                n=int(entry["n"]), residuals=np.array([]),
             ))
     except (KeyError, ValueError, TypeError, RecursionError) as exc:
         raise DataError(f"malformed models JSON: {exc}") from exc

@@ -75,20 +75,19 @@ class LinearModel:
     """OLS fit: coefficients with standard errors, t and p values, R^2."""
 
     predictor_names: tuple  # without the intercept
-    coefficients: np.ndarray  # intercept first when with_intercept
+    coefficients: np.ndarray  # intercept first
     standard_errors: np.ndarray
     t_values: np.ndarray
     p_values: np.ndarray
     r_squared: float
     n: int
     residuals: np.ndarray
-    with_intercept: bool = True
 
     def predict_one(self, covariates: dict):
         """Model value at one covariate row, a dict of floats.  Given a dict of
         equal-length columns instead, it is the value at every row, elementwise."""
         coefs = iter(self.coefficients)
-        value = next(coefs) if self.with_intercept else 0.0
+        value = next(coefs)
         for name, coef in zip(self.predictor_names, coefs):
             if name not in covariates:
                 raise DataError(f"missing covariate {name!r}")
@@ -151,22 +150,23 @@ def student_t_p_value(t: float, df: int) -> float:
     return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
 
 
-def _fit_columns(ys: np.ndarray, predictors: dict, with_intercept: bool) -> list:
-    """One least-squares model per column of the n x c response matrix ys.
+def _fit_columns(ys: np.ndarray, predictors: dict) -> list:
+    """One least-squares model with an intercept per column of the n x c
+    response matrix ys.
 
     Every column is fitted through the same thin SVD X = U S V' of the
     design, with the rank cutoff of :func:`linalg.svd`: coefficients are
     V S^-1 U'y, and standard errors are the square roots of the diagonal of
     sigma^2 (X'X)^-1 = sigma^2 V S^-2 V', with sigma^2 = RSS/(n-p).
     p-values are two-sided Student-t.  R^2 uses the centered total sum of
-    squares when an intercept is present, uncentered otherwise.
+    squares.
     """
     names = tuple(predictors.keys())
     cols = [np.asarray(predictors[name], dtype=float) for name in names]
     for name, col in zip(names, cols):
         if col.shape != ys.shape[:1]:
             raise DataError(f"predictor {name!r} length mismatch")
-    design = np.column_stack(([np.ones(ys.shape[0])] if with_intercept else []) + cols)
+    design = np.column_stack([np.ones(ys.shape[0])] + cols)
     n, p = design.shape
     if n <= p:
         raise NumericalError(f"{n} observations cannot identify {p} parameters")
@@ -178,19 +178,15 @@ def _fit_columns(ys: np.ndarray, predictors: dict, with_intercept: bool) -> list
     for y in ys.T:
         coefs = f.v @ ((f.u.T @ y) / f.s)
         residuals = y - design @ coefs
-        total = y
-        if with_intercept:
-            with np.errstate(over="ignore"):  # where the sum of y overflows, y / max|y| does not
-                if not math.isfinite(mean := y.mean()):
-                    mean = (top := np.abs(y).max()) * (y / top).mean()
-            total = y - mean
+        with np.errstate(over="ignore"):  # where the sum of y overflows, y / max|y| does not
+            if not math.isfinite(mean := y.mean()):
+                mean = (top := np.abs(y).max()) * (y / top).mean()
+        total = y - mean
         # RSS = r_scale**2 * rss and TSS = t_scale**2 * tss; the scales are 1.0
         # unless a sum of squares over- or underflowed
         with np.errstate(over="ignore"):
             r_scale, rss = linalg.scaled_sum_squares(residuals, residuals @ residuals)
-            t_scale, tss = linalg.scaled_sum_squares(
-                total, (total**2).sum() if with_intercept else total @ total
-            )
+            t_scale, tss = linalg.scaled_sum_squares(total, (total**2).sum())
         se = r_scale * np.sqrt(rss / (n - p) * inverse_gram_diag)
         with np.errstate(divide="ignore", invalid="ignore"):
             t_values = np.where(se > 0, coefs / se, np.inf)
@@ -198,17 +194,17 @@ def _fit_columns(ys: np.ndarray, predictors: dict, with_intercept: bool) -> list
             names, coefs, standard_errors=se, t_values=t_values,
             p_values=np.array([student_t_p_value(t, n - p) for t in t_values]),
             r_squared=float(1.0 - (r_scale / t_scale) ** 2 * (rss / tss) if tss > 0 else 1.0),
-            n=n, residuals=residuals, with_intercept=with_intercept,
+            n=n, residuals=residuals,
         ))
     return models
 
 
-def ols_fit(y, predictors: dict, with_intercept: bool = True) -> LinearModel:
+def ols_fit(y, predictors: dict) -> LinearModel:
     """Least-squares fit of the vector y on named predictor columns (see _fit_columns)."""
     yv = np.asarray(y, dtype=float)
     if yv.ndim != 1:
         raise DataError("response must be a vector")
-    return _fit_columns(yv[:, None], predictors, with_intercept)[0]
+    return _fit_columns(yv[:, None], predictors)[0]
 
 
 def fit_weight_models(
@@ -221,7 +217,7 @@ def fit_weight_models(
         raise DataError("weight rows do not match covariate rows")
     label_index(predictor_names, "predictor")
     table = covariates.with_delta() if "delta" in predictor_names else covariates
-    return _fit_columns(w, {name: table.column(name) for name in predictor_names}, True)
+    return _fit_columns(w, {name: table.column(name) for name in predictor_names})
 
 
 def predict_weights(models, covariates: dict) -> np.ndarray:

@@ -60,17 +60,6 @@ class AgeSchedule:
             raise DataError("schedule contains non-finite values")
         _check_scale(self.scale)
 
-    def to_log(self) -> "AgeSchedule":
-        """Natural-log transform; rates must be strictly positive."""
-        if self.scale == LOG:
-            return self
-        if np.any(self.values <= 0.0):
-            bad = int(np.argmax(self.values <= 0.0))
-            raise DataError(
-                f"non-positive rate {self.values[bad]} at {self.group_labels[bad]!r}"
-            )
-        return AgeSchedule(self.group_labels, np.log(self.values), LOG)
-
 
 @dataclass(frozen=True)
 class ScheduleMatrix:
@@ -248,11 +237,22 @@ def fit_weights(observed: AgeSchedule, basis: ComponentBasis) -> FittedSchedule:
 
 
 def fit_matrix(a: ScheduleMatrix, basis: ComponentBasis) -> tuple:
-    """(H x c weights, H residual norms): :func:`fit_weights` of every column at once."""
-    betas = basis.project(a.data, a.scale)
-    residual = a.data - linalg.as_matrix(basis.components @ betas.T)
+    """(H x c weights, H residual norms): :func:`fit_weights` of every column at once.
+
+    Where the products y'comp overflow, the weights are projected from
+    y / max|y| and scaled back, as :func:`linalg.scaled_sum_squares` does.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        betas = basis.project(a.data, a.scale)
+        if not np.isfinite(betas).all():
+            top = np.abs(a.data).max()
+            betas = basis.project(a.data / top, a.scale) * top
+        residual = a.data - basis.components @ betas.T
     sumsq = np.einsum("ij,ij->j", residual, residual)
-    return betas, linalg.root_sum_squares(residual, sumsq, axis=0)
+    norms = linalg.root_sum_squares(residual, sumsq, axis=0)
+    if not np.isfinite(norms).all():  # as is every norm of a column with a non-finite weight
+        raise NumericalError("fitted weights or residuals overflow float64")
+    return betas, norms
 
 
 def reconstruct(basis: ComponentBasis, betas) -> AgeSchedule:

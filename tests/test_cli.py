@@ -518,6 +518,20 @@ class TestRegressAndModels:
         assert "malformed models JSON" in one_error_line(capsys)
         assert not (tmp_path / "p.csv").exists()
 
+    def test_predict_rejects_a_model_without_an_intercept(self, tmp_path, data_dir, capsys):
+        assert self._regress(tmp_path, data_dir, self._weights(tmp_path, data_dir, 2), "e0") == 0
+        models = tmp_path / "m.json"
+        payload = json.loads(models.read_text())
+        entry = payload["models"][1]
+        entry["with_intercept"] = False
+        for key in ("coefficients", "standard_errors", "t_values", "p_values"):
+            entry[key] = entry[key][1:]  # one value per predictor, as a no-intercept fit has
+        models.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert self._predict(tmp_path, data_dir, tmp_path / "b.json", models) == 2
+        assert "model 2 has no intercept" in one_error_line(capsys)
+        assert not (tmp_path / "p.csv").exists()
+
     def test_reconstruct_with_lists_as_group_labels(self, tmp_path, data_dir, capsys):
         weights = self._weights(tmp_path, data_dir, 2)
         basis = tmp_path / "b.json"
@@ -693,6 +707,22 @@ class TestOneLineFailures:
         ref = residual_norms(cells)
         assert np.all(ref > 0)
         np.testing.assert_allclose(residual_norms(cells * scale), ref * scale, rtol=1e-13)
+        assert "warning:" not in capsys.readouterr().err
+
+    def test_fit_near_the_float_ceiling(self, tmp_path, capsys):
+        # the products y'comp of cells up to 1.7e308 overflow float64
+        cells = np.random.default_rng(0).uniform(1.0, 1.7, size=(6, 5))
+        path, basis, out = tmp_path / "m.csv", tmp_path / "b.json", tmp_path / "w.csv"
+
+        def fitted(data):
+            io.write_schedule_csv(schedule.ScheduleMatrix(list("uvwxyz"), list("abcde"), data), path)
+            assert run("fit", path, "--basis", basis, "--out", out) == 0
+            return np.loadtxt(out, delimiter=",", skiprows=1, usecols=(1, 2, 3))
+
+        io.write_schedule_csv(schedule.ScheduleMatrix(list("uvwxyz"), list("abcde"), cells), path)
+        assert run("decompose", path, "-c", "2", "--out", basis) == 0
+        ref = fitted(cells)
+        np.testing.assert_allclose(fitted(cells * 1e308), ref * 1e308, rtol=1e-14)
         assert "warning:" not in capsys.readouterr().err
 
     def test_decompose_near_the_float_limit_reports_a_finite_share(self, tmp_path, capsys):

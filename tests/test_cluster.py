@@ -64,6 +64,11 @@ class TestFitGmmEm:
     def test_more_clusters_than_points(self):
         with pytest.raises(NumericalError):
             cluster.fit_gmm_em(np.zeros((2, 2)), k=3)
+        with pytest.raises(NumericalError, match=r"no \(k, family\) grid point could be fitted: "
+                                                 "cannot fit 3 clusters to 2 observations"):
+            cluster.select_by_bic(np.zeros((2, 2)), [3], seed=0)
+        with pytest.raises(DataError, match="k must be >= 1, got 0"):
+            cluster.fit_gmm_em(np.zeros((2, 2)), k=0)
 
     def test_model_invariants(self, rng):
         pts = rng.normal(size=(25, 2))
@@ -81,7 +86,7 @@ class TestFitGmmEm:
     def test_em_loglik_monotone(self, rng):
         pts = rng.normal(size=(40, 2))
         for family in cluster.FAMILIES:
-            path = cluster.em_log_likelihood_path(pts, k=3, family=family, seed=3)
+            path = cluster.fit_gmm_em(pts, k=3, family=family, seed=3).log_likelihood_path
             assert len(path) >= 2
             assert all(b >= a - 1e-10 for a, b in zip(path, path[1:]))
 
@@ -316,13 +321,20 @@ class TestRestartStack:
         assert [p["failed_restarts"] for p in got.grid] == [0, 0, 1]
         assert got.grid[:2] == ref.grid[:2]  # spherical and diagonal as unpatched
 
+    def test_a_center_far_from_every_point_collapses(self):
+        # the second center takes no responsibility for any point in the first E-step
+        seeds = np.array([[TWO_TRIPLES.mean(axis=0), [1e6, 1e6]]])
+        (out,) = cluster._run_restarts(TWO_TRIPLES, ("full",), seeds)
+        assert isinstance(out, NumericalError)
+        assert str(out) == "mixture component collapsed to zero weight"
+
     def test_kept_path_is_recorded(self, rng):
         pts = rng.normal(size=(40, 2))
         model = cluster.fit_gmm_em(pts, k=3, family="full", seed=3)
         assert len(model.log_likelihood_path) == model.n_iter
         assert model.log_likelihood_path[-1] == model.log_likelihood
-        path = cluster.em_log_likelihood_path(pts, k=3, family="full", seed=3)
-        assert path == list(model.log_likelihood_path)
+        path = cluster.fit_gmm_em(pts, k=3, family="full", seed=3).log_likelihood_path
+        assert path == model.log_likelihood_path
 
 
 class TestAssign:
@@ -406,23 +418,33 @@ class TestSelectByBic:
             cluster.fit_gmm_em(pts, k=6, family="spherical", seed=0)
 
     @pytest.mark.parametrize(
-        "dataset, n_errors", [("two_triples", 11), ("mortality", 1), ("blobs", 2), ("normal3d", 1)]
+        "dataset, n_errors", [("two_triples", 12), ("mortality", 8), ("blobs", 4), ("normal3d", 11)]
     )
     def test_grid_records_every_point(self, dataset, n_errors, mortality_log):
-        # one EM stack per k fits every family; each point equals its own fit
+        # one EM stack per k fits every family; an eligible point equals its own
+        # fit, and a fit with a component of fewer than d + 1 effective members
+        # is skipped with an error that names that rule
         pts = {
             "two_triples": TWO_TRIPLES,
             "mortality": schedule.svd_weights(mortality_log, 2),
             **_reference_datasets(),
         }[dataset]
+        n, d = pts.shape
         model = cluster.select_by_bic(pts, range(1, 7), seed=0)
         points = [(p["k"], p["family"]) for p in model.grid]
         assert points == [(k, f) for f in cluster.FAMILIES for k in range(1, 7)]
         for point in model.grid:
+            where = {"k": point["k"], "family": point["family"]}
             try:
                 fit = cluster.fit_gmm_em(pts, point["k"], point["family"], seed=0)
             except NumericalError as exc:
-                assert point == {"k": point["k"], "family": point["family"], "error": str(exc)}
+                assert point == {**where, "error": str(exc)}
+                continue
+            if (least := fit.mixing_weights.min() * n) < d + 1:
+                assert point == {**where, "error": (
+                    f"a component holds {least:.4g} effective members (mixing weight x n), "
+                    f"fewer than d + 1 = {d + 1}"
+                )}
                 continue
             assert point == {
                 "k": fit.k,
@@ -439,6 +461,12 @@ class TestSelectByBic:
                 assert model.log_likelihood_path == fit.log_likelihood_path
         assert sum("error" in p for p in model.grid) == n_errors
         assert model.bic == min(p["bic"] for p in model.grid if "error" not in p)
+
+    def test_an_unknown_family(self):
+        with pytest.raises(DataError, match="family must be one of"):
+            cluster.fit_gmm_em(TWO_TRIPLES, k=2, family="tied")
+        with pytest.raises(DataError, match="unknown family 'tied'"):
+            cluster.select_by_bic(TWO_TRIPLES, range(1, 3), families=("full", "tied"), seed=0)
 
     @pytest.mark.parametrize("families, twice", [
         (("full", "full"), "full"), (("spherical", "diagonal", "spherical"), "spherical"),
@@ -469,6 +497,16 @@ class TestSelectByBic:
         # the year trajectory supports several plausible partitions; the
         # acceptance suite records the selected one and its contiguity
         assert 1 <= a.k <= 6
+
+    def test_mortality_selection_does_not_depend_on_seed(self, mortality_log):
+        # spurious optima around a component of 2-3 members would win the grid
+        # on some seeds (full k=4 at seed 0) if the d + 1 rule did not skip them
+        w = schedule.svd_weights(mortality_log, 2)
+        ref = cluster.select_by_bic(w, range(1, 7), seed=0)
+        for seed in range(1, 10):
+            got = cluster.select_by_bic(w, range(1, 7), seed=seed)
+            assert (got.family, got.k) == (ref.family, ref.k)
+            assert got.bic == pytest.approx(ref.bic, abs=1e-9)
 
 
 class TestCharacteristicSchedules:
@@ -527,3 +565,5 @@ class TestCharacteristicSchedules:
         )
         with pytest.raises(DataError):
             cluster.characteristic_schedules(assignment, w[:2], basis)
+        with pytest.raises(DataError, match="assignment length does not match the weight rows"):
+            cluster.characteristic_schedules(assignment, w[:3], basis)

@@ -101,6 +101,9 @@ class TestWeightsCsv:
         labels, w = io.load_weights_csv(path)
         assert labels == ["a", "b"]
         np.testing.assert_array_equal(w, [[1.5, 2.5], [3.0, 4.0]])
+        path.write_text("schedule,value,v\na,9,7\n")
+        with pytest.raises(DataError, match=r"no weight columns \(v1, v2, ...\) found"):
+            io.load_weights_csv(path)
 
     @pytest.mark.parametrize("header", ["schedule,v2,v1", "schedule,v1,v3"])
     def test_weight_columns_must_be_v1_to_vc_in_order(self, tmp_path, header):
@@ -136,17 +139,12 @@ def test_non_numeric_cell_in_a_wide_block_names_position(tmp_path, loader, first
         loader(path)
 
 
-@pytest.mark.parametrize("loader, first, prefix, named", [
-    (io.load_schedule_csv, "age", "s", "row 30, column 4000"),
-    (io.load_weights_csv, "schedule", "v", "row 30, column 4000"),
-    (io.load_covariates_csv, "year", "c", "row 35, column 10"),  # read column by column
-])
-def test_first_bad_cell_follows_the_loaders_reading_order(
-    tmp_path, loader, first, prefix, named
-):
+@pytest.mark.parametrize("loader, first, prefix", WIDE_LOADERS)
+def test_first_bad_cell_follows_the_loaders_reading_order(tmp_path, loader, first, prefix):
+    # every loader reads row by row, so the earlier row's bad cell is named
     names = [f"{prefix}{i}" for i in range(1, 5000)]
     path = _block_csv(tmp_path / "two.csv", first, names, bad=[(30, 4000), (35, 10)])
-    with pytest.raises(DataError, match=named):
+    with pytest.raises(DataError, match="row 30, column 4000$"):
         loader(path)
 
 
@@ -215,6 +213,18 @@ class TestPpm:
         path = tmp_path / "img.ppm"
         path.write_bytes(b"P6\n2 2\n255\n\x00\x00\x00")
         with pytest.raises(DataError, match="pixel"):
+            io.read_ppm(path)
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"P3\n1 x\n255\n0 0 0\n", "malformed PPM header"),
+        (b"P3\n1 1\n255\n0 x 0\n", "non-numeric P3 pixel data"),
+        (b"P3\n1 1\n255\n0 0\n", "expected 3 pixel values, got 2"),
+        (b"P3\n1 1\n255\n0 256 0\n", "P3 pixel value out of 0..255"),
+    ])
+    def test_malformed_p3(self, tmp_path, raw, message):
+        path = tmp_path / "img.ppm"
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match=message):
             io.read_ppm(path)
 
 

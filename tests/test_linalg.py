@@ -216,6 +216,8 @@ class TestCenterColumns:
         np.testing.assert_allclose(
             linalg.center_columns(np.array([[1.0], [3.0]])), [[-1.0], [1.0]]
         )
+        with pytest.raises(DataError, match="at least two rows"):
+            linalg.center_columns(np.array([[1.0, 3.0]]))
 
     def test_already_centered_unchanged(self, rng):
         x = rng.normal(size=(10, 3))

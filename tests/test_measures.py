@@ -96,6 +96,10 @@ class TestLifeTable:
             measures.life_table_from_mx(AgeSchedule(["0", "5+"], [0.1, 0.1]), [5, 0])
         with pytest.raises(DataError):
             measures.life_table_from_mx(AgeSchedule(["0", "5+"], [0.1, 0.0]), [0, 5])
+        with pytest.raises(DataError, match="natural-scale rates"):
+            measures.life_table_from_mx(AgeSchedule(["0", "5+"], [0.1, 0.1], "log"), [0, 5])
+        with pytest.raises(DataError, match="age grid does not match the rate schedule"):
+            measures.life_table_from_mx(AgeSchedule(["0", "5+"], [0.1, 0.1]), [0, 5, 10])
 
     @pytest.mark.parametrize("starts", [[0, np.nan, 5], [np.nan, 1, 5], [0, 1, np.nan],
                                         [0, 1, np.inf], [-np.inf, 1, 5]])
@@ -147,6 +151,14 @@ class TestIntervalDeathProb:
         with pytest.raises(DataError):
             measures.interval_death_prob(lt, 2, 5)
 
+    def test_no_survivors_at_the_start_age(self):
+        # 5 m = 5 >= 2 makes q = 1 in the closed interval 5-10, so l(10) = 0
+        starts = [0, 5, 10, 15]
+        lt = measures.life_table_from_mx(AgeSchedule(list("abcd"), [0.1, 1.0, 0.1, 0.2]), starts)
+        assert lt.lx[2] == 0.0
+        with pytest.raises(DataError, match="no survivors at age 10"):
+            measures.interval_death_prob(lt, 10, 5)
+
 
 class TestTfr:
     def test_uniform_rates(self):
@@ -176,6 +188,15 @@ class TestTfr:
     def test_negative_rate_errors(self):
         with pytest.raises(DataError):
             measures.tfr(AgeSchedule(["a"], [-0.1]), 5.0)
+
+    @pytest.mark.parametrize("scale, width, message", [
+        ("log", 5.0, "natural-scale fertility rates"),
+        ("natural", 0.0, "width must be positive"),
+        ("natural", -5.0, "width must be positive"),
+    ])
+    def test_log_scale_and_non_positive_width_errors(self, scale, width, message):
+        with pytest.raises(DataError, match=message):
+            measures.tfr(AgeSchedule(["a"], [0.1], scale), width)
 
 
 class TestDeriveDelta:

@@ -26,6 +26,10 @@ class TestCovariateTable:
             CovariateTable(["1993"], {"e0": [-1.0]})
         with pytest.raises(DataError):
             CovariateTable(["1993", "1993"], {"e0": [60.0, 61.0]})
+        with pytest.raises(DataError, match="covariate column 'e0' has wrong length"):
+            CovariateTable(["1993"], {"e0": [60.0, 61.0]})
+        with pytest.raises(DataError, match="covariate column 'e0' has non-finite entries"):
+            CovariateTable(["1993"], {"e0": [np.nan]})
 
     def test_delta_is_percentage_points(self):
         table = CovariateTable(
@@ -33,12 +37,16 @@ class TestCovariateTable:
             {"hiv_prev": [0.03243, 0.17586], "art_cov": [0.0, 0.02192]},
         ).with_delta()
         np.testing.assert_allclose(table.column("delta"), [3.243, 15.394], atol=1e-9)
+        with pytest.raises(DataError, match="delta needs both hiv_prev and art_cov"):
+            CovariateTable(["1993"], {"hiv_prev": [0.03243]}).with_delta()
 
     def test_row_access(self, covariates):
         row = covariates.row("1993")
         assert row["e0"] == pytest.approx(70.13)
         with pytest.raises(DataError):
             covariates.row("1900")
+        with pytest.raises(DataError, match="no covariate column named 'nope'"):
+            covariates.column("nope")
 
     def test_row_lookup_every_label(self, covariates):
         for i, label in enumerate(covariates.labels):
@@ -105,6 +113,10 @@ class TestOlsFit:
         for b in (2.0 * x, near):
             with pytest.raises(NumericalError, match="rank-deficient"):
                 regress.ols_fit([1.0, 2.0, 3.0, 4.0], {"a": x, "b": b})
+        with pytest.raises(DataError, match="predictor 'x' length mismatch"):
+            regress.ols_fit([1.0, 2.0, 3.0, 4.0], {"x": x[:3]})
+        with pytest.raises(DataError, match="response must be a vector"):
+            regress.ols_fit(np.ones((4, 2)), {"x": x})
 
     def test_residual_orthogonality_and_zero_sum(self, rng):
         x1 = rng.normal(size=30)
@@ -124,27 +136,17 @@ class TestOlsFit:
         corr = np.corrcoef(fitted, y)[0, 1]
         assert model.r_squared == pytest.approx(corr**2, abs=1e-10)
 
-    def test_no_intercept_fit(self):
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        model = regress.ols_fit(2.5 * x, {"x": x}, with_intercept=False)
-        assert model.coefficients.shape == (1,)
-        assert model.coefficients[0] == pytest.approx(2.5)
-        assert model.r_squared == pytest.approx(1.0)
-
 
 class TestScaleSafeStatistics:
     Y = np.array([2.0, 3.0, 5.0, 4.0, 7.0])  # R^2 0.8694 on X unscaled
     X = np.array([1.0, 2.0, 3.0, 4.0, 6.0])
 
     @pytest.mark.parametrize("scale", [1e-170, 1e160])
-    @pytest.mark.parametrize("with_intercept", [True, False])
-    def test_statistics_follow_a_weight_scale_out_of_the_squares_range(
-        self, scale, with_intercept
-    ):
+    def test_statistics_follow_a_weight_scale_out_of_the_squares_range(self, scale):
         # the squared residuals and totals underflow (1e-170) or overflow (1e160);
         # run with warnings as errors
-        ref = regress.ols_fit(self.Y, {"x": self.X}, with_intercept)
-        got = regress.ols_fit(self.Y * scale, {"x": self.X}, with_intercept)
+        ref = regress.ols_fit(self.Y, {"x": self.X})
+        got = regress.ols_fit(self.Y * scale, {"x": self.X})
         assert got.r_squared == pytest.approx(ref.r_squared, rel=1e-13)
         np.testing.assert_allclose(got.standard_errors, ref.standard_errors * scale, rtol=1e-13)
         np.testing.assert_allclose(got.t_values, ref.t_values, rtol=1e-13)
@@ -165,6 +167,11 @@ class TestStudentT:
         mine = regress.regularized_incomplete_beta(2.5, 1.5, 0.3)
         oracle = scipy.stats.beta.cdf(0.3, 2.5, 1.5)
         assert mine == pytest.approx(oracle, abs=1e-10)
+        for x in (-0.1, 1.5):
+            with pytest.raises(NumericalError, match="outside"):
+                regress.regularized_incomplete_beta(2.0, 3.0, x)
+        with pytest.raises(NumericalError, match="degrees of freedom must be >= 1"):
+            regress.student_t_p_value(1.0, 0)
 
 
 class TestPredictWeights:
@@ -327,7 +334,6 @@ class TestColumnEvaluation:
         table = covariates.with_delta()
         weights = schedule.svd_weights(mortality_log, 2)
         models = regress.fit_weight_models(weights, table, ["e0", "delta"])
-        models.append(regress.ols_fit(weights[:, 0], {"e0": table.column("e0")}, with_intercept=False))
         for model in models:
             by_column = model.predict_one(table.columns)
             by_row = [model.predict_one(table.row(label)) for label in table.labels]
@@ -402,3 +408,5 @@ class TestOneFactorizationPerDesign:
         weights = schedule.svd_weights(mortality_log, 2)
         with pytest.raises(DataError, match="duplicate predictor label 'e0'"):
             regress.fit_weight_models(weights, covariates, ["e0", "delta", "e0"])
+        with pytest.raises(DataError, match="weight rows do not match covariate rows"):
+            regress.fit_weight_models(weights[:18], covariates, ["e0"])

@@ -27,17 +27,26 @@ class TestTypes:
             AgeSchedule(["0"], [np.nan])
         with pytest.raises(DataError):
             AgeSchedule(["0"], [0.1], scale="weird")
+        with pytest.raises(DataError, match="nonempty vector"):
+            AgeSchedule([], [])
+        with pytest.raises(DataError, match="nonempty vector"):
+            AgeSchedule(["0"], [[0.1]])
 
     def test_log_transform_requires_positive_rates(self):
-        with pytest.raises(DataError, match="non-positive"):
-            AgeSchedule(["0", "1-4"], [0.1, 0.0]).to_log()
-        logged = AgeSchedule(["0"], [np.e]).to_log()
+        with pytest.raises(DataError, match=r"non-positive rate 0.0 at \('1-4', 's2'\)"):
+            ScheduleMatrix(["0", "1-4"], ["s1", "s2"], [[0.1, 0.2], [0.1, 0.0]]).to_log()
+        logged = ScheduleMatrix(["0"], ["s1"], [[np.e]]).to_log()
         assert logged.scale == "log"
-        assert logged.values[0] == pytest.approx(1.0)
+        assert logged.data[0, 0] == pytest.approx(1.0)
+        assert logged.to_log() is logged  # a LOG matrix is returned as it is
 
     def test_matrix_label_shape_consistency(self):
         with pytest.raises(DataError):
             ScheduleMatrix(["a"], ["x", "y"], [[1.0], [2.0]])
+        with pytest.raises(DataError, match="component length does not match group labels"):
+            schedule.ComponentBasis(["a", "b"], np.ones((3, 1)), [1.0], "log")
+        with pytest.raises(DataError, match="component count does not match singular values"):
+            schedule.ComponentBasis(["a", "b", "c"], np.ones((3, 1)), [2.0, 1.0], "log")
 
     def test_column_lookup(self):
         col = X32.column("s2")
@@ -270,6 +279,8 @@ class TestErrorMetrics:
     def test_shape_mismatch(self, mortality_log, fertility_log):
         with pytest.raises(DataError):
             schedule.error_metrics(mortality_log, fertility_log)
+        with pytest.raises(DataError, match="scale mismatch: natural vs log"):
+            schedule.error_metrics(replace(mortality_log, scale="natural"), mortality_log)
 
     @pytest.mark.parametrize("pred, obs", [
         ([[1e308, -1e308]], [[-1e308, 1e308]]),  # a difference overflows
@@ -316,6 +327,10 @@ class TestConcatSexes:
         )
         with pytest.raises(DataError):
             schedule.concat_sexes(female, male)
+        with pytest.raises(DataError, match="age-group grids differ"):
+            schedule.concat_sexes(female, replace(female, group_labels=female.group_labels[::-1]))
+        with pytest.raises(DataError, match="different scales"):
+            schedule.concat_sexes(female, replace(female, scale="log"))
 
 
 class TestCorrelationSanity:
@@ -471,7 +486,7 @@ class TestWholeMatrixFit:
             fit = schedule.fit_weights(scaled.column(label), basis)
             assert fit.residual_norm == pytest.approx(ref[h] * scale, rel=1e-12, abs=0.0)
 
-    def test_weights_that_overflow_are_a_data_error(self, mortality_log):
+    def test_weights_that_overflow_are_an_error(self, mortality_log):
         # rates near 1e308 on components of norm near 1e-10 give weights beyond the float range
         natural = ScheduleMatrix(
             mortality_log.group_labels, mortality_log.schedule_labels, np.exp(mortality_log.data)
@@ -481,9 +496,9 @@ class TestWholeMatrixFit:
             basis.group_labels, basis.components * 1e-10, basis.singular_values, basis.scale
         )
         big = replace(natural, data=natural.data * 1e308)
+        with pytest.raises(NumericalError, match="fitted weights or residuals overflow float64"):
+            schedule.fit_matrix(big, small)  # with warnings as errors: no warning either
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DataError, match="matrix contains NaN or infinite entries"):
-                schedule.fit_matrix(big, small)
             with pytest.raises(DataError, match="schedule contains non-finite values"):
                 schedule.fit_weights(big.column(big.schedule_labels[0]), small)
 
