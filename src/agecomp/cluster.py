@@ -9,9 +9,12 @@ weighted (k-means++ style) sampling from a seeded generator, with a fixed
 number of restarts keeping the best likelihood among those whose component
 covariances stay off the variance floor.  The restarts of every family at
 one k start from the same seeded centers, and each EM step handles all of
-them at once: F families x R restarts x k components, as one
-F*R x k x d x d covariance stack, each family's rows constrained by its own
-rule.  The grid runs one such stack per k.
+them at once, each family's rows constrained by its own rule.  The grid
+runs k = 1 in one such stack and every larger k in a second: rows ordered
+by k, then family, then restart, with the weights padded to the largest k
+by weight-0 components, and the means and covariances stacked over the
+real components only.  Every per-matrix operation runs at the row's own
+k, so each grid point has the bits of its own single-k fit.
 """
 
 from dataclasses import dataclass, replace
@@ -60,20 +63,25 @@ class ClusterAssignment:
     responsibilities: np.ndarray  # n x k, rows sum to 1
 
 
-def _component_log_probs(points, weights, means, covs):
-    # ... x n x k array of log(weight_j) + log N(x_i | mean_j, cov_j), over leading stack axes
-    d = points.shape[1]
+def _component_log_probs(diff, weights, covs):
+    # ... x n x k array of log(weight_j) + log N(x_i | mean_j, cov_j), over leading
+    # stack axes.  A component of weight 0 pads a stack row up to a larger k and
+    # gets log-density -inf; diff (m x n x d, the points minus each mean) and
+    # covs (m x d x d) hold only the m components of positive weight, in
+    # row-major order
+    n, d = diff.shape[1:]
     chol = np.linalg.cholesky(covs)
-    diff = points - means[..., None, :]
     solved = np.linalg.solve(chol, diff.swapaxes(-1, -2))
     logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
-    logpdf = -0.5 * (d * np.log(2.0 * np.pi) + logdet[..., None] + (solved**2).sum(axis=-2))
-    return (np.log(weights)[..., None] + logpdf).swapaxes(-1, -2)
+    logpdf = np.full(weights.shape + (n,), -np.inf)
+    quad = (solved**2).sum(axis=-2)
+    logpdf[weights > 0] = -0.5 * (d * np.log(2.0 * np.pi) + logdet[:, None] + quad)
+    with np.errstate(divide="ignore"):
+        return (np.log(weights)[..., None] + logpdf).swapaxes(-1, -2)
 
 
 def _constrain(covs, family, floor):
-    # (family-constrained stack, whether a variance of each k x d x d stack was
-    #  raised to the floor: a bool, or a list over the leading axes)
+    # (family-constrained stack, whether each matrix has a variance at the floor)
     d = covs.shape[-1]
     if family == "spherical":
         var = np.trace(covs, axis1=-2, axis2=-1)[..., None] / d
@@ -81,7 +89,7 @@ def _constrain(covs, family, floor):
         var = np.diagonal(covs, axis1=-2, axis2=-1)
     else:
         var, eigvecs = np.linalg.eigh(covs)
-    floored = (var.min(axis=(-2, -1)) <= floor).tolist()
+    floored = var.min(axis=-1) <= floor
     if family == "full":
         return (eigvecs * np.maximum(var, floor)[..., None, :]) @ eigvecs.swapaxes(-1, -2), floored
     return np.eye(d) * np.maximum(var, floor)[..., None, :], floored
@@ -109,75 +117,107 @@ def _floor_for(points):
 
 
 def _pooled_cov(points, family, floor):
-    # the data's covariance as a 1 x d x d stack, constrained per family
+    # (the data's covariance as a 1 x d x d stack constrained per family, whether
+    #  it rests on the floor)
     n, d = points.shape
     pooled = np.cov(points.T).reshape(1, d, d) if n > 1 else np.zeros((1, d, d))
-    return _constrain(pooled, family, floor)
+    cov, floored = _constrain(pooled, family, floor)
+    return cov, bool(floored[0])
 
 
-def _posterior(points, weights, means, covs):
+def _posterior(diff, weights, covs):
     # (log-likelihood of each point, ... x n x k responsibilities)
-    logp = _component_log_probs(points, weights, means, covs)
+    logp = _component_log_probs(diff, weights, covs)
     peak = logp.max(axis=-1, keepdims=True)
     logsum = peak[..., 0] + np.log(np.exp(logp - peak).sum(axis=-1))
     return logsum, np.exp(logp - logsum[..., None])
 
 
 def _run_restarts(points, families, seeds):
-    # EM on every (family, restart) pair at once, one row each, family-major:
-    # F*R x k x d means, F*R x k weights, F*R x k x d x d covariances.  Every
-    # family starts from the same R seeds and its own pooled covariance; after
-    # the shared E- and M-step each family's block of rows is constrained by its
-    # own rule.  A row leaves the stacks when it ends, so each runs its own
-    # iterations; after a LAPACK failure each pair reruns alone, so only that one
-    # fails.  Returns per pair its failure or (path, converged, weights, means, covs).
-    n_restarts, k, d = seeds.shape
-    n_rows = len(families) * n_restarts
+    # EM on every (k, family, restart) triple at once, one row each, k-major,
+    # then family-major: seeds holds an R x k x d array per k group, and each
+    # family of a group starts from those R centers and its own pooled
+    # covariance.  The weights are padded to the largest k with weight-0
+    # components; the means and covariances are stacked over the real ones
+    # only.  So every per-matrix step (cholesky, solve, the scatter, each
+    # family's constraint, the means product per group) runs on a row's own k
+    # components, and a row's bits do not depend on what else is stacked.
+    # A row leaves the stacks when it ends, so each runs its own iterations;
+    # after a LAPACK failure each group reruns alone, and a group that fails
+    # alone reruns pair by pair, so only that pair fails.  Returns per row its
+    # failure or (path, converged, weights, means, covs).
+    ks, d = [group.shape[1] for group in seeds], points.shape[1]
     floor = _floor_for(points)
     pooled = [_pooled_cov(points, family, floor) for family in families]
-    means, weights = np.concatenate([seeds] * len(families)), np.full((n_rows, k), 1.0 / k)
-    covs = np.concatenate([np.broadcast_to(cov, (n_restarts, k, d, d)) for cov, _ in pooled])
-    rows = list(range(n_rows))  # the pair in each row of the stacks, ascending
-    # family f owns pairs bounds[f]:bounds[f + 1], and so the rows edges[f]:edges[f + 1]
-    bounds = edges = list(range(0, n_rows + 1, n_restarts))
-    paths, out = [[] for _ in rows], [None] * n_rows
+    per_group = [len(families) * len(group) for group in seeds]
+    n_rows, row_k = sum(per_group), np.repeat(ks, per_group)
+    row_family = np.concatenate([np.repeat(range(len(families)), len(g)) for g in seeds])
+    degenerate = np.array([floored for _, floored in pooled])[row_family]
+    real = np.arange(max(ks)) < row_k[:, None]  # the row's components that are not padding
+    weights, component_family = real / row_k[:, None], np.repeat(row_family, row_k)
+    means = np.concatenate([group.reshape(-1, d) for group in seeds for _ in families])
+    covs = np.concatenate(
+        [np.broadcast_to(cov, (group[..., 0].size, d, d)) for group in seeds for cov, _ in pooled]
+    )
+    diff = points - means[:, None, :]
+    # group g owns rows bounds[g]:bounds[g + 1], and so the stack rows edges[g]:edges[g + 1];
+    # the stack row i holds the components starts[i]:starts[i] + sizes[i]
+    bounds = edges = np.cumsum([0, *per_group])
+    rows, sizes, starts = np.arange(n_rows), row_k, np.cumsum(row_k) - row_k
+    lls = np.empty((1, n_rows))  # each row's log-likelihood path down its column; doubles when full
+    last, out = np.full(n_rows, -np.inf), [None] * n_rows
     try:
-        while rows:
-            logsum, resp = _posterior(points, weights, means, covs)
+        for step in range(_MAX_ITER):
+            logsum, resp = _posterior(diff, weights, covs)
             counts = resp.sum(axis=1)
-            collapsed = np.any(counts < 1e-10, axis=1)
+            collapsed = np.any((counts < 1e-10) & real, axis=1)
             counts = np.maximum(counts, 1e-10)  # a collapsed row's update is dropped
-            weights = counts / len(points)
-            means = (resp.swapaxes(1, 2) @ points) / counts[..., None]
-            diff = points - means[..., None, :]
-            scatter = (resp.swapaxes(1, 2)[..., None] * diff).swapaxes(2, 3) @ diff
-            raw = scatter / counts[..., None, None]
-            blocks = [_constrain(raw[lo:hi], family, floor)
-                      for family, lo, hi in zip(families, edges, edges[1:]) if lo < hi]
-            covs = np.concatenate([block for block, _ in blocks])
-            floored = [hit for _, hits in blocks for hit in hits]
-            going = []
-            for row, (r, ll) in enumerate(zip(rows, logsum.sum(axis=1))):
-                path = paths[r]
-                path.append(float(ll))
-                met = len(path) > 1 and path[-1] - path[-2] < _LL_TOL
+            weights = np.where(real, counts / len(points), 0.0)
+            resp = resp.swapaxes(1, 2)
+            # one product per group at its own k: padded, it would not keep its bits
+            means = np.concatenate([
+                ((resp[lo:hi, :k] @ points) / counts[lo:hi, :k, None]).reshape(-1, d)
+                for k, lo, hi in zip(ks, edges, edges[1:])
+            ])
+            diff = points - means[:, None, :]
+            scatter = (resp[real][..., None] * diff).swapaxes(1, 2) @ diff
+            covs = scatter / counts[real][:, None, None]
+            floored = np.empty(len(covs), dtype=bool)
+            for f, family in enumerate(families):
+                block = component_family == f
+                covs[block], floored[block] = _constrain(covs[block], family, floor)
+            if step == len(lls):
+                lls = np.concatenate([lls, np.empty_like(lls)])
+            ll = lls[step, rows] = logsum.sum(axis=1)
+            met = ll - last < _LL_TOL
+            ends = collapsed | met | (step + 1 == _MAX_ITER)
+            rests = np.logical_or.reduceat(floored, starts) & ~degenerate[rows]
+            for row in np.flatnonzero(ends):
+                r, k, at = rows[row], sizes[row], starts[row]
                 if collapsed[row]:
                     out[r] = NumericalError("mixture component collapsed to zero weight")
-                elif not (met or len(path) == _MAX_ITER):
-                    going.append(row)
-                elif floored[row] and not pooled[r // n_restarts][1]:
+                elif rests[row]:
                     out[r] = "a component covariance rests on the variance floor"
                 else:
-                    out[r] = (path, met, weights[row], means[row], covs[row])
-            if len(going) < len(rows):
-                rows = [rows[row] for row in going]
-                weights, means, covs = weights[going], means[going], covs[going]
-                edges = np.searchsorted(rows, bounds).tolist()
+                    path, mine = lls[: step + 1, r].tolist(), slice(at, at + k)
+                    out[r] = (path, bool(met[row]), weights[row, :k], means[mine], covs[mine])
+            last = ll
+            if ends.any():
+                going, kept = ~ends, np.repeat(~ends, sizes)
+                rows, real, last, weights = rows[going], real[going], last[going], weights[going]
+                means, covs, diff = means[kept], covs[kept], diff[kept]
+                component_family = component_family[kept]
+                if not rows.size:
+                    break
+                sizes = row_k[rows]
+                starts, edges = np.cumsum(sizes) - sizes, np.searchsorted(rows, bounds)
     except np.linalg.LinAlgError as exc:
+        if len(seeds) > 1:
+            return [run for group in seeds for run in _run_restarts(points, families, [group])]
         if n_rows == 1:
             return [exc]
-        return [run for family in families for seed in seeds
-                for run in _run_restarts(points, (family,), seed[None])]
+        return [run for family in families for seed in seeds[0]
+                for run in _run_restarts(points, (family,), [seed[None]])]
     return out
 
 
@@ -186,44 +226,57 @@ def _param_count(k, d, family):
     return k * d + k * per_cov + (k - 1)
 
 
-def _fit_families(pts, k, families, seed):
-    # per family, the model of its best restart or the NumericalError it failed
-    # with; every family starts from the same k-means++ seeds, all in one stack
+def _best_model(family_runs, k, family, n, d):
+    # the model of the best of one (k, family)'s restarts, or the NumericalError
+    # that the last failure gave when none was kept
+    kept = [run for run in family_runs if isinstance(run, tuple)]
+    if not kept:
+        return NumericalError(f"all EM restarts failed: {family_runs[-1]}")
+    path, converged, weights, means, covs = max(kept, key=lambda run: run[0][-1])
+    n_params = _param_count(k, d, family)
+    return GmmModel(
+        k=k,
+        family=family,
+        mixing_weights=weights,
+        means=means,
+        covariances=covs,
+        log_likelihood=path[-1],
+        bic=-2.0 * path[-1] + n_params * np.log(n),
+        n_params=n_params,
+        n_obs=n,
+        n_iter=len(path),
+        converged=converged,
+        failed_restarts=len(family_runs) - len(kept),
+        log_likelihood_path=tuple(path),
+    )
+
+
+def _fit_families(pts, ks, families, seed):
+    # per k, per family, the model of its best restart or the NumericalError it
+    # failed with.  Every family at one k starts from the same k-means++ seeds,
+    # drawn from a generator of its own.  k = 1 runs in an EM stack of its own
+    # and every larger k in a second one
     n, d = pts.shape
-    if k < 1:
-        raise DataError(f"k must be >= 1, got {k}")
-    if n < k:
-        return [NumericalError(f"cannot fit {k} clusters to {n} observations") for _ in families]
-    rng = np.random.default_rng(seed)
-    seeds = np.array([_seed_centers(pts, k, rng) for _ in range(_RESTARTS)])
-    runs = _run_restarts(pts, families, seeds)
-    models = []
-    for i, family in enumerate(families):
-        family_runs = runs[i * _RESTARTS : (i + 1) * _RESTARTS]
-        kept = [run for run in family_runs if isinstance(run, tuple)]
-        if not kept:
-            models.append(NumericalError(f"all EM restarts failed: {family_runs[-1]}"))
-            continue
-        path, converged, weights, means, covs = max(kept, key=lambda run: run[0][-1])
-        n_params = _param_count(k, d, family)
-        models.append(
-            GmmModel(
-                k=k,
-                family=family,
-                mixing_weights=weights,
-                means=means,
-                covariances=covs,
-                log_likelihood=path[-1],
-                bic=-2.0 * path[-1] + n_params * np.log(n),
-                n_params=n_params,
-                n_obs=n,
-                n_iter=len(path),
-                converged=converged,
-                failed_restarts=len(family_runs) - len(kept),
-                log_likelihood_path=tuple(path),
-            )
-        )
-    return models
+    seeds = {}
+    for k in ks:
+        if k < 1:
+            raise DataError(f"k must be >= 1, got {k}")
+        if k <= n and k not in seeds:
+            rng = np.random.default_rng(seed)
+            seeds[k] = np.array([_seed_centers(pts, k, rng) for _ in range(_RESTARTS)])
+    runs, size = {}, len(families) * _RESTARTS
+    for stack in ([k for k in seeds if k == 1], [k for k in seeds if k > 1]):
+        if stack:
+            flat = _run_restarts(pts, families, [seeds[k] for k in stack])
+            runs.update((k, flat[i * size : (i + 1) * size]) for i, k in enumerate(stack))
+    return [
+        [
+            _best_model(runs[k][i * _RESTARTS : (i + 1) * _RESTARTS], k, family, n, d)
+            if k in runs else NumericalError(f"cannot fit {k} clusters to {n} observations")
+            for i, family in enumerate(families)
+        ]
+        for k in ks
+    ]
 
 
 def fit_gmm_em(points, k: int, family: str = "full", seed: int = 0) -> GmmModel:
@@ -243,7 +296,7 @@ def fit_gmm_em(points, k: int, family: str = "full", seed: int = 0) -> GmmModel:
     pts = linalg.as_matrix(points)
     if family not in FAMILIES:
         raise DataError(f"family must be one of {FAMILIES}, got {family!r}")
-    (model,) = _fit_families(pts, k, (family,), seed)
+    ((model,),) = _fit_families(pts, [k], (family,), seed)
     if isinstance(model, NumericalError):
         raise model
     return model
@@ -252,7 +305,8 @@ def fit_gmm_em(points, k: int, family: str = "full", seed: int = 0) -> GmmModel:
 def assign(model: GmmModel, points) -> ClusterAssignment:
     """Posterior responsibilities and MAP labels (1..k) for each point."""
     pts = linalg.as_matrix(points)
-    resp = _posterior(pts, model.mixing_weights, model.means, model.covariances)[1]
+    diff = pts - model.means[:, None, :]
+    resp = _posterior(diff, model.mixing_weights, model.covariances)[1]
     return ClusterAssignment(labels=resp.argmax(axis=1) + 1, responsibilities=resp)
 
 
@@ -282,7 +336,7 @@ def select_by_bic(points, k_range, families=FAMILIES, seed: int = 0) -> GmmModel
             raise DataError(f"family {family!r} listed twice")
     pts = linalg.as_matrix(points)
     n, d = pts.shape
-    fits = [_fit_families(pts, k, families, seed) for k in ks]
+    fits = _fit_families(pts, ks, families, seed)
     candidates = []
     grid = []
     for i, family in enumerate(families):

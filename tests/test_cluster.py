@@ -141,7 +141,7 @@ class TestBatchedEm:
         means = rng.normal(size=(k, d))
         covs = _family_covariances(rng, family, k, d)
         weights = rng.dirichlet(np.ones(k))
-        got = cluster._component_log_probs(points, weights, means, covs)
+        got = cluster._component_log_probs(points - means[:, None, :], weights, covs)
         assert got.shape == (20, k)
         for j in range(k):
             expected = np.log(weights[j]) + scipy.stats.multivariate_normal.logpdf(
@@ -152,9 +152,7 @@ class TestBatchedEm:
     def test_non_positive_definite_component_raises(self, rng):
         covs = np.array([np.eye(2), -np.eye(2)])
         with pytest.raises(np.linalg.LinAlgError):
-            cluster._component_log_probs(
-                rng.normal(size=(5, 2)), np.full(2, 0.5), np.zeros((2, 2)), covs
-            )
+            cluster._component_log_probs(rng.normal(size=(2, 5, 2)), np.full(2, 0.5), covs)
 
     @pytest.mark.parametrize("family", cluster.FAMILIES)
     def test_stacked_constrain_matches_per_matrix(self, rng, family):
@@ -165,15 +163,15 @@ class TestBatchedEm:
         for j in range(4):
             expected, _ = _constrain_one(covs[j], family, floor)
             np.testing.assert_allclose(got[j], expected, rtol=1e-12, atol=1e-15)
-        assert hit is False
+        assert hit.tolist() == [False] * 4
 
     @pytest.mark.parametrize("family", cluster.FAMILIES)
     def test_floor_flag_set_by_any_single_component(self, family):
         floor = 1e-3
         covs = np.array([np.eye(2), np.eye(2), np.diag([1.0, 0.0]) * 1e-4])
         got, hit = cluster._constrain(covs, family, floor)
-        assert hit is True
-        assert all(_constrain_one(c, family, floor)[1] == (j == 2) for j, c in enumerate(covs))
+        assert hit.tolist() == [_constrain_one(c, family, floor)[1] for c in covs]
+        assert hit.tolist() == [False, False, True]
         for j in range(3):
             np.testing.assert_allclose(
                 got[j], _constrain_one(covs[j], family, floor)[0], rtol=1e-12, atol=1e-15
@@ -194,7 +192,7 @@ def _restart_by_restart(points, k, family, seed):
         path, converged = [], False
         try:
             for iteration in range(cluster._MAX_ITER):
-                logsum, resp = cluster._posterior(points, weights, means, covs)
+                logsum, resp = cluster._posterior(points - means[:, None, :], weights, covs)
                 path.append(float(logsum.sum()))
                 counts = resp.sum(axis=0)
                 if np.any(counts < 1e-10):
@@ -210,7 +208,7 @@ def _restart_by_restart(points, k, family, seed):
         except (NumericalError, np.linalg.LinAlgError) as exc:
             outcomes.append(str(exc))
             continue
-        if floored and not degenerate:
+        if floored.any() and not degenerate:
             outcomes.append("a component covariance rests on the variance floor")
         else:
             outcomes.append((path, converged))
@@ -229,6 +227,16 @@ def _reference_datasets():
     rng = np.random.default_rng(11)
     blobs = np.vstack([rng.normal(size=(12, 2)) * 0.5 + c for c in ((0, 0), (3, 1), (1, 4))])
     return {"blobs": blobs, "normal3d": np.random.default_rng(12).normal(size=(25, 3))}
+
+
+def _failing_on(target, cholesky):
+    # a cholesky that raises for any stack holding the matrix target
+    def failing(a):
+        if any(np.array_equal(target, cov) for cov in np.reshape(a, (-1,) + target.shape)):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return cholesky(a)
+
+    return failing
 
 
 class TestRestartStack:
@@ -263,37 +271,32 @@ class TestRestartStack:
             np.linalg, "cholesky", lambda a: stacks.append(np.array(a)) or real_cholesky(a)
         )
         cluster.fit_gmm_em(pts, k=2, family="full", seed=0)
-        # restart 2's covariances after its first EM step, unique among the restarts
-        assert stacks[1].shape[0] == cluster._RESTARTS
-        target = stacks[1][2]
+        # restart 2's first covariance after its first EM step, in the stack of
+        # the real components (k per restart); unique among the restarts
+        assert stacks[1].shape[0] == cluster._RESTARTS * 2
+        target = stacks[1][2 * 2]
         assert sum(np.array_equal(target, cov) for cov in stacks[1]) == 1
-
-        def failing(a):
-            if any(np.array_equal(target, cov) for cov in np.reshape(a, (-1,) + target.shape)):
-                raise np.linalg.LinAlgError("Matrix is not positive definite")
-            return real_cholesky(a)
-
-        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        monkeypatch.setattr(np.linalg, "cholesky", _failing_on(target, real_cholesky))
         model = cluster.fit_gmm_em(pts, k=2, family="full", seed=0)
         assert model.failed_restarts == 1
         outcomes[2] = "Matrix is not positive definite"
         assert model.log_likelihood == pytest.approx(_kept(outcomes)[0][-1], rel=1e-12)
 
-    def test_one_runner_call_per_k(self, rng, monkeypatch):
+    def test_k1_alone_then_every_larger_k_in_one_runner_call(self, rng, monkeypatch):
         real_run = cluster._run_restarts
         calls = []
 
         def recording(points, families, seeds):
-            calls.append((families, seeds.shape))
+            calls.append((families, [group.shape for group in seeds]))
             return real_run(points, families, seeds)
 
         monkeypatch.setattr(cluster, "_run_restarts", recording)
         cluster.select_by_bic(two_blobs(rng), range(1, 7), seed=0)
-        # one stack per k, holding every (family, restart) pair
-        assert [shape[1] for _, shape in calls] == list(range(1, 7))
-        for families, shape in calls:
+        # two stacks, each holding every (k, family, restart) triple of its k
+        assert [[shape[1] for shape in shapes] for _, shapes in calls] == [[1], [2, 3, 4, 5, 6]]
+        for families, shapes in calls:
             assert families == cluster.FAMILIES
-            assert len(families) * shape[0] == 3 * cluster._RESTARTS
+            assert all(shape[0] == cluster._RESTARTS for shape in shapes)
 
     def test_lapack_failure_in_the_family_stack_fails_only_that_pair(self, rng, monkeypatch):
         pts = two_blobs(rng)
@@ -305,26 +308,53 @@ class TestRestartStack:
             np.linalg, "cholesky", lambda a: stacks.append(np.array(a)) or real_cholesky(a)
         )
         cluster.select_by_bic(pts, [2], seed=0)
-        # full restart 2's covariances after its first EM step, unique in the stack
-        assert stacks[1].shape[0] == 3 * cluster._RESTARTS
-        target = stacks[1][2 * cluster._RESTARTS + 2]
+        # full restart 2's first covariance after its first EM step, unique in the
+        # stack of the real components: family-major rows of k = 2 components each
+        assert stacks[1].shape[0] == 3 * cluster._RESTARTS * 2
+        target = stacks[1][(2 * cluster._RESTARTS + 2) * 2]
         assert sum(np.array_equal(target, cov) for cov in stacks[1]) == 1
-
-        def failing(a):
-            if any(np.array_equal(target, cov) for cov in np.reshape(a, (-1,) + target.shape)):
-                raise np.linalg.LinAlgError("Matrix is not positive definite")
-            return real_cholesky(a)
-
-        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        monkeypatch.setattr(np.linalg, "cholesky", _failing_on(target, real_cholesky))
         got = cluster.select_by_bic(pts, [2], seed=0)
         assert [p["family"] for p in got.grid] == list(cluster.FAMILIES)
         assert [p["failed_restarts"] for p in got.grid] == [0, 0, 1]
         assert got.grid[:2] == ref.grid[:2]  # spherical and diagonal as unpatched
 
+    def test_lapack_failure_in_the_merged_grid_fails_only_that_pair(self, rng, monkeypatch):
+        # the k >= 2 stack fails, each k reruns alone, and only k = 4 reruns pair
+        # by pair: one full k = 4 restart fails, every other point is unpatched
+        pts = two_blobs(rng)
+        ref = cluster.select_by_bic(pts, range(1, 7), seed=0)
+        outcomes = _restart_by_restart(pts, 4, "full", seed=0)
+        assert not any(isinstance(o, str) for o in outcomes)
+        real_cholesky = np.linalg.cholesky
+        stacks = []
+        monkeypatch.setattr(
+            np.linalg, "cholesky", lambda a: stacks.append(np.array(a)) or real_cholesky(a)
+        )
+        cluster.select_by_bic(pts, range(1, 7), seed=0)
+        # the k >= 2 stack after its first EM step, one matrix per real component;
+        # rows are k-major, then family-major: k = 2 and 3 come before full
+        # restart 2 of k = 4
+        n_real = 3 * cluster._RESTARTS * sum(range(2, 7))
+        merged = [stack for stack in stacks if len(stack) == n_real][1]
+        target = merged[3 * cluster._RESTARTS * (2 + 3) + (2 * cluster._RESTARTS + 2) * 4]
+        assert sum(np.array_equal(target, cov) for cov in merged) == 1
+        monkeypatch.setattr(np.linalg, "cholesky", _failing_on(target, real_cholesky))
+        got = cluster.select_by_bic(pts, range(1, 7), seed=0)
+        where = [(p["family"], p["k"]) for p in got.grid]
+        full4 = where.index(("full", 4))
+        assert where == [(p["family"], p["k"]) for p in ref.grid]
+        assert got.grid[:full4] + got.grid[full4 + 1 :] == ref.grid[:full4] + ref.grid[full4 + 1 :]
+        assert got.grid[full4]["failed_restarts"] == ref.grid[full4]["failed_restarts"] + 1 == 1
+        outcomes[2] = "Matrix is not positive definite"
+        assert got.grid[full4]["log_likelihood"] == pytest.approx(
+            _kept(outcomes)[0][-1], rel=1e-12
+        )
+
     def test_a_center_far_from_every_point_collapses(self):
         # the second center takes no responsibility for any point in the first E-step
         seeds = np.array([[TWO_TRIPLES.mean(axis=0), [1e6, 1e6]]])
-        (out,) = cluster._run_restarts(TWO_TRIPLES, ("full",), seeds)
+        (out,) = cluster._run_restarts(TWO_TRIPLES, ("full",), [seeds])
         assert isinstance(out, NumericalError)
         assert str(out) == "mixture component collapsed to zero weight"
 
@@ -417,26 +447,42 @@ class TestSelectByBic:
         with pytest.raises(NumericalError, match="variance floor"):
             cluster.fit_gmm_em(pts, k=6, family="spherical", seed=0)
 
-    @pytest.mark.parametrize(
-        "dataset, n_errors", [("two_triples", 12), ("mortality", 8), ("blobs", 4), ("normal3d", 11)]
-    )
-    def test_grid_records_every_point(self, dataset, n_errors, mortality_log):
-        # one EM stack per k fits every family; an eligible point equals its own
-        # fit, and a fit with a component of fewer than d + 1 effective members
-        # is skipped with an error that names that rule
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("dataset, ks, n_errors", [
+        ("two_triples", range(1, 7), (12, 12, 12, 12)),
+        ("two_triples", [5, 2, 9, 3], (9, 9, 9, 9)),
+        ("mortality", range(1, 7), (8, 8, 7, 7)),
+        ("mortality_1e3", range(1, 7), (8, 8, 7, 7)),
+        ("mortality_1e-3", range(1, 7), (8, 8, 7, 7)),
+        ("blobs", range(1, 7), (4, 5, 5, 6)),
+        ("normal3d", range(1, 7), (11, 10, 10, 9)),
+    ], ids=["two_triples", "two_triples-unsorted", "mortality", "mortality_1e3",
+            "mortality_1e-3", "blobs", "normal3d"])
+    def test_grid_records_every_point(self, dataset, ks, n_errors, seed, mortality_log):
+        # one EM stack for k = 1 and one for every larger k fit every family; an
+        # eligible point equals its own single-k fit bit for bit, a k above n
+        # keeps its error, and a fit with a component of fewer than d + 1
+        # effective members is skipped with an error that names that rule
+        weights = schedule.svd_weights(mortality_log, 2)
         pts = {
             "two_triples": TWO_TRIPLES,
-            "mortality": schedule.svd_weights(mortality_log, 2),
+            "mortality": weights,
+            "mortality_1e3": weights * 1e3,
+            "mortality_1e-3": weights * 1e-3,
             **_reference_datasets(),
         }[dataset]
         n, d = pts.shape
-        model = cluster.select_by_bic(pts, range(1, 7), seed=0)
+        model = cluster.select_by_bic(pts, ks, seed=seed)
         points = [(p["k"], p["family"]) for p in model.grid]
-        assert points == [(k, f) for f in cluster.FAMILIES for k in range(1, 7)]
+        assert points == [(k, f) for f in cluster.FAMILIES for k in ks]
         for point in model.grid:
             where = {"k": point["k"], "family": point["family"]}
+            if point["k"] > n:
+                message = f"cannot fit {point['k']} clusters to {n} observations"
+                assert point == {**where, "error": message}
+                continue
             try:
-                fit = cluster.fit_gmm_em(pts, point["k"], point["family"], seed=0)
+                fit = cluster.fit_gmm_em(pts, point["k"], point["family"], seed=seed)
             except NumericalError as exc:
                 assert point == {**where, "error": str(exc)}
                 continue
@@ -459,7 +505,7 @@ class TestSelectByBic:
                 for name in ("mixing_weights", "means", "covariances"):
                     np.testing.assert_array_equal(getattr(model, name), getattr(fit, name))
                 assert model.log_likelihood_path == fit.log_likelihood_path
-        assert sum("error" in p for p in model.grid) == n_errors
+        assert sum("error" in p for p in model.grid) == n_errors[seed]
         assert model.bic == min(p["bic"] for p in model.grid if "error" not in p)
 
     def test_an_unknown_family(self):
