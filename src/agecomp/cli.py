@@ -39,6 +39,16 @@ def _load_matrix(paths, log, concat) -> schedule.ScheduleMatrix:
     return matrices[0]
 
 
+def _check_labels(what, got, want):
+    """Raise a DataError naming the first position where two label sequences differ."""
+    got, want = tuple(got), tuple(want)
+    if got != want:
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+        where = (f"at position {i + 1}: {got[i]!r} vs {want[i]!r}" if i is not None
+                 else f"in count: {len(got)} vs {len(want)}")
+        raise DataError(f"{what} do not match {where}")
+
+
 def _component_count(args):
     """--components, checked; None (the numerical rank) with --full."""
     if getattr(args, "full", False):
@@ -77,6 +87,7 @@ def _cmd_smooth(args):
 def _cmd_fit(args):
     matrix = _load_matrix(args.inputs, args.log, args.concat_sexes)
     basis = io.basis_from_json(io.read_text(args.basis))
+    _check_labels("schedule and basis age-group labels", matrix.group_labels, basis.group_labels)
     weights, residual_norms = schedule.fit_matrix(matrix, basis)
     io.write_weights_csv(matrix.schedule_labels, weights, args.out, residual_norms)
 
@@ -84,8 +95,7 @@ def _cmd_fit(args):
 def _cmd_regress(args):
     labels, weights = io.load_weights_csv(args.weights)
     covariates = io.load_covariates_csv(args.covariates)
-    if tuple(labels) != covariates.labels:
-        raise DataError("weight labels and covariate labels do not match")
+    _check_labels("weight labels and covariate labels", labels, covariates.labels)
     predictors = [p.strip() for p in args.predictors.split(",") if p.strip()]
     if not predictors:
         raise _UsageError("--predictors must name at least one covariate column")
@@ -119,7 +129,9 @@ def _parse_k_range(text):
             ks = [int(text)]
     except ValueError:
         raise _UsageError(f"bad --k-range {text!r}, expected K or LO:HI") from None
-    if not ks or min(ks) < 1:
+    if not ks:
+        raise _UsageError(f"--k-range {text!r} is empty")
+    if min(ks) < 1:
         raise _UsageError("--k-range must cover k >= 1")
     return ks
 
@@ -150,6 +162,10 @@ def _cmd_cluster(args):
 def _cmd_metrics(args):
     predicted = io.load_schedule_csv(args.predicted)
     observed = io.load_schedule_csv(args.observed, log=args.log)
+    _check_labels("predicted and observed age-group labels",
+                  predicted.group_labels, observed.group_labels)
+    _check_labels("predicted and observed schedule labels",
+                  predicted.schedule_labels, observed.schedule_labels)
     # CSVs carry no scale: the predicted file is on the scale that --log states
     m = schedule.error_metrics(replace(predicted, scale=observed.scale), observed)
     mae = io.fmt_number(m.mae)

@@ -10,11 +10,11 @@ number of restarts keeping the best likelihood among those whose component
 covariances stay off the variance floor.  The restarts of every family at
 one k start from the same seeded centers, and each EM step handles all of
 them at once, each family's rows constrained by its own rule.  The grid
-runs k = 1 in one such stack and every larger k in a second: rows ordered
-by k, then family, then restart, with the weights padded to the largest k
-by weight-0 components, and the means and covariances stacked over the
-real components only.  Every per-matrix operation runs at the row's own
-k, so each grid point has the bits of its own single-k fit.
+runs every k in one such stack: rows ordered by k, then family, then
+restart, with the weights padded to the largest k by weight-0 components,
+and the means and covariances stacked over the real components only.
+Every per-matrix operation runs at the row's own k, so each grid point has
+the bits of its own single-k fit.
 """
 
 from dataclasses import dataclass, replace
@@ -253,9 +253,18 @@ def _best_model(family_runs, k, family, n, d):
 
 def _fit_families(pts, ks, families, seed):
     # per k, per family, the model of its best restart or the NumericalError it
-    # failed with.  Every family at one k starts from the same k-means++ seeds,
-    # drawn from a generator of its own.  k = 1 runs in an EM stack of its own
-    # and every larger k in a second one
+    # failed with, after checking the grid's inputs.  Every family at one k starts
+    # from the same k-means++ seeds, drawn from a generator of its own, and every
+    # fittable k runs in one EM stack, in the caller's order
+    if not ks:
+        raise DataError("empty k range")
+    if not families:
+        raise DataError("empty family list")
+    for i, family in enumerate(families):
+        if family not in FAMILIES:
+            raise DataError(f"unknown family {family!r}")
+        if family in families[:i]:
+            raise DataError(f"family {family!r} listed twice")
     n, d = pts.shape
     seeds = {}
     for k in ks:
@@ -264,11 +273,9 @@ def _fit_families(pts, ks, families, seed):
         if k <= n and k not in seeds:
             rng = np.random.default_rng(seed)
             seeds[k] = np.array([_seed_centers(pts, k, rng) for _ in range(_RESTARTS)])
-    runs, size = {}, len(families) * _RESTARTS
-    for stack in ([k for k in seeds if k == 1], [k for k in seeds if k > 1]):
-        if stack:
-            flat = _run_restarts(pts, families, [seeds[k] for k in stack])
-            runs.update((k, flat[i * size : (i + 1) * size]) for i, k in enumerate(stack))
+    flat = _run_restarts(pts, families, list(seeds.values())) if seeds else []
+    size = len(families) * _RESTARTS
+    runs = {k: flat[i * size : (i + 1) * size] for i, k in enumerate(seeds)}
     return [
         [
             _best_model(runs[k][i * _RESTARTS : (i + 1) * _RESTARTS], k, family, n, d)
@@ -294,8 +301,6 @@ def fit_gmm_em(points, k: int, family: str = "full", seed: int = 0) -> GmmModel:
     log-likelihood tolerance, and how many restarts failed.
     """
     pts = linalg.as_matrix(points)
-    if family not in FAMILIES:
-        raise DataError(f"family must be one of {FAMILIES}, got {family!r}")
     ((model,),) = _fit_families(pts, [k], (family,), seed)
     if isinstance(model, NumericalError):
         raise model
@@ -325,15 +330,6 @@ def select_by_bic(points, k_range, families=FAMILIES, seed: int = 0) -> GmmModel
     point's diagnostics or error, family by family.
     """
     ks, families = list(k_range), tuple(families)
-    if not ks:
-        raise DataError("empty k range")
-    if not families:
-        raise DataError("empty family list")
-    for i, family in enumerate(families):
-        if family not in FAMILIES:
-            raise DataError(f"unknown family {family!r}")
-        if family in families[:i]:
-            raise DataError(f"family {family!r} listed twice")
     pts = linalg.as_matrix(points)
     n, d = pts.shape
     fits = _fit_families(pts, ks, families, seed)

@@ -226,13 +226,25 @@ def smooth_matrix(a: ScheduleMatrix, c: int | None) -> ScheduleMatrix:
 
 
 def fit_weights(observed: AgeSchedule, basis: ComponentBasis) -> FittedSchedule:
-    """Intercept-free least-squares weights of a schedule on the components."""
+    """Intercept-free least-squares weights of a schedule on the components.
+
+    Where the products y'comp overflow, the weights are projected again from
+    y / max|y| and scaled back, as :func:`fit_matrix` does; the first
+    projection's RuntimeWarning is not silenced.
+    """
     betas = basis.project(observed.values, observed.scale)
     fitted = basis.components @ betas
     residual = observed.values - fitted
     sumsq = np.vdot(residual, residual)  # residual @ residual's bytes, with no overflow warning
     if not (math.isfinite(sumsq) or np.isfinite(fitted).all()):  # a finite sumsq has a finite fit
-        raise DataError("schedule contains non-finite values")
+        top = np.abs(observed.values).max()
+        with np.errstate(over="ignore", invalid="ignore"):
+            betas = basis.project(observed.values / top, observed.scale) * top
+            residual = observed.values - basis.components @ betas
+            norm = linalg.root_sum_squares(residual, np.vdot(residual, residual))
+        if not math.isfinite(norm):
+            raise NumericalError("fitted weights or residuals overflow float64")
+        return FittedSchedule(betas, float(norm))
     return FittedSchedule(betas, float(linalg.root_sum_squares(residual, sumsq)))
 
 

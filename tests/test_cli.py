@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -359,7 +360,10 @@ class TestWholeMatrixCommands:
         basis, _ = basis_and_weights
         out = tmp_path / "f.csv"
         assert run("fit", data_dir / "agincourt_fx.csv", "--log", "--basis", basis, "--out", out) == 2
-        assert "schedule has 7 groups, basis has 38" in one_error_line(capsys)
+        assert one_error_line(capsys) == (
+            "data error: schedule and basis age-group labels do not match "
+            "at position 1: '15-19' vs 'F_0'\n"
+        )
         assert not out.exists()
 
     def _models(self, tmp_path, data_dir, weights, predictors):
@@ -638,13 +642,16 @@ class TestOneLineFailures:
         (("decompose", "{F}", "--components", "0", "--out", "{out}"), 1,
          "--components must be >= 1"),
         (("regress", "--weights", "{other}", "--covariates", "{COV}", "--predictors", "e0",
-          "--out", "{out}"), 2, "weight labels and covariate labels do not match"),
+          "--out", "{out}"), 2,
+         "weight labels and covariate labels do not match at position 1: 'x' vs '1993'"),
         (("regress", "--weights", "{W}", "--covariates", "{COV}", "--predictors", ",",
           "--out", "{out}"), 1, "--predictors must name at least one covariate column"),
         (("cluster", "--weights", "{W}", "--k-range", "a:b", "--out", "{out}"), 1,
          "bad --k-range 'a:b'"),
         (("cluster", "--weights", "{W}", "--k-range", "0:2", "--out", "{out}"), 1,
          "--k-range must cover k >= 1"),
+        (("cluster", "--weights", "{W}", "--k-range", "3:2", "--out", "{out}"), 1,
+         "--k-range '3:2' is empty"),
         (("lifetable", "{ages}", "--out", "{out}"), 2, "cannot parse age-group label 'x-y'"),
         (("plot", "{F}", "--out", "{out}"), 1, "invalid choice: 'plot'"),
     ])
@@ -733,6 +740,39 @@ class TestOneLineFailures:
         assert "warning:" not in captured.err
         share = float(captured.out.split("explaining ")[1].split("%")[0])
         assert 0.0 < share <= 100.0
+
+
+class TestLabelsMatch:
+    # files of the same shape are compared label by label, not by position
+    @pytest.mark.parametrize("observed, text", [
+        ("age,2001,2000\n0,0.2,0.1\n1,0.4,0.3\n",
+         "predicted and observed schedule labels do not match at position 1: '2000' vs '2001'"),
+        ("age,x,y\n10,0.1,0.2\n20,0.3,0.4\n",
+         "predicted and observed age-group labels do not match at position 1: '0' vs '10'"),
+        ("age,2000,2001,2002\n0,0.1,0.2,0.0\n1,0.3,0.4,0.0\n",
+         "predicted and observed schedule labels do not match in count: 2 vs 3"),
+    ], ids=["swapped-schedules", "other-labels", "one-more-schedule"])
+    def test_metrics_needs_the_same_labels(self, observed, text, tmp_path, capsys):
+        pred, obs, out = tmp_path / "p.csv", tmp_path / "o.csv", tmp_path / "m.json"
+        pred.write_text("age,2000,2001\n0,0.1,0.2\n1,0.3,0.4\n")
+        obs.write_text(observed)
+        assert run("metrics", pred, obs, "--out", out) == 2
+        assert one_error_line(capsys) == f"data error: {text}\n"
+        assert not out.exists()
+
+    def test_fit_needs_the_basis_age_groups(self, tmp_path, data_dir, capsys):
+        basis, other, out = tmp_path / "fb.json", tmp_path / "other.csv", tmp_path / "w.csv"
+        assert run("decompose", data_dir / MX_F, "--log", "-c", "2", "--out", basis) == 0
+        matrix = io.load_schedule_csv(data_dir / MX_F)
+        ages = [g.split("-")[0].rstrip("+") for g in matrix.group_labels]  # 0, 1, 5, ..., 85
+        io.write_schedule_csv(replace(matrix, group_labels=ages), other)
+        capsys.readouterr()
+        assert run("fit", other, "--log", "--basis", basis, "--out", out) == 2
+        assert one_error_line(capsys) == (
+            "data error: schedule and basis age-group labels do not match "
+            "at position 2: '1' vs '1-4'\n"
+        )
+        assert not out.exists()
 
 
 class TestMetricsOutput:

@@ -282,7 +282,7 @@ class TestRestartStack:
         outcomes[2] = "Matrix is not positive definite"
         assert model.log_likelihood == pytest.approx(_kept(outcomes)[0][-1], rel=1e-12)
 
-    def test_k1_alone_then_every_larger_k_in_one_runner_call(self, rng, monkeypatch):
+    def test_every_k_in_one_runner_call(self, rng, monkeypatch):
         real_run = cluster._run_restarts
         calls = []
 
@@ -292,11 +292,11 @@ class TestRestartStack:
 
         monkeypatch.setattr(cluster, "_run_restarts", recording)
         cluster.select_by_bic(two_blobs(rng), range(1, 7), seed=0)
-        # two stacks, each holding every (k, family, restart) triple of its k
-        assert [[shape[1] for shape in shapes] for _, shapes in calls] == [[1], [2, 3, 4, 5, 6]]
-        for families, shapes in calls:
-            assert families == cluster.FAMILIES
-            assert all(shape[0] == cluster._RESTARTS for shape in shapes)
+        # one stack, holding every (k, family, restart) triple, k = 1 included
+        ((families, shapes),) = calls
+        assert [shape[1] for shape in shapes] == [1, 2, 3, 4, 5, 6]
+        assert families == cluster.FAMILIES
+        assert all(shape[0] == cluster._RESTARTS for shape in shapes)
 
     def test_lapack_failure_in_the_family_stack_fails_only_that_pair(self, rng, monkeypatch):
         pts = two_blobs(rng)
@@ -320,7 +320,7 @@ class TestRestartStack:
         assert got.grid[:2] == ref.grid[:2]  # spherical and diagonal as unpatched
 
     def test_lapack_failure_in_the_merged_grid_fails_only_that_pair(self, rng, monkeypatch):
-        # the k >= 2 stack fails, each k reruns alone, and only k = 4 reruns pair
+        # the grid's stack fails, each k reruns alone, and only k = 4 reruns pair
         # by pair: one full k = 4 restart fails, every other point is unpatched
         pts = two_blobs(rng)
         ref = cluster.select_by_bic(pts, range(1, 7), seed=0)
@@ -332,12 +332,12 @@ class TestRestartStack:
             np.linalg, "cholesky", lambda a: stacks.append(np.array(a)) or real_cholesky(a)
         )
         cluster.select_by_bic(pts, range(1, 7), seed=0)
-        # the k >= 2 stack after its first EM step, one matrix per real component;
-        # rows are k-major, then family-major: k = 2 and 3 come before full
+        # the grid's stack after its first EM step, one matrix per real component;
+        # rows are k-major, then family-major: k = 1, 2 and 3 come before full
         # restart 2 of k = 4
-        n_real = 3 * cluster._RESTARTS * sum(range(2, 7))
+        n_real = 3 * cluster._RESTARTS * sum(range(1, 7))
         merged = [stack for stack in stacks if len(stack) == n_real][1]
-        target = merged[3 * cluster._RESTARTS * (2 + 3) + (2 * cluster._RESTARTS + 2) * 4]
+        target = merged[3 * cluster._RESTARTS * (1 + 2 + 3) + (2 * cluster._RESTARTS + 2) * 4]
         assert sum(np.array_equal(target, cov) for cov in merged) == 1
         monkeypatch.setattr(np.linalg, "cholesky", _failing_on(target, real_cholesky))
         got = cluster.select_by_bic(pts, range(1, 7), seed=0)
@@ -452,17 +452,18 @@ class TestSelectByBic:
         ("two_triples", range(1, 7), (12, 12, 12, 12)),
         ("two_triples", [5, 2, 9, 3], (9, 9, 9, 9)),
         ("mortality", range(1, 7), (8, 8, 7, 7)),
+        ("mortality", [3, 1, 2], (0, 1, 0, 0)),
         ("mortality_1e3", range(1, 7), (8, 8, 7, 7)),
         ("mortality_1e-3", range(1, 7), (8, 8, 7, 7)),
         ("blobs", range(1, 7), (4, 5, 5, 6)),
         ("normal3d", range(1, 7), (11, 10, 10, 9)),
-    ], ids=["two_triples", "two_triples-unsorted", "mortality", "mortality_1e3",
-            "mortality_1e-3", "blobs", "normal3d"])
+    ], ids=["two_triples", "two_triples-unsorted", "mortality", "mortality-unsorted",
+            "mortality_1e3", "mortality_1e-3", "blobs", "normal3d"])
     def test_grid_records_every_point(self, dataset, ks, n_errors, seed, mortality_log):
-        # one EM stack for k = 1 and one for every larger k fit every family; an
-        # eligible point equals its own single-k fit bit for bit, a k above n
-        # keeps its error, and a fit with a component of fewer than d + 1
-        # effective members is skipped with an error that names that rule
+        # one EM stack fits every k and every family; an eligible point equals
+        # its own single-k fit bit for bit, a k above n keeps its error, and a
+        # fit with a component of fewer than d + 1 effective members is skipped
+        # with an error that names that rule
         weights = schedule.svd_weights(mortality_log, 2)
         pts = {
             "two_triples": TWO_TRIPLES,
@@ -509,7 +510,7 @@ class TestSelectByBic:
         assert model.bic == min(p["bic"] for p in model.grid if "error" not in p)
 
     def test_an_unknown_family(self):
-        with pytest.raises(DataError, match="family must be one of"):
+        with pytest.raises(DataError, match="unknown family 'tied'"):
             cluster.fit_gmm_em(TWO_TRIPLES, k=2, family="tied")
         with pytest.raises(DataError, match="unknown family 'tied'"):
             cluster.select_by_bic(TWO_TRIPLES, range(1, 3), families=("full", "tied"), seed=0)

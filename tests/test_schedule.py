@@ -499,8 +499,21 @@ class TestWholeMatrixFit:
         with pytest.raises(NumericalError, match="fitted weights or residuals overflow float64"):
             schedule.fit_matrix(big, small)  # with warnings as errors: no warning either
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DataError, match="schedule contains non-finite values"):
+            with pytest.raises(NumericalError, match="fitted weights or residuals overflow"):
                 schedule.fit_weights(big.column(big.schedule_labels[0]), small)
+
+    def test_weights_near_the_float_ceiling_match_the_whole_matrix_fit(self):
+        # the products y'comp of cells up to 1.7e308 overflow float64, the weights do not
+        cells = np.random.default_rng(0).uniform(1.0, 1.7, size=(6, 5))
+        basis = schedule.build_basis(ScheduleMatrix(list("uvwxyz"), list("abcde"), cells), 2)
+        big = ScheduleMatrix(list("uvwxyz"), list("abcde"), cells * 1e308)
+        betas, norms = schedule.fit_matrix(big, basis)
+        assert np.isfinite(betas).all() and np.isfinite(norms).all()
+        for h, label in enumerate(big.schedule_labels):
+            with pytest.warns(RuntimeWarning, match="overflow"):  # the first projection's
+                fit = schedule.fit_weights(big.column(label), basis)
+            np.testing.assert_allclose(fit.betas, betas[h], rtol=1e-12, atol=0.0)
+            assert fit.residual_norm == pytest.approx(norms[h], rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("factor", [1e-200, 1e-160, 1e200])
     def test_a_component_whose_squared_norm_is_out_of_range_cannot_project(
