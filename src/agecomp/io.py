@@ -1,8 +1,11 @@
 """File formats: schedule/weight/covariate CSV, basis and model JSON, PPM.
 
 Numbers are written as shortest round-trip decimal strings (``fmt_number``)
-so a load restores the exact float.  CSV rows are parsed and formatted whole,
-a row per call, with the same bytes as formatting each cell by ``fmt_number``.
+so a load restores the exact float.  A CSV's header is read by csv.reader and
+all its data rows by one np.loadtxt call; a numeric cell is one that loadtxt
+reads as a float (not '1_000' or '١', which float() reads), and a cell that
+is not finite is an error.  CSV rows are formatted a whole row per call, with
+the same bytes as formatting each cell by ``fmt_number``.
 An input that cannot be read, or whose bytes are not UTF-8 text, raises DataError.
 Every output is written through ``writing``, which overwrites an existing file
 in place and then cuts it to the new length, instead of truncating it to zero
@@ -14,8 +17,9 @@ import json
 import os
 import re
 import stat
+import warnings
 from contextlib import contextmanager
-from itertools import compress
+from io import StringIO
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -76,36 +80,89 @@ def writing(path, mode: str = "w"):
                 os.ftruncate(fd, end)
 
 
-def _read_rows(path):
-    # utf-8-sig drops the byte-order mark spreadsheet exports put first
-    with _reading(path), open(path, newline="", encoding="utf-8-sig") as fh:
+def _numbers(cells) -> bool:
+    """Whether np.loadtxt, as :func:`_read_csv` calls it, reads every one of
+    ``cells`` (csv.reader's cells, quoted back) as a float."""
+    line = ",".join('"' + cell.replace('"', '""') + '"' for cell in cells)
+    try:
+        np.loadtxt(StringIO(line), **_LOADTXT)
+    except ValueError:
+        return False
+    return True
+
+
+def _fault(path, numeric, exc=None) -> DataError:
+    """The first fault of a CSV that the one-pass read in :func:`_read_csv`
+    rejected, found by reading it again row by row: fewer than two rows, a row
+    whose width is not the header's, or, in row-major order, a cell of the
+    ``numeric`` columns that loadtxt does not read as a number.  ``exc`` is
+    loadtxt's error, for a fault that the row-by-row reading does not see."""
+    with _reading(path), open(path, encoding="utf-8-sig") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if len(rows) < 2:
-        raise DataError(f"{path}: need a header row and at least one data row")
+        return DataError(f"{path}: need a header row and at least one data row")
     width = len(rows[0])
     for r, row in enumerate(rows):
         if len(row) != width:
-            raise DataError(f"{path}: row {r + 1} has {len(row)} cells, expected {width}")
-    return rows
+            return DataError(f"{path}: row {r + 1} has {len(row)} cells, expected {width}")
+    cols = list(numeric(rows[0]))
+    for r, row in enumerate(rows[1:]):
+        if cols and not _numbers([row[c] for c in cols]):  # one call a row, then a call a cell
+            for c in cols:
+                if not _numbers([row[c]]):
+                    return DataError(
+                        f"{path}: non-numeric cell {row[c]!r} at row {r + 2}, column {c + 1}"
+                    )
+    return DataError(f"{path}: {exc or 'a row cannot be split into cells'}")
 
 
-def _parse_block(path, rows, cols) -> np.ndarray:
-    """Float array of the data cells in ascending columns ``cols``, a row per
-    data row, each parsed by one map(float); cells are tried one at a time, in
-    that order, only to name a bad one."""
-    keep = [c in cols for c in range(len(rows[0]))]
-    try:
-        return np.array([list(map(float, compress(row, keep))) for row in rows[1:]])
-    except ValueError:
-        for r, row in enumerate(rows[1:]):
-            for c, cell in enumerate(compress(row, keep)):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: non-numeric cell {cell!r} at row {r + 2}, column {cols[c] + 1}"
-                    ) from None
-        raise
+def _data_columns(header):
+    return range(1, len(header))
+
+
+# encoding=None hands converters str, not numpy < 2's default latin-1 bytes
+_LOADTXT = dict(delimiter=",", quotechar='"', comments=None, ndmin=2, encoding=None)
+
+
+def _read_csv(path, numeric=_data_columns):
+    """(header, row labels, column names, float block) of a CSV of a header row
+    and then rows of a label and cells; the block holds the ascending columns
+    ``numeric(header)``, named by their stripped header cells, and the cells of
+    any other column are not read.
+
+    The header comes from csv.reader and every data row from one np.loadtxt
+    call, which parses the cells in C; a numeric cell is what it reads as a
+    float.  Blank lines are skipped.  If loadtxt fails, :func:`_fault` reads
+    the file again only to name the fault; a cell that is not finite, such as
+    'nan' or '1e400', is named here.
+    """
+    labels = []
+
+    def label(cell):
+        labels.append(cell.strip())
+        return 0.0
+
+    # the default newline=None reads '\r' and '\r\n' as '\n', which loadtxt needs;
+    # utf-8-sig drops the byte-order mark spreadsheet exports put first
+    with _reading(path), open(path, encoding="utf-8-sig") as fh:
+        header = next(filter(None, csv.reader(fh)), [])
+        cols = list(numeric(header))
+        skipped = dict.fromkeys(set(range(1, len(header))).difference(cols), lambda cell: 0.0)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # loadtxt's "no data" warning
+                block = np.loadtxt(fh, converters={0: label, **skipped}, **_LOADTXT)
+        except ValueError as exc:
+            raise _fault(path, numeric, exc) from None
+    if block.shape[0] == 0 or block.shape[1] != len(header):
+        raise _fault(path, numeric)
+    block = block.take(cols, axis=1)  # C order; block[:, cols] would be Fortran order
+    if not np.isfinite(block).all():
+        r, c = np.unravel_index(np.argmax(~np.isfinite(block)), block.shape)
+        raise DataError(
+            f"{path}: non-finite cell ({block[r, c]}) at row {r + 2}, column {cols[c] + 1}"
+        )
+    return header, labels, [header[c].strip() for c in cols], block
 
 
 def format_rows(labels, block, lineterminator="\r\n"):
@@ -127,12 +184,9 @@ def _write_csv(path, header, labels, block) -> None:
 
 def load_schedule_csv(path, log: bool = False) -> ScheduleMatrix:
     """Read an age-by-schedule matrix: header 'age,<label>...', one row per group."""
-    rows = _read_rows(path)
-    if rows[0][0].strip().lower() != "age":
-        raise DataError(f"{path}: first header cell must be 'age', got {rows[0][0]!r}")
-    schedule_labels = [c.strip() for c in rows[0][1:]]
-    group_labels = [row[0].strip() for row in rows[1:]]
-    data = _parse_block(path, rows, range(1, len(rows[0])))
+    header, group_labels, schedule_labels, data = _read_csv(path)
+    if header[0].strip().lower() != "age":
+        raise DataError(f"{path}: first header cell must be 'age', got {header[0]!r}")
     matrix = ScheduleMatrix(group_labels, schedule_labels, data)
     return matrix.to_log() if log else matrix
 
@@ -143,11 +197,8 @@ def write_schedule_csv(matrix: ScheduleMatrix, path) -> None:
 
 def load_covariates_csv(path) -> CovariateTable:
     """Read a covariate table: label column first, one named column per covariate."""
-    rows = _read_rows(path)
-    names = [c.strip() for c in rows[0][1:]]
-    labels = [row[0].strip() for row in rows[1:]]
-    columns = _parse_block(path, rows, range(1, len(rows[0]))).T
-    return CovariateTable(labels, dict(zip(names, columns)))
+    _, labels, names, block = _read_csv(path)
+    return CovariateTable(labels, dict(zip(names, block.T)))
 
 
 def write_weights_csv(labels, weights, path, residual_norms=None) -> None:
@@ -160,19 +211,19 @@ def write_weights_csv(labels, weights, path, residual_norms=None) -> None:
     _write_csv(path, header, labels, w)
 
 
+def _weight_columns(header):
+    return [c for c, name in enumerate(header) if c and re.fullmatch(r"v\d+", name.strip())]
+
+
 def load_weights_csv(path):
     """Return (unique labels, H x c weights) from columns v1..vc in order; others are ignored."""
-    rows = _read_rows(path)
-    names = [c.strip() for c in rows[0][1:]]
-    keep = [c + 1 for c, name in enumerate(names) if re.fullmatch(r"v\d+", name)]
-    if not keep:
+    _, labels, found, weights = _read_csv(path, _weight_columns)
+    if not found:
         raise DataError(f"{path}: no weight columns (v1, v2, ...) found")
-    found = [names[c - 1] for c in keep]
     if found != [f"v{i + 1}" for i in range(len(found))]:
         raise DataError(f"{path}: weight columns must be v1..v{len(found)} in order, got {found}")
-    labels = [row[0].strip() for row in rows[1:]]
     label_index(labels, "weight row")
-    return labels, _parse_block(path, rows, keep)
+    return labels, weights
 
 
 def read_text(path) -> str:

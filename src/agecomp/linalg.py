@@ -144,11 +144,16 @@ def scaled_sum_squares(x, sumsq, axis=None):
     top = np.abs(x).max(axis=axis)
     redo = ((sumsq == np.inf) & (top < np.inf)) | ((sumsq < _TINY) & (top > 0.0))
     top = np.where(redo, top, 1.0)
-    return top, np.where(redo, ((x / top) ** 2).sum(axis=axis), sumsq)
+    with np.errstate(over="ignore"):  # the squares of a sum kept, such as inf, may overflow
+        return top, np.where(redo, ((x / top) ** 2).sum(axis=axis), sumsq)
 
 
 def root_sum_squares(x, sumsq, axis=None):
     """The 2-norm of x over ``axis``: sqrt(sumsq), rescaled as in
-    :func:`scaled_sum_squares` only when the sum is off the normal range."""
+    :func:`scaled_sum_squares` only when the sum is off the normal range.
+    A norm past the float maximum is inf, with no warning."""
     scale, ss = scaled_sum_squares(x, sumsq, axis)
-    return scale * np.sqrt(ss)
+    if ss is sumsq:  # every sum in the normal range, and scale 1.0
+        return np.sqrt(ss)
+    with np.errstate(over="ignore"):
+        return scale * np.sqrt(ss)

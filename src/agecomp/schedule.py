@@ -230,22 +230,25 @@ def fit_weights(observed: AgeSchedule, basis: ComponentBasis) -> FittedSchedule:
 
     Where the products y'comp overflow, the weights are projected again from
     y / max|y| and scaled back, as :func:`fit_matrix` does; the first
-    projection's RuntimeWarning is not silenced.
+    projection's RuntimeWarning is not silenced.  A residual whose 2-norm is
+    past the float maximum raises NumericalError, as in :func:`fit_matrix`.
     """
     betas = basis.project(observed.values, observed.scale)
     fitted = basis.components @ betas
     residual = observed.values - fitted
     sumsq = np.vdot(residual, residual)  # residual @ residual's bytes, with no overflow warning
-    if not (math.isfinite(sumsq) or np.isfinite(fitted).all()):  # a finite sumsq has a finite fit
+    if math.isfinite(sumsq):
+        return FittedSchedule(betas, float(linalg.root_sum_squares(residual, sumsq)))
+    if not np.isfinite(fitted).all():  # the products y'comp overflowed
         top = np.abs(observed.values).max()
         with np.errstate(over="ignore", invalid="ignore"):
             betas = basis.project(observed.values / top, observed.scale) * top
             residual = observed.values - basis.components @ betas
-            norm = linalg.root_sum_squares(residual, np.vdot(residual, residual))
-        if not math.isfinite(norm):
-            raise NumericalError("fitted weights or residuals overflow float64")
-        return FittedSchedule(betas, float(norm))
-    return FittedSchedule(betas, float(linalg.root_sum_squares(residual, sumsq)))
+        sumsq = np.vdot(residual, residual)
+    norm = linalg.root_sum_squares(residual, sumsq)
+    if not math.isfinite(norm):
+        raise NumericalError("fitted weights or residuals overflow float64")
+    return FittedSchedule(betas, float(norm))
 
 
 def fit_matrix(a: ScheduleMatrix, basis: ComponentBasis) -> tuple:

@@ -606,6 +606,15 @@ class TestCsvRobustness:
         assert "big.csv" in one_error_line(capsys)
         assert not out.exists()
 
+    def test_a_header_without_data_rows_prints_no_warning(self, tmp_path, capsys):
+        # loadtxt warns on input with no data rows; the one line is the data error
+        path, out = tmp_path / "h.csv", tmp_path / "o.csv"
+        path.write_text("age,x\n\n")
+        assert run("smooth", path, "-c", "1", "--out", out) == 2
+        err = one_error_line(capsys)
+        assert err.endswith("h.csv: need a header row and at least one data row\n")
+        assert not out.exists()
+
     def _weights(self, tmp_path, weights, first, second):
         with weights.open(newline="") as fh:
             rows = list(csv.reader(fh))
@@ -731,6 +740,20 @@ class TestOneLineFailures:
         ref = fitted(cells)
         np.testing.assert_allclose(fitted(cells * 1e308), ref * 1e308, rtol=1e-14)
         assert "warning:" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("last", ["1", "1.5"])
+    def test_fit_residual_norm_past_the_float_maximum(self, last, tmp_path, capsys):
+        # the 2-norm of the +-1.7e308 residual overflows float64
+        ones, basis = tmp_path / "ones.csv", tmp_path / "b.json"
+        path, out = tmp_path / "big.csv", tmp_path / "w.csv"
+        ones.write_text(f"age,a\na,1\nb,1\nc,1\nd,{last}\n")
+        path.write_text("age,x\na,1.7e308\nb,-1.7e308\nc,1.7e308\nd,-1.7e308\n")
+        assert run("decompose", ones, "-c", "1", "--out", basis) == 0
+        capsys.readouterr()
+        assert run("fit", path, "--basis", basis, "--out", out) == 3
+        err = one_error_line(capsys, "numerical failure:")  # and no warning: line before it
+        assert err == "numerical failure: fitted weights or residuals overflow float64\n"
+        assert not out.exists()
 
     def test_decompose_near_the_float_limit_reports_a_finite_share(self, tmp_path, capsys):
         path, out = tmp_path / "big.csv", tmp_path / "b.json"

@@ -148,6 +148,57 @@ def test_first_bad_cell_follows_the_loaders_reading_order(tmp_path, loader, firs
         loader(path)
 
 
+@pytest.mark.parametrize("loader, first, prefix", WIDE_LOADERS)
+@pytest.mark.parametrize("cell", ["1_000", "\u0661", "0x10", ""])
+def test_a_cell_that_loadtxt_does_not_parse_is_named(tmp_path, loader, first, prefix, cell):
+    # float() reads '1_000' as 1000.0 and the Arabic-Indic digit as 1.0; loadtxt reads neither
+    path = tmp_path / "g.csv"
+    path.write_text(f"{first},{prefix}1,{prefix}2\nr1,0.5,0.5\nr2,0.5,{cell}\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"non-numeric cell {cell!r} at row 3, column 3")):
+        loader(path)
+
+
+@pytest.mark.parametrize("loader, first, prefix", WIDE_LOADERS)
+@pytest.mark.parametrize("cell, value", [("nan", "nan"), ("-inf", "-inf"), ("1e400", "inf")])
+def test_a_non_finite_cell_is_named_with_the_path(tmp_path, loader, first, prefix, cell, value):
+    path = tmp_path / "n.csv"
+    path.write_text(f"{first},{prefix}1,{prefix}2\nr1,0.5,0.5\nr2,0.5,{cell}\nr3,{cell},1\n")
+    message = f"{path}: non-finite cell ({value}) at row 3, column 3"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        loader(path)
+
+
+@pytest.mark.parametrize("loader, first, prefix", WIDE_LOADERS)
+@pytest.mark.parametrize("body", ["", "\n", "\r\n\n"])
+def test_a_header_without_data_rows_is_named_without_a_warning(tmp_path, loader, first, prefix,
+                                                                body):
+    # loadtxt warns on input with no data; the suite turns warnings into errors
+    path = tmp_path / "h.csv"
+    path.write_text(f"{first},{prefix}1{body}")
+    with pytest.raises(DataError, match="need a header row and at least one data row$"):
+        loader(path)
+
+
+@pytest.mark.parametrize("loader, first, prefix", WIDE_LOADERS)
+def test_row_labels_outside_latin_1_are_read_as_text(tmp_path, loader, first, prefix):
+    # numpy < 2's loadtxt hands converters latin-1 bytes unless told encoding=None
+    path = tmp_path / "u.csv"
+    path.write_text(f"{first},{prefix}1\n中,0.5\n١-٤,1\n", encoding="utf-8")
+    loaded = loader(path)
+    labels = {io.load_schedule_csv: lambda m: m.group_labels,
+              io.load_weights_csv: lambda lw: tuple(lw[0]),
+              io.load_covariates_csv: lambda t: t.labels}[loader](loaded)
+    assert labels == ("中", "١-٤")
+
+
+def test_blank_lines_and_old_mac_line_ends_are_read(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_bytes(b'\r\nage,x,"y z"\r\r\n"0-4",0.5,1e-3\r\n\n5+, 2 ,-0.25\r')
+    back = io.load_schedule_csv(path)
+    assert back.group_labels == ("0-4", "5+") and back.schedule_labels == ("x", "y z")
+    np.testing.assert_array_equal(back.data, [[0.5, 1e-3], [2.0, -0.25]])
+
+
 class TestJson:
     def test_basis_round_trip_is_exact(self, mortality_log):
         basis = schedule.build_basis(mortality_log, 2, source_id="mx")

@@ -299,6 +299,19 @@ class TestRootSumSquares:
         assert linalg.scaled_sum_squares(y, y @ y) == (1.0, 25.0)
 
 
+    def test_a_norm_past_the_float_maximum_is_inf_without_a_warning(self):
+        # run with warnings as errors: 2 * 1.7e308, and the squares of a column
+        # whose sum is inf and is kept, overflow
+        x = np.array([[1.7e308, 1.7e308], [-1.7e308, np.inf], [1.7e308, 1.0], [-1.7e308, 1.0]])
+        with np.errstate(over="ignore"):
+            sumsq = np.einsum("ij,ij->j", x, x)
+        np.testing.assert_array_equal(linalg.root_sum_squares(x, sumsq, axis=0), [np.inf, np.inf])
+        assert linalg.root_sum_squares(x[:, 0], sumsq[0]) == np.inf
+        scale, ss = linalg.scaled_sum_squares(x, sumsq, axis=0)
+        np.testing.assert_array_equal(scale, [1.7e308, 1.0])
+        np.testing.assert_array_equal(ss, [4.0, np.inf])
+
+
 def _canonicalize_by_component(f):
     """Reference: each (u_i, v_i) pair decided and flipped on its own."""
     u, v = f.u.copy(), f.v.copy()

@@ -515,6 +515,19 @@ class TestWholeMatrixFit:
             np.testing.assert_allclose(fit.betas, betas[h], rtol=1e-12, atol=0.0)
             assert fit.residual_norm == pytest.approx(norms[h], rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("last", [1.0, 1.5])
+    def test_a_residual_norm_past_the_float_maximum_is_an_error(self, last):
+        # the residual of +-1.7e308 cells is finite or, on the 1.5 basis, overflows;
+        # its 2-norm does not fit a float either way
+        ones = ScheduleMatrix(list("abcd"), ["x"], [[1.0], [1.0], [1.0], [last]])
+        basis = schedule.build_basis(ones, 1)
+        big = ScheduleMatrix(list("abcd"), ["x"], [[1.7e308], [-1.7e308], [1.7e308], [-1.7e308]])
+        with pytest.raises(NumericalError, match="fitted weights or residuals overflow float64"):
+            schedule.fit_matrix(big, basis)  # with warnings as errors: no warning either
+        with np.errstate(over="ignore"):  # the first projection's residual overflows on 1.5
+            with pytest.raises(NumericalError, match="fitted weights or residuals overflow"):
+                schedule.fit_weights(big.column("x"), basis)
+
     @pytest.mark.parametrize("factor", [1e-200, 1e-160, 1e200])
     def test_a_component_whose_squared_norm_is_out_of_range_cannot_project(
         self, mortality_log, factor
