@@ -140,7 +140,7 @@ def _cmd_cluster(args):
     labels, weights = io.load_weights_csv(args.weights)
     families = cluster_mod.FAMILIES if args.family == "all" else (args.family,)
     ks = _parse_k_range(args.k_range)
-    model = cluster_mod.select_by_bic(weights, ks, families, seed=args.seed)
+    model = cluster_mod.select_by_bic(weights, ks, families)
     pairs = list(zip(labels, cluster_mod.assign(model, weights).labels.tolist()))
     payload = {
         "family": model.family,
@@ -269,7 +269,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--weights", required=True)
     p.add_argument("--k-range", default="1:6")
     p.add_argument("--family", default="all", choices=("all", *cluster_mod.FAMILIES))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted and ignored: the fit is deterministic, with no random start")
     p.add_argument("--out", required=True)
     p.add_argument("--format", default="json", choices=("json", "csv"))
 

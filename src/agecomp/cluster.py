@@ -3,35 +3,34 @@
 Gaussian mixtures are fitted by EM with a choice of covariance family
 (spherical, diagonal or full, each varying per cluster), and the cluster
 count and family are picked by minimum BIC over a grid, among the fits whose
-every component holds at least d + 1 effective members.  Fits are
-deterministic for a fixed seed: centers are drawn by squared-distance
-weighted (k-means++ style) sampling from a seeded generator, with a fixed
-number of restarts keeping the best likelihood among those whose component
-covariances stay off the variance floor.  The restarts of every family at
-one k start from the same seeded centers, and each EM step handles all of
-them at once, each family's rows constrained by its own rule.  The grid
-runs every k in one such stack: rows ordered by k, then family, then
-restart, with the weights padded to the largest k by weight-0 components,
-and the means and covariances stacked over the real components only.
-Every per-matrix operation runs at the row's own k, so each grid point has
-the bits of its own single-k fit.
+every component holds at least d + 1 effective members and no covariance
+rests on the variance floor.  Fits are deterministic, with no random
+generator: as in mclust (Fraley, SIAM J. Sci. Comput. 20(1), 1998; Scrucca,
+Fop, Murphy & Raftery, R Journal 8(1), 2016), EM runs once per model,
+started at each k from the cluster means of one Ward agglomeration of the
+points cut at that k.  Every family at one k starts from those means, and
+each EM step handles all of them at once, each family's rows constrained by
+its own rule.  The grid runs every k in one such stack: rows ordered by k,
+then family, with the weights padded to the largest k by weight-0
+components, and the means and covariances stacked over the real components
+only.  Every per-matrix operation runs at the row's own k, so each grid
+point has the bits of its own single-k fit.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import linalg
 from .errors import DataError, NumericalError
-from .schedule import ComponentBasis, reconstruct
 
 FAMILIES = ("spherical", "diagonal", "full")
 
-_RESTARTS = 5
 _MAX_ITER = 500
 _LL_TOL = 1e-8
 _VARIANCE_FLOOR_SCALE = 1e-8
-_GRID_FIELDS = ("k", "family", "bic", "log_likelihood", "n_iter", "converged", "failed_restarts")
+_GRID_FIELDS = ("k", "family", "bic", "log_likelihood", "n_iter", "converged")
 
 
 @dataclass(frozen=True)
@@ -47,10 +46,9 @@ class GmmModel:
     bic: float
     n_params: int
     n_obs: int
-    # EM diagnostics of the kept restart; a model built by hand ran no EM
+    # EM diagnostics; a model built by hand ran no EM
     n_iter: int = 0  # EM iterations run
     converged: bool = False  # the log-likelihood gain fell below _LL_TOL
-    failed_restarts: int = 0  # restarts that collapsed or rested on the floor
     log_likelihood_path: tuple = ()  # log-likelihood at each EM iteration
     grid: tuple = ()  # select_by_bic's (k, family) points: fit diagnostics or error
 
@@ -95,20 +93,51 @@ def _constrain(covs, family, floor):
     return np.eye(d) * np.maximum(var, floor)[..., None, :], floored
 
 
-def _seed_centers(points, k, rng):
-    # k-means++ style: first center uniform, later ones by squared distance
-    n = points.shape[0]
-    centers = [points[rng.integers(n)]]
-    dist2 = np.inf
-    while len(centers) < k:
-        # squared distance to the nearest center, updated by the newest one
-        dist2 = np.minimum(dist2, ((points - centers[-1]) ** 2).sum(axis=1))
-        total = dist2.sum()
-        if total == 0.0:
-            centers.append(points[rng.integers(n)])
-        else:
-            centers.append(points[rng.choice(n, p=dist2 / total)])
-    return np.array(centers)
+def _ward_centers(points, ks):
+    # per k of ks (each 1..n), the k x d cluster means of one Ward agglomeration
+    # of the points cut at k clusters.  Lance-Williams updates on squared
+    # distances, with each row's nearest later row kept so a merge costs O(n).
+    # A cluster keeps the index of its first row, and of equal merge costs the
+    # lowest such (i, j), i < j, merges first; the means come in that order.
+    # The points are scaled by a power of two that brings max|x| into
+    # [0.5, 1), so no square overflows; that is exact, and so neither the
+    # merge order nor the means depend on the data's scale
+    scale = math.frexp(np.abs(points).max())[1]
+    x = np.ldexp(points, -scale)
+    n = len(x)
+    dist = ((x[:, None, :] - x) ** 2).sum(axis=-1)
+    np.fill_diagonal(dist, np.inf)
+    size, labels = np.ones(n), np.arange(n)
+    nearest, nearest_dist = np.zeros(n, dtype=int), np.full(n, np.inf)
+
+    def renew(rows):
+        for r in rows:
+            if r + 1 < n:
+                nearest[r] = r + 1 + dist[r, r + 1 :].argmin()
+                nearest_dist[r] = dist[r, nearest[r]]
+
+    renew(range(n))
+    centers, last = {}, min(ks)
+    for count in range(n, last - 1, -1):
+        if count in ks:
+            centers[count] = np.ldexp([x[labels == r].mean(axis=0) for r in np.unique(labels)], scale)
+        if count == last:
+            break
+        i = nearest_dist.argmin()
+        j = nearest[i]
+        grown = size[i] + size[j] + size
+        merged = ((size[i] + size) * dist[i] + (size[j] + size) * dist[j] - size * dist[i, j]) / grown
+        dist[i], dist[:, i], dist[j], dist[:, j] = merged, merged, np.inf, np.inf
+        dist[i, i] = np.inf
+        size[i] += size[j]
+        labels[labels == j] = i
+        nearest_dist[j] = np.inf
+        stale = (nearest[:j] == i) | (nearest[:j] == j)
+        # Ward is reducible: an earlier row's cost to the merged cluster exceeds
+        # its nearest's, unless rounding brings it level or below
+        stale[:i] |= merged[:i] <= nearest_dist[:i]
+        renew([i, *np.flatnonzero(stale)])
+    return [centers[k] for k in ks]
 
 
 def _floor_for(points):
@@ -133,37 +162,34 @@ def _posterior(diff, weights, covs):
     return logsum, np.exp(logp - logsum[..., None])
 
 
-def _run_restarts(points, families, seeds):
-    # EM on every (k, family, restart) triple at once, one row each, k-major,
-    # then family-major: seeds holds an R x k x d array per k group, and each
-    # family of a group starts from those R centers and its own pooled
-    # covariance.  The weights are padded to the largest k with weight-0
-    # components; the means and covariances are stacked over the real ones
-    # only.  So every per-matrix step (cholesky, solve, the scatter, each
-    # family's constraint, the means product per group) runs on a row's own k
-    # components, and a row's bits do not depend on what else is stacked.
-    # A row leaves the stacks when it ends, so each runs its own iterations;
-    # after a LAPACK failure each group reruns alone, and a group that fails
-    # alone reruns pair by pair, so only that pair fails.  Returns per row its
-    # failure or (path, converged, weights, means, covs).
-    ks, d = [group.shape[1] for group in seeds], points.shape[1]
+def _run_em(points, families, starts):
+    # EM on every (k, family) pair at once, one row each, k-major, then
+    # family-major: starts holds a k x d array of means per k group, and each
+    # family of a group starts from those means and its own pooled covariance.
+    # The weights are padded to the largest k with weight-0 components; the
+    # means and covariances are stacked over the real ones only.  So every
+    # per-matrix step (cholesky, solve, the scatter, each family's constraint,
+    # the means product per group) runs on a row's own k components, and a
+    # row's bits do not depend on what else is stacked.  A row leaves the
+    # stacks when it ends, so each runs its own iterations; after a LAPACK
+    # failure each group reruns alone, and a group that fails alone reruns
+    # family by family, so only that pair fails.  Returns per row its
+    # NumericalError or (path, converged, weights, means, covs).
+    ks, d, n_families = [len(start) for start in starts], points.shape[1], len(families)
     floor = _floor_for(points)
     pooled = [_pooled_cov(points, family, floor) for family in families]
-    per_group = [len(families) * len(group) for group in seeds]
-    n_rows, row_k = sum(per_group), np.repeat(ks, per_group)
-    row_family = np.concatenate([np.repeat(range(len(families)), len(g)) for g in seeds])
+    n_rows, row_k = n_families * len(ks), np.repeat(ks, n_families)
+    row_family = np.tile(range(n_families), len(ks))
     degenerate = np.array([floored for _, floored in pooled])[row_family]
     real = np.arange(max(ks)) < row_k[:, None]  # the row's components that are not padding
     weights, component_family = real / row_k[:, None], np.repeat(row_family, row_k)
-    means = np.concatenate([group.reshape(-1, d) for group in seeds for _ in families])
-    covs = np.concatenate(
-        [np.broadcast_to(cov, (group[..., 0].size, d, d)) for group in seeds for cov, _ in pooled]
-    )
+    means = np.concatenate([start for start in starts for _ in families])
+    covs = np.concatenate([np.broadcast_to(cov, (k, d, d)) for k in ks for cov, _ in pooled])
     diff = points - means[:, None, :]
     # group g owns rows bounds[g]:bounds[g + 1], and so the stack rows edges[g]:edges[g + 1];
-    # the stack row i holds the components starts[i]:starts[i] + sizes[i]
-    bounds = edges = np.cumsum([0, *per_group])
-    rows, sizes, starts = np.arange(n_rows), row_k, np.cumsum(row_k) - row_k
+    # the stack row i holds the components firsts[i]:firsts[i] + sizes[i]
+    bounds = edges = np.arange(0, n_rows + 1, n_families)
+    rows, sizes, firsts = np.arange(n_rows), row_k, np.cumsum(row_k) - row_k
     lls = np.empty((1, n_rows))  # each row's log-likelihood path down its column; doubles when full
     last, out = np.full(n_rows, -np.inf), [None] * n_rows
     try:
@@ -190,14 +216,17 @@ def _run_restarts(points, families, seeds):
                 lls = np.concatenate([lls, np.empty_like(lls)])
             ll = lls[step, rows] = logsum.sum(axis=1)
             met = ll - last < _LL_TOL
-            ends = collapsed | met | (step + 1 == _MAX_ITER)
-            rests = np.logical_or.reduceat(floored, starts) & ~degenerate[rows]
+            lost = ~np.isfinite(ll)  # its weights may be NaN, which the next E-step cannot pad
+            ends = lost | collapsed | met | (step + 1 == _MAX_ITER)
+            rests = np.logical_or.reduceat(floored, firsts) & ~degenerate[rows]
             for row in np.flatnonzero(ends):
-                r, k, at = rows[row], sizes[row], starts[row]
-                if collapsed[row]:
+                r, k, at = rows[row], sizes[row], firsts[row]
+                if lost[row]:
+                    out[r] = NumericalError("EM log-likelihood is not finite")
+                elif collapsed[row]:
                     out[r] = NumericalError("mixture component collapsed to zero weight")
                 elif rests[row]:
-                    out[r] = "a component covariance rests on the variance floor"
+                    out[r] = NumericalError("a component covariance rests on the variance floor")
                 else:
                     path, mine = lls[: step + 1, r].tolist(), slice(at, at + k)
                     out[r] = (path, bool(met[row]), weights[row, :k], means[mine], covs[mine])
@@ -210,14 +239,13 @@ def _run_restarts(points, families, seeds):
                 if not rows.size:
                     break
                 sizes = row_k[rows]
-                starts, edges = np.cumsum(sizes) - sizes, np.searchsorted(rows, bounds)
+                firsts, edges = np.cumsum(sizes) - sizes, np.searchsorted(rows, bounds)
     except np.linalg.LinAlgError as exc:
-        if len(seeds) > 1:
-            return [run for group in seeds for run in _run_restarts(points, families, [group])]
+        if len(starts) > 1:
+            return [run for start in starts for run in _run_em(points, families, [start])]
         if n_rows == 1:
-            return [exc]
-        return [run for family in families for seed in seeds[0]
-                for run in _run_restarts(points, (family,), [seed[None]])]
+            return [NumericalError(f"EM failed: {exc}")]
+        return [run for family in families for run in _run_em(points, (family,), starts)]
     return out
 
 
@@ -226,13 +254,11 @@ def _param_count(k, d, family):
     return k * d + k * per_cov + (k - 1)
 
 
-def _best_model(family_runs, k, family, n, d):
-    # the model of the best of one (k, family)'s restarts, or the NumericalError
-    # that the last failure gave when none was kept
-    kept = [run for run in family_runs if isinstance(run, tuple)]
-    if not kept:
-        return NumericalError(f"all EM restarts failed: {family_runs[-1]}")
-    path, converged, weights, means, covs = max(kept, key=lambda run: run[0][-1])
+def _model(run, k, family, n, d):
+    # the GmmModel of one (k, family) EM run, or the NumericalError it failed with
+    if isinstance(run, NumericalError):
+        return run
+    path, converged, weights, means, covs = run
     n_params = _param_count(k, d, family)
     return GmmModel(
         k=k,
@@ -246,16 +272,15 @@ def _best_model(family_runs, k, family, n, d):
         n_obs=n,
         n_iter=len(path),
         converged=converged,
-        failed_restarts=len(family_runs) - len(kept),
         log_likelihood_path=tuple(path),
     )
 
 
-def _fit_families(pts, ks, families, seed):
-    # per k, per family, the model of its best restart or the NumericalError it
-    # failed with, after checking the grid's inputs.  Every family at one k starts
-    # from the same k-means++ seeds, drawn from a generator of its own, and every
-    # fittable k runs in one EM stack, in the caller's order
+def _fit_families(pts, ks, families):
+    # per k, per family, the fitted model or the NumericalError it failed with,
+    # after checking the grid's inputs.  Every family at one k starts from the
+    # same Ward means, and every fittable k runs in one EM stack, in the
+    # caller's order
     if not ks:
         raise DataError("empty k range")
     if not families:
@@ -266,19 +291,16 @@ def _fit_families(pts, ks, families, seed):
         if family in families[:i]:
             raise DataError(f"family {family!r} listed twice")
     n, d = pts.shape
-    seeds = {}
     for k in ks:
         if k < 1:
             raise DataError(f"k must be >= 1, got {k}")
-        if k <= n and k not in seeds:
-            rng = np.random.default_rng(seed)
-            seeds[k] = np.array([_seed_centers(pts, k, rng) for _ in range(_RESTARTS)])
-    flat = _run_restarts(pts, families, list(seeds.values())) if seeds else []
-    size = len(families) * _RESTARTS
-    runs = {k: flat[i * size : (i + 1) * size] for i, k in enumerate(seeds)}
+    fitted = [k for k in dict.fromkeys(ks) if k <= n]
+    flat = _run_em(pts, families, _ward_centers(pts, fitted)) if fitted else []
+    size = len(families)
+    runs = {k: flat[i * size : (i + 1) * size] for i, k in enumerate(fitted)}
     return [
         [
-            _best_model(runs[k][i * _RESTARTS : (i + 1) * _RESTARTS], k, family, n, d)
+            _model(runs[k][i], k, family, n, d)
             if k in runs else NumericalError(f"cannot fit {k} clusters to {n} observations")
             for i, family in enumerate(families)
         ]
@@ -286,22 +308,23 @@ def _fit_families(pts, ks, families, seed):
     ]
 
 
-def fit_gmm_em(points, k: int, family: str = "full", seed: int = 0) -> GmmModel:
+def fit_gmm_em(points, k: int, family: str = "full") -> GmmModel:
     """Fit a k-component Gaussian mixture by EM.
 
-    Runs a fixed number of seeded restarts and keeps the highest final
-    log-likelihood.  Covariance eigenvalues are floored at a small multiple
-    of the data variance so no component becomes exactly singular.  A
-    restart that ends with a component covariance resting on that floor (a
-    component shrunk onto too few points to span the space, whose
-    likelihood is set by the floor constant rather than by the data) counts
-    as failed, unless the pooled covariance of the data rests on the floor
-    too (identical points).  Raises NumericalError when every restart fails.
-    The model reports the kept restart's iteration count, whether it met the
-    log-likelihood tolerance, and how many restarts failed.
+    EM runs once, started from the k cluster means of a Ward agglomeration
+    of the points, with equal mixing weights and the data's covariance, so
+    the fit is deterministic.  Covariance eigenvalues are floored at a small
+    multiple of the data variance so no component becomes exactly singular.
+    Raises NumericalError when the fit fails: a component collapses to zero
+    weight, the log-likelihood stops being finite, or a component
+    covariance ends resting on the floor (a component shrunk onto too few
+    points to span the space, whose likelihood is set by the floor constant
+    rather than by the data), unless the pooled covariance of the data
+    rests on the floor too (identical points).  The model reports its
+    iteration count and whether it met the log-likelihood tolerance.
     """
     pts = linalg.as_matrix(points)
-    ((model,),) = _fit_families(pts, [k], (family,), seed)
+    ((model,),) = _fit_families(pts, [k], (family,))
     if isinstance(model, NumericalError):
         raise model
     return model
@@ -315,16 +338,19 @@ def assign(model: GmmModel, points) -> ClusterAssignment:
     return ClusterAssignment(labels=resp.argmax(axis=1) + 1, responsibilities=resp)
 
 
-def select_by_bic(points, k_range, families=FAMILIES, seed: int = 0) -> GmmModel:
+def select_by_bic(points, k_range, families=FAMILIES) -> GmmModel:
     """Best model over a (k, family) grid by minimum BIC, with the grid on it.
 
-    A grid point is skipped, like a selection returning NA for an
-    unfittable model, when every EM restart fails: a component collapses,
-    or its covariance rests on the variance floor (see :func:`fit_gmm_em`).
-    So is a fit with a component of fewer than d + 1 effective members
-    (mixing weight x n), too few to span its covariance: a spurious maximum
-    of the unbounded mixture likelihood (Hathaway, Ann. Statist. 13(2), 1985)
-    that some seeds find.  Ties prefer smaller k, then the simpler family.
+    Each grid point is one deterministic EM run (see :func:`fit_gmm_em`);
+    every family at one k starts from the same Ward cluster means, cut from
+    one agglomeration of the points.  A grid point is skipped, like a
+    selection returning NA for an unfittable model, when its fit fails: a
+    component collapses, the log-likelihood is not finite, or a covariance
+    rests on the variance floor.  So is a fit with a component of fewer
+    than d + 1 effective members (mixing weight x n), too few to span its
+    covariance: a spurious maximum of the unbounded mixture likelihood
+    (Hathaway, Ann. Statist. 13(2), 1985).  Ties prefer smaller k, then the
+    simpler family.
     An unknown family, or one listed twice, is a DataError before any fit;
     otherwise raises only if every grid point fails.  ``grid`` lists each
     point's diagnostics or error, family by family.
@@ -332,7 +358,7 @@ def select_by_bic(points, k_range, families=FAMILIES, seed: int = 0) -> GmmModel
     ks, families = list(k_range), tuple(families)
     pts = linalg.as_matrix(points)
     n, d = pts.shape
-    fits = _fit_families(pts, ks, families, seed)
+    fits = _fit_families(pts, ks, families)
     candidates = []
     grid = []
     for i, family in enumerate(families):
@@ -353,24 +379,3 @@ def select_by_bic(points, k_range, families=FAMILIES, seed: int = 0) -> GmmModel
     best = min(candidates, key=lambda m: (m.bic, m.k, FAMILIES.index(m.family)))
     return replace(best, grid=tuple(grid))
 
-
-def characteristic_schedules(
-    assignment: ClusterAssignment, weights, basis: ComponentBasis
-) -> list:
-    """Per-cluster median weight vectors, reconstructed through the basis.
-
-    Returns one representative AgeSchedule per cluster label, in label
-    order.  Every label present in the assignment must have members.
-    """
-    w = linalg.as_matrix(weights)
-    labels = np.asarray(assignment.labels)
-    if labels.shape[0] != w.shape[0]:
-        raise DataError("assignment length does not match the weight rows")
-    k = int(labels.max())
-    out = []
-    for cluster in range(1, k + 1):
-        members = w[labels == cluster]
-        if members.shape[0] == 0:
-            raise DataError(f"cluster {cluster} is empty")
-        out.append(reconstruct(basis, np.median(members, axis=0)))
-    return out

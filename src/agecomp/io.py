@@ -120,8 +120,7 @@ def _data_columns(header):
     return range(1, len(header))
 
 
-# encoding=None hands converters str, not numpy < 2's default latin-1 bytes
-_LOADTXT = dict(delimiter=",", quotechar='"', comments=None, ndmin=2, encoding=None)
+_LOADTXT = dict(delimiter=",", quotechar='"', comments=None, ndmin=2)
 
 
 def _read_csv(path, numeric=_data_columns):

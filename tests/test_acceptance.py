@@ -305,14 +305,14 @@ def test_criterion_7_clustering(acceptance_log, mortality_pieces, mortality_log,
     _, _, weights, _ = mortality_pieces
 
     # fallback properties, always required
-    path = cluster.fit_gmm_em(weights, k=4, family="full", seed=0).log_likelihood_path
+    path = cluster.fit_gmm_em(weights, k=4, family="full").log_likelihood_path
     monotone = all(b >= a - 1e-10 for a, b in zip(path, path[1:]))
 
     blob_angle = rng.uniform(0, 2 * np.pi, size=40)
     blob_r = 0.1 * np.sqrt(rng.uniform(0, 1, size=40))
     blob = np.column_stack([blob_r * np.cos(blob_angle), blob_r * np.sin(blob_angle)])
     blob[20:] += 10.0
-    two_blob_model = cluster.select_by_bic(blob, range(1, 5), seed=0)
+    two_blob_model = cluster.select_by_bic(blob, range(1, 5))
     blob_labels = cluster.assign(two_blob_model, blob).labels
     blobs_ok = (
         two_blob_model.k == 2
@@ -323,7 +323,7 @@ def test_criterion_7_clustering(acceptance_log, mortality_pieces, mortality_log,
 
     # the soft target from the publication: a BIC-selected partition of the
     # nineteen weight rows into 3..5 temporally contiguous periods
-    model = cluster.select_by_bic(weights, range(1, 7), seed=0)
+    model = cluster.select_by_bic(weights, range(1, 7))
     labels = cluster.assign(model, weights).labels
     years = [int(y) for y in mortality_log.schedule_labels]
     runs = _year_runs(labels, years)
@@ -343,10 +343,10 @@ def test_criterion_7_clustering(acceptance_log, mortality_pieces, mortality_log,
         (monotone, "EM log-likelihood monotone"),
         (blobs_ok, "two-blob data recovers k=2 with 0 misclassifications"),
         # Known red: minimum BIC over the fits whose every component holds at
-        # least d + 1 = 3 effective members selects full k=2 at BIC -157.15
-        # on every seed, with the contiguous periods 1993-1997 and 1998-2011;
-        # k=2 is outside 3..5.  The lower-BIC fits with more components (full
-        # k=4 at -158.22 on seed 0, not contiguous in time) rest on a
+        # least d + 1 = 3 effective members selects full k=2 at BIC -157.15,
+        # with the contiguous periods 1993-1997 and 1998-2011; k=2 is outside
+        # 3..5.  The lower-BIC fits with more components (full k=4 at -158.22
+        # from some random starts, not contiguous in time) rest on a
         # component of fewer than three effective members, a spurious maximum
         # of the unbounded mixture likelihood.  The paper promises a
         # BIC-selected mixture and does not give the published run's

@@ -125,17 +125,42 @@ class TestRegressPredictMetrics:
 
 class TestCluster:
     def test_seeded_runs_are_byte_identical(self, tmp_path, basis_and_weights):
+        # the fit has no random start: --seed is accepted and ignored
         _, weights = basis_and_weights
-        out1 = tmp_path / "c1.json"
-        out2 = tmp_path / "c2.json"
-        for out in (out1, out2):
+        outs = [tmp_path / "c1.json", tmp_path / "c2.json", tmp_path / "c3.json"]
+        for out, seed in zip(outs, ("0", "0", "7")):
             assert run(
                 "cluster", "--weights", weights, "--k-range", "1:6",
-                "--seed", "0", "--out", out,
+                "--seed", seed, "--out", out,
             ) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-        payload = json.loads(out1.read_text())
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+        subparsers = next(a for a in _build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        seed = next(a for a in subparsers.choices["cluster"]._actions if a.dest == "seed")
+        assert seed.help.startswith("accepted and ignored")
+        payload = json.loads(outs[0].read_text())
         assert set(payload["labels"]) == set(str(y) for y in range(1993, 2012))
+
+    @pytest.mark.parametrize("e", [154, 155, 160, 200, 300, 307])
+    def test_weights_past_1e154(self, e, tmp_path, basis_and_weights, capsys):
+        # past 1e154 the EM's squared distances overflow: every grid point ends
+        # on a log-likelihood that is not finite, and the command exits 3
+        labels, w = io.load_weights_csv(basis_and_weights[1])
+        scaled = tmp_path / "w.csv"
+        scaled.write_text("schedule,v1,v2\n" + "".join(
+            f"{lab},{a!r},{b!r}\n" for lab, (a, b) in zip(labels, (w * 10.0**e).tolist())))
+        capsys.readouterr()
+        code = run("cluster", "--weights", scaled, "--k-range", "1:6", "--out", tmp_path / "c.json")
+        printed = capsys.readouterr()
+        if e == 154:
+            # the unscaled selection, its BIC moved by 2 * n * d * 154 * ln 10 =
+            # 2 * 19 * 2 * 154 * ln 10 from -157.15
+            assert code == 0
+            assert printed.out == "selected full mixture with k=2 (BIC 26792.31)\n"
+            return
+        assert code == 3
+        assert printed.err.splitlines()[-1].startswith("numerical failure:")
+        assert "Traceback" not in printed.err
 
     def test_csv_format(self, tmp_path, basis_and_weights):
         _, weights = basis_and_weights

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.cluster.hierarchy
 import scipy.stats
 
 from agecomp import cluster, schedule
@@ -23,14 +24,14 @@ TWO_TRIPLES = np.array(
 class TestFitGmmEm:
     def test_identical_points_single_cluster(self):
         pts = np.tile([2.0, -1.0], (6, 1))
-        model = cluster.fit_gmm_em(pts, k=1, family="full", seed=0)
+        model = cluster.fit_gmm_em(pts, k=1, family="full")
         np.testing.assert_allclose(model.means[0], [2.0, -1.0], atol=1e-12)
         eigvals = np.linalg.eigvalsh(model.covariances[0])
         assert np.all(eigvals > 0)  # variance floor keeps it positive definite
 
     def test_two_blobs_recovered(self, rng):
         pts = two_blobs(rng)
-        model = cluster.fit_gmm_em(pts, k=2, family="full", seed=0)
+        model = cluster.fit_gmm_em(pts, k=2, family="full")
         got = model.means[np.argsort(model.means[:, 0])]
         np.testing.assert_allclose(got, [[0.0, 0.0], [10.0, 10.0]], atol=0.2)
         labels = cluster.assign(model, pts).labels
@@ -44,7 +45,7 @@ class TestFitGmmEm:
         centered = pts - pts.mean(axis=0)
         mle_cov = centered.T @ centered / n
         for family in cluster.FAMILIES:
-            model = cluster.fit_gmm_em(pts, k=1, family=family, seed=0)
+            model = cluster.fit_gmm_em(pts, k=1, family=family)
             np.testing.assert_allclose(model.means[0], pts.mean(axis=0), atol=1e-9)
             if family == "spherical":
                 expected = np.eye(2) * np.trace(mle_cov) / 2
@@ -54,10 +55,10 @@ class TestFitGmmEm:
                 expected = mle_cov
             np.testing.assert_allclose(model.covariances[0], expected, atol=1e-9)
 
-    def test_deterministic_for_fixed_seed(self, rng):
+    def test_deterministic(self, rng):
         pts = rng.normal(size=(30, 2))
-        a = cluster.fit_gmm_em(pts, k=3, family="diagonal", seed=7)
-        b = cluster.fit_gmm_em(pts, k=3, family="diagonal", seed=7)
+        a = cluster.fit_gmm_em(pts, k=3, family="diagonal")
+        b = cluster.fit_gmm_em(pts, k=3, family="diagonal")
         assert a.log_likelihood == b.log_likelihood
         np.testing.assert_array_equal(a.means, b.means)
 
@@ -66,13 +67,13 @@ class TestFitGmmEm:
             cluster.fit_gmm_em(np.zeros((2, 2)), k=3)
         with pytest.raises(NumericalError, match=r"no \(k, family\) grid point could be fitted: "
                                                  "cannot fit 3 clusters to 2 observations"):
-            cluster.select_by_bic(np.zeros((2, 2)), [3], seed=0)
+            cluster.select_by_bic(np.zeros((2, 2)), [3])
         with pytest.raises(DataError, match="k must be >= 1, got 0"):
             cluster.fit_gmm_em(np.zeros((2, 2)), k=0)
 
     def test_model_invariants(self, rng):
         pts = rng.normal(size=(25, 2))
-        model = cluster.fit_gmm_em(pts, k=3, family="full", seed=1)
+        model = cluster.fit_gmm_em(pts, k=3, family="full")
         assert model.mixing_weights.sum() == pytest.approx(1.0, abs=1e-10)
         assert np.all(model.mixing_weights > 0)
         floor = 1e-8 * pts.var(axis=0).mean()
@@ -86,28 +87,22 @@ class TestFitGmmEm:
     def test_em_loglik_monotone(self, rng):
         pts = rng.normal(size=(40, 2))
         for family in cluster.FAMILIES:
-            path = cluster.fit_gmm_em(pts, k=3, family=family, seed=3).log_likelihood_path
+            path = cluster.fit_gmm_em(pts, k=3, family=family).log_likelihood_path
             assert len(path) >= 2
             assert all(b >= a - 1e-10 for a, b in zip(path, path[1:]))
 
 
 class TestEmDiagnostics:
     def test_converged_fit_reports_its_iterations(self, rng):
-        model = cluster.fit_gmm_em(two_blobs(rng), k=2, family="full", seed=0)
+        model = cluster.fit_gmm_em(two_blobs(rng), k=2, family="full")
         assert model.converged is True
         assert model.n_iter >= 2
-        assert model.failed_restarts == 0
 
     def test_iteration_cap_reports_not_converged(self, rng, monkeypatch):
         monkeypatch.setattr(cluster, "_MAX_ITER", 2)
-        model = cluster.fit_gmm_em(two_blobs(rng), k=2, family="full", seed=0)
+        model = cluster.fit_gmm_em(two_blobs(rng), k=2, family="full")
         assert model.converged is False
         assert model.n_iter == 2
-
-    def test_failed_restarts_are_counted(self):
-        # four of the five seeded restarts split a triple onto the floor
-        model = cluster.fit_gmm_em(TWO_TRIPLES, k=3, family="spherical", seed=0)
-        assert model.failed_restarts == 4
 
 
 def _family_covariances(rng, family, k, d):
@@ -178,52 +173,39 @@ class TestBatchedEm:
             )
 
 
-def _restart_by_restart(points, k, family, seed):
-    # per-restart reference for the stacked restarts of cluster.fit_gmm_em:
-    # each restart runs alone; returns per restart its failure text or
-    # (log-likelihood path, converged)
+def _em_alone(points, k, family):
+    # one-fit reference for the stacked EM of cluster.fit_gmm_em, from the same
+    # Ward means; returns its failure text or (log-likelihood path, converged)
     floor = cluster._floor_for(points)
     pooled, degenerate = cluster._pooled_cov(points, family, floor)
-    rng = np.random.default_rng(seed)
-    outcomes = []
-    for _ in range(cluster._RESTARTS):
-        means = cluster._seed_centers(points, k, rng)
-        weights, covs = np.full(k, 1.0 / k), np.repeat(pooled, k, axis=0)
-        path, converged = [], False
-        try:
-            for iteration in range(cluster._MAX_ITER):
-                logsum, resp = cluster._posterior(points - means[:, None, :], weights, covs)
-                path.append(float(logsum.sum()))
-                counts = resp.sum(axis=0)
-                if np.any(counts < 1e-10):
-                    raise NumericalError("mixture component collapsed to zero weight")
-                weights = counts / len(points)
-                means = (resp.T @ points) / counts[:, None]
-                diff = points[None, :, :] - means[:, None, :]
-                scatter = (resp.T[:, :, None] * diff).transpose(0, 2, 1) @ diff
-                covs, floored = cluster._constrain(scatter / counts[:, None, None], family, floor)
-                if iteration > 0 and path[-1] - path[-2] < cluster._LL_TOL:
-                    converged = True
-                    break
-        except (NumericalError, np.linalg.LinAlgError) as exc:
-            outcomes.append(str(exc))
-            continue
-        if floored.any() and not degenerate:
-            outcomes.append("a component covariance rests on the variance floor")
-        else:
-            outcomes.append((path, converged))
-    return outcomes
-
-
-def _kept(outcomes):
-    # the highest final log-likelihood, ties to the earliest restart
-    runs = [o for o in outcomes if isinstance(o, tuple)]
-    return max(runs, key=lambda run: run[0][-1]) if runs else None
+    (means,) = cluster._ward_centers(points, [k])
+    weights, covs = np.full(k, 1.0 / k), np.repeat(pooled, k, axis=0)
+    path, converged = [], False
+    try:
+        for iteration in range(cluster._MAX_ITER):
+            logsum, resp = cluster._posterior(points - means[:, None, :], weights, covs)
+            path.append(float(logsum.sum()))
+            counts = resp.sum(axis=0)
+            if np.any(counts < 1e-10):
+                raise NumericalError("mixture component collapsed to zero weight")
+            weights = counts / len(points)
+            means = (resp.T @ points) / counts[:, None]
+            diff = points[None, :, :] - means[:, None, :]
+            scatter = (resp.T[:, :, None] * diff).transpose(0, 2, 1) @ diff
+            covs, floored = cluster._constrain(scatter / counts[:, None, None], family, floor)
+            if iteration > 0 and path[-1] - path[-2] < cluster._LL_TOL:
+                converged = True
+                break
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        return str(exc)
+    if floored.any() and not degenerate:
+        return "a component covariance rests on the variance floor"
+    return path, converged
 
 
 def _reference_datasets():
-    # with seed 2, restarts end after 3 to 110 iterations, and some rest on the
-    # variance floor (spherical k=5 on the blobs, full k=5 on the normal sample)
+    # EM runs end after 3 to 101 iterations, and some rest on the variance floor
+    # (spherical k=5 on the blobs, full k=5 on the normal sample)
     rng = np.random.default_rng(11)
     blobs = np.vstack([rng.normal(size=(12, 2)) * 0.5 + c for c in ((0, 0), (3, 1), (1, 4))])
     return {"blobs": blobs, "normal3d": np.random.default_rng(12).normal(size=(25, 3))}
@@ -239,138 +221,132 @@ def _failing_on(target, cholesky):
     return failing
 
 
-class TestRestartStack:
+def _recording_cholesky(monkeypatch):
+    # the stacks cholesky is called on, in order
+    real_cholesky, stacks = np.linalg.cholesky, []
+    monkeypatch.setattr(
+        np.linalg, "cholesky", lambda a: stacks.append(np.array(a)) or real_cholesky(a)
+    )
+    return real_cholesky, stacks
+
+
+class TestEmStack:
     @pytest.mark.parametrize("dataset", ["blobs", "normal3d"])
     @pytest.mark.parametrize("family", cluster.FAMILIES)
     @pytest.mark.parametrize("k", [1, 3, 5])
-    def test_matches_restart_by_restart_reference(self, dataset, family, k):
+    def test_matches_the_one_fit_reference(self, dataset, family, k):
         pts = _reference_datasets()[dataset]
-        outcomes = _restart_by_restart(pts, k, family, seed=2)
-        kept = _kept(outcomes)
-        if kept is None:
-            with pytest.raises(NumericalError, match="all EM restarts failed"):
-                cluster.fit_gmm_em(pts, k, family, seed=2)
+        outcome = _em_alone(pts, k, family)
+        if isinstance(outcome, str):
+            with pytest.raises(NumericalError, match=outcome):
+                cluster.fit_gmm_em(pts, k, family)
             return
-        model = cluster.fit_gmm_em(pts, k, family, seed=2)
-        path, converged = kept
+        model = cluster.fit_gmm_em(pts, k, family)
+        path, converged = outcome
         np.testing.assert_allclose(model.log_likelihood, path[-1], rtol=1e-12, atol=0)
         bic = -2.0 * path[-1] + model.n_params * np.log(len(pts))
         np.testing.assert_allclose(model.bic, bic, rtol=1e-12, atol=0)
         np.testing.assert_allclose(model.log_likelihood_path, path, rtol=1e-12, atol=0)
         assert model.n_iter == len(path)
         assert model.converged is converged
-        assert model.failed_restarts == sum(isinstance(o, str) for o in outcomes)
 
-    def test_lapack_failure_fails_only_that_restart(self, rng, monkeypatch):
+    def test_lapack_failure_fails_the_fit(self, rng, monkeypatch):
         pts = two_blobs(rng)
-        outcomes = _restart_by_restart(pts, 2, "full", seed=0)
-        assert not any(isinstance(o, str) for o in outcomes)
-        real_cholesky = np.linalg.cholesky
-        stacks = []
-        monkeypatch.setattr(
-            np.linalg, "cholesky", lambda a: stacks.append(np.array(a)) or real_cholesky(a)
-        )
-        cluster.fit_gmm_em(pts, k=2, family="full", seed=0)
-        # restart 2's first covariance after its first EM step, in the stack of
-        # the real components (k per restart); unique among the restarts
-        assert stacks[1].shape[0] == cluster._RESTARTS * 2
-        target = stacks[1][2 * 2]
-        assert sum(np.array_equal(target, cov) for cov in stacks[1]) == 1
-        monkeypatch.setattr(np.linalg, "cholesky", _failing_on(target, real_cholesky))
-        model = cluster.fit_gmm_em(pts, k=2, family="full", seed=0)
-        assert model.failed_restarts == 1
-        outcomes[2] = "Matrix is not positive definite"
-        assert model.log_likelihood == pytest.approx(_kept(outcomes)[0][-1], rel=1e-12)
+        real_cholesky, stacks = _recording_cholesky(monkeypatch)
+        cluster.fit_gmm_em(pts, k=2, family="full")
+        # the first covariance after the first EM step, in the stack of the real
+        # components
+        assert stacks[1].shape[0] == 2
+        monkeypatch.setattr(np.linalg, "cholesky", _failing_on(stacks[1][0], real_cholesky))
+        with pytest.raises(NumericalError, match="EM failed: Matrix is not positive definite"):
+            cluster.fit_gmm_em(pts, k=2, family="full")
 
     def test_every_k_in_one_runner_call(self, rng, monkeypatch):
-        real_run = cluster._run_restarts
+        real_run = cluster._run_em
         calls = []
 
-        def recording(points, families, seeds):
-            calls.append((families, [group.shape for group in seeds]))
-            return real_run(points, families, seeds)
+        def recording(points, families, starts):
+            calls.append((families, [start.shape for start in starts]))
+            return real_run(points, families, starts)
 
-        monkeypatch.setattr(cluster, "_run_restarts", recording)
-        cluster.select_by_bic(two_blobs(rng), range(1, 7), seed=0)
-        # one stack, holding every (k, family, restart) triple, k = 1 included
+        monkeypatch.setattr(cluster, "_run_em", recording)
+        cluster.select_by_bic(two_blobs(rng), range(1, 7))
+        # one stack, holding one row per (k, family) pair, k = 1 included, each k
+        # from one k x d start
         ((families, shapes),) = calls
-        assert [shape[1] for shape in shapes] == [1, 2, 3, 4, 5, 6]
+        assert shapes == [(k, 2) for k in range(1, 7)]
         assert families == cluster.FAMILIES
-        assert all(shape[0] == cluster._RESTARTS for shape in shapes)
 
     def test_lapack_failure_in_the_family_stack_fails_only_that_pair(self, rng, monkeypatch):
         pts = two_blobs(rng)
-        ref = cluster.select_by_bic(pts, [2], seed=0)
-        assert all(point["failed_restarts"] == 0 for point in ref.grid)
-        real_cholesky = np.linalg.cholesky
-        stacks = []
-        monkeypatch.setattr(
-            np.linalg, "cholesky", lambda a: stacks.append(np.array(a)) or real_cholesky(a)
-        )
-        cluster.select_by_bic(pts, [2], seed=0)
-        # full restart 2's first covariance after its first EM step, unique in the
-        # stack of the real components: family-major rows of k = 2 components each
-        assert stacks[1].shape[0] == 3 * cluster._RESTARTS * 2
-        target = stacks[1][(2 * cluster._RESTARTS + 2) * 2]
+        ref = cluster.select_by_bic(pts, [2])
+        assert not any("error" in point for point in ref.grid)
+        real_cholesky, stacks = _recording_cholesky(monkeypatch)
+        cluster.select_by_bic(pts, [2])
+        # full's first covariance after its first EM step, unique in the stack of
+        # the real components: family-major rows of k = 2 components each
+        assert stacks[1].shape[0] == 3 * 2
+        target = stacks[1][2 * 2]
         assert sum(np.array_equal(target, cov) for cov in stacks[1]) == 1
         monkeypatch.setattr(np.linalg, "cholesky", _failing_on(target, real_cholesky))
-        got = cluster.select_by_bic(pts, [2], seed=0)
+        got = cluster.select_by_bic(pts, [2])
         assert [p["family"] for p in got.grid] == list(cluster.FAMILIES)
-        assert [p["failed_restarts"] for p in got.grid] == [0, 0, 1]
+        assert got.grid[2] == {"k": 2, "family": "full",
+                               "error": "EM failed: Matrix is not positive definite"}
         assert got.grid[:2] == ref.grid[:2]  # spherical and diagonal as unpatched
 
     def test_lapack_failure_in_the_merged_grid_fails_only_that_pair(self, rng, monkeypatch):
-        # the grid's stack fails, each k reruns alone, and only k = 4 reruns pair
-        # by pair: one full k = 4 restart fails, every other point is unpatched
+        # the grid's stack fails, each k reruns alone, and only k = 4 reruns
+        # family by family: full k = 4 fails, every other point is unpatched
         pts = two_blobs(rng)
-        ref = cluster.select_by_bic(pts, range(1, 7), seed=0)
-        outcomes = _restart_by_restart(pts, 4, "full", seed=0)
-        assert not any(isinstance(o, str) for o in outcomes)
-        real_cholesky = np.linalg.cholesky
-        stacks = []
-        monkeypatch.setattr(
-            np.linalg, "cholesky", lambda a: stacks.append(np.array(a)) or real_cholesky(a)
-        )
-        cluster.select_by_bic(pts, range(1, 7), seed=0)
+        ref = cluster.select_by_bic(pts, range(1, 7))
+        assert isinstance(_em_alone(pts, 4, "full"), tuple)
+        real_cholesky, stacks = _recording_cholesky(monkeypatch)
+        cluster.select_by_bic(pts, range(1, 7))
         # the grid's stack after its first EM step, one matrix per real component;
-        # rows are k-major, then family-major: k = 1, 2 and 3 come before full
-        # restart 2 of k = 4
-        n_real = 3 * cluster._RESTARTS * sum(range(1, 7))
+        # rows are k-major, then family-major: k = 1, 2 and 3 come before full k = 4
+        n_real = 3 * sum(range(1, 7))
         merged = [stack for stack in stacks if len(stack) == n_real][1]
-        target = merged[3 * cluster._RESTARTS * (1 + 2 + 3) + (2 * cluster._RESTARTS + 2) * 4]
+        target = merged[3 * (1 + 2 + 3) + 2 * 4]
         assert sum(np.array_equal(target, cov) for cov in merged) == 1
         monkeypatch.setattr(np.linalg, "cholesky", _failing_on(target, real_cholesky))
-        got = cluster.select_by_bic(pts, range(1, 7), seed=0)
+        got = cluster.select_by_bic(pts, range(1, 7))
         where = [(p["family"], p["k"]) for p in got.grid]
         full4 = where.index(("full", 4))
         assert where == [(p["family"], p["k"]) for p in ref.grid]
         assert got.grid[:full4] + got.grid[full4 + 1 :] == ref.grid[:full4] + ref.grid[full4 + 1 :]
-        assert got.grid[full4]["failed_restarts"] == ref.grid[full4]["failed_restarts"] + 1 == 1
-        outcomes[2] = "Matrix is not positive definite"
-        assert got.grid[full4]["log_likelihood"] == pytest.approx(
-            _kept(outcomes)[0][-1], rel=1e-12
-        )
+        assert got.grid[full4] == {"k": 4, "family": "full",
+                                   "error": "EM failed: Matrix is not positive definite"}
 
     def test_a_center_far_from_every_point_collapses(self):
         # the second center takes no responsibility for any point in the first E-step
-        seeds = np.array([[TWO_TRIPLES.mean(axis=0), [1e6, 1e6]]])
-        (out,) = cluster._run_restarts(TWO_TRIPLES, ("full",), [seeds])
+        start = np.array([TWO_TRIPLES.mean(axis=0), [1e6, 1e6]])
+        (out,) = cluster._run_em(TWO_TRIPLES, ("full",), [start])
         assert isinstance(out, NumericalError)
         assert str(out) == "mixture component collapsed to zero weight"
 
+    def test_a_log_likelihood_that_is_not_finite_ends_its_row(self):
+        # past 1e154 the squared distances overflow, so the log-likelihoods are
+        # not finite and the weights NaN, which the next E-step could not pad
+        pts = TWO_TRIPLES * 1e160
+        with np.errstate(all="ignore"):
+            runs = cluster._run_em(pts, cluster.FAMILIES, cluster._ward_centers(pts, [1, 2]))
+        assert [type(run) for run in runs] == [NumericalError] * 6
+        assert {str(run) for run in runs} == {"EM log-likelihood is not finite"}
+
     def test_kept_path_is_recorded(self, rng):
         pts = rng.normal(size=(40, 2))
-        model = cluster.fit_gmm_em(pts, k=3, family="full", seed=3)
+        model = cluster.fit_gmm_em(pts, k=3, family="full")
         assert len(model.log_likelihood_path) == model.n_iter
         assert model.log_likelihood_path[-1] == model.log_likelihood
-        path = cluster.fit_gmm_em(pts, k=3, family="full", seed=3).log_likelihood_path
+        path = cluster.fit_gmm_em(pts, k=3, family="full").log_likelihood_path
         assert path == model.log_likelihood_path
 
 
 class TestAssign:
     def test_responsibilities_rows_sum_to_one(self, rng):
         pts = rng.normal(size=(30, 2))
-        model = cluster.fit_gmm_em(pts, k=2, family="full", seed=0)
+        model = cluster.fit_gmm_em(pts, k=2, family="full")
         assignment = cluster.assign(model, pts)
         np.testing.assert_allclose(
             assignment.responsibilities.sum(axis=1), np.ones(30), atol=1e-10
@@ -381,7 +357,7 @@ class TestAssign:
 
     def test_permutation_invariance(self, rng):
         pts = two_blobs(rng)
-        model = cluster.fit_gmm_em(pts, k=2, family="full", seed=0)
+        model = cluster.fit_gmm_em(pts, k=2, family="full")
         permuted = cluster.GmmModel(
             k=model.k,
             family=model.family,
@@ -404,7 +380,7 @@ class TestAssign:
 class TestSelectByBic:
     def test_two_blobs_selects_two(self, rng):
         pts = two_blobs(rng)
-        model = cluster.select_by_bic(pts, range(1, 5), seed=0)
+        model = cluster.select_by_bic(pts, range(1, 5))
         assert model.k == 2
         labels = cluster.assign(model, pts).labels
         assert len(set(labels[:20])) == 1 and len(set(labels[20:])) == 1
@@ -412,54 +388,53 @@ class TestSelectByBic:
 
     def test_identical_points_select_one(self):
         pts = np.tile([1.0, 2.0], (3, 1))
-        model = cluster.select_by_bic(pts, range(1, 3), seed=0)
+        model = cluster.select_by_bic(pts, range(1, 3))
         assert model.k == 1
 
     def test_selected_bic_minimal_over_grid(self, rng):
         pts = two_blobs(rng, n_per=15)
-        chosen = cluster.select_by_bic(pts, range(1, 4), seed=0)
+        chosen = cluster.select_by_bic(pts, range(1, 4))
         for family in cluster.FAMILIES:
             for k in range(1, 4):
-                other = cluster.fit_gmm_em(pts, k, family, seed=0)
+                other = cluster.fit_gmm_em(pts, k, family)
                 assert chosen.bic <= other.bic + 1e-9
 
     def test_empty_range(self):
         with pytest.raises(DataError):
-            cluster.select_by_bic(np.zeros((4, 2)), [], seed=0)
+            cluster.select_by_bic(np.zeros((4, 2)), [])
 
     def test_empty_family_list(self, rng):
         with pytest.raises(DataError, match="empty family list"):
-            cluster.select_by_bic(two_blobs(rng), range(1, 3), families=(), seed=0)
+            cluster.select_by_bic(two_blobs(rng), range(1, 3), families=())
 
     def test_two_triples_select_two(self):
         # Larger k can only split a triple into one- and two-point components
         # whose covariances sit on the variance floor; such fits used to win
         # with spherical k=6 and a BIC set by the floor constant.
         pts = TWO_TRIPLES
-        model = cluster.select_by_bic(pts, range(1, 7), seed=0)
+        model = cluster.select_by_bic(pts, range(1, 7))
         assert model.k == 2
         labels = cluster.assign(model, pts).labels
         assert len(set(labels[:3])) == 1 and len(set(labels[3:])) == 1
         assert labels[0] != labels[3]
 
-    def test_floor_bound_restarts_fail(self):
+    def test_a_floor_bound_fit_fails(self):
         pts = TWO_TRIPLES
         with pytest.raises(NumericalError, match="variance floor"):
-            cluster.fit_gmm_em(pts, k=6, family="spherical", seed=0)
+            cluster.fit_gmm_em(pts, k=6, family="spherical")
 
-    @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("dataset, ks, n_errors", [
-        ("two_triples", range(1, 7), (12, 12, 12, 12)),
-        ("two_triples", [5, 2, 9, 3], (9, 9, 9, 9)),
-        ("mortality", range(1, 7), (8, 8, 7, 7)),
-        ("mortality", [3, 1, 2], (0, 1, 0, 0)),
-        ("mortality_1e3", range(1, 7), (8, 8, 7, 7)),
-        ("mortality_1e-3", range(1, 7), (8, 8, 7, 7)),
-        ("blobs", range(1, 7), (4, 5, 5, 6)),
-        ("normal3d", range(1, 7), (11, 10, 10, 9)),
+        ("two_triples", range(1, 7), 12),
+        ("two_triples", [5, 2, 9, 3], 9),
+        ("mortality", range(1, 7), 8),
+        ("mortality", [3, 1, 2], 0),
+        ("mortality_1e3", range(1, 7), 8),
+        ("mortality_1e-3", range(1, 7), 8),
+        ("blobs", range(1, 7), 6),
+        ("normal3d", range(1, 7), 10),
     ], ids=["two_triples", "two_triples-unsorted", "mortality", "mortality-unsorted",
             "mortality_1e3", "mortality_1e-3", "blobs", "normal3d"])
-    def test_grid_records_every_point(self, dataset, ks, n_errors, seed, mortality_log):
+    def test_grid_records_every_point(self, dataset, ks, n_errors, mortality_log):
         # one EM stack fits every k and every family; an eligible point equals
         # its own single-k fit bit for bit, a k above n keeps its error, and a
         # fit with a component of fewer than d + 1 effective members is skipped
@@ -473,7 +448,7 @@ class TestSelectByBic:
             **_reference_datasets(),
         }[dataset]
         n, d = pts.shape
-        model = cluster.select_by_bic(pts, ks, seed=seed)
+        model = cluster.select_by_bic(pts, ks)
         points = [(p["k"], p["family"]) for p in model.grid]
         assert points == [(k, f) for f in cluster.FAMILIES for k in ks]
         for point in model.grid:
@@ -483,7 +458,7 @@ class TestSelectByBic:
                 assert point == {**where, "error": message}
                 continue
             try:
-                fit = cluster.fit_gmm_em(pts, point["k"], point["family"], seed=seed)
+                fit = cluster.fit_gmm_em(pts, point["k"], point["family"])
             except NumericalError as exc:
                 assert point == {**where, "error": str(exc)}
                 continue
@@ -500,36 +475,35 @@ class TestSelectByBic:
                 "log_likelihood": fit.log_likelihood,
                 "n_iter": fit.n_iter,
                 "converged": fit.converged,
-                "failed_restarts": fit.failed_restarts,
             }
             if (fit.k, fit.family) == (model.k, model.family):
                 for name in ("mixing_weights", "means", "covariances"):
                     np.testing.assert_array_equal(getattr(model, name), getattr(fit, name))
                 assert model.log_likelihood_path == fit.log_likelihood_path
-        assert sum("error" in p for p in model.grid) == n_errors[seed]
+        assert sum("error" in p for p in model.grid) == n_errors
         assert model.bic == min(p["bic"] for p in model.grid if "error" not in p)
 
     def test_an_unknown_family(self):
         with pytest.raises(DataError, match="unknown family 'tied'"):
             cluster.fit_gmm_em(TWO_TRIPLES, k=2, family="tied")
         with pytest.raises(DataError, match="unknown family 'tied'"):
-            cluster.select_by_bic(TWO_TRIPLES, range(1, 3), families=("full", "tied"), seed=0)
+            cluster.select_by_bic(TWO_TRIPLES, range(1, 3), families=("full", "tied"))
 
     @pytest.mark.parametrize("families, twice", [
         (("full", "full"), "full"), (("spherical", "diagonal", "spherical"), "spherical"),
     ])
     def test_a_family_listed_twice(self, families, twice):
         with pytest.raises(DataError, match=f"family '{twice}' listed twice"):
-            cluster.select_by_bic(TWO_TRIPLES, range(1, 3), families=families, seed=0)
+            cluster.select_by_bic(TWO_TRIPLES, range(1, 3), families=families)
 
     @pytest.mark.parametrize("scale", [1e-10, 1e-12])
     def test_mortality_selection_does_not_depend_on_floor(
         self, mortality_log, monkeypatch, scale
     ):
         w = schedule.svd_weights(mortality_log, 2)
-        ref = cluster.select_by_bic(w, range(1, 7), seed=0)
+        ref = cluster.select_by_bic(w, range(1, 7))
         monkeypatch.setattr(cluster, "_VARIANCE_FLOOR_SCALE", scale)
-        got = cluster.select_by_bic(w, range(1, 7), seed=0)
+        got = cluster.select_by_bic(w, range(1, 7))
         assert (got.k, got.family) == (ref.k, ref.family)
         assert got.bic == pytest.approx(ref.bic, abs=1e-6)
         floor = scale * w.var(axis=0).mean()
@@ -538,79 +512,107 @@ class TestSelectByBic:
 
     def test_mortality_weight_selection_is_deterministic(self, mortality_log):
         w = schedule.svd_weights(mortality_log, 2)
-        a = cluster.select_by_bic(w, range(1, 7), seed=0)
-        b = cluster.select_by_bic(w, range(1, 7), seed=0)
+        a = cluster.select_by_bic(w, range(1, 7))
+        b = cluster.select_by_bic(w, range(1, 7))
         assert (a.k, a.family, a.bic) == (b.k, b.family, b.bic)
         # the year trajectory supports several plausible partitions; the
         # acceptance suite records the selected one and its contiguity
         assert 1 <= a.k <= 6
 
-    def test_mortality_selection_does_not_depend_on_seed(self, mortality_log):
-        # spurious optima around a component of 2-3 members would win the grid
-        # on some seeds (full k=4 at seed 0) if the d + 1 rule did not skip them
+    def test_mortality_selection(self, mortality_log):
+        # the selection every seed 0-29 of the seeded k-means++ restarts made:
+        # spurious optima around a component of 2-3 members (full k=4) would
+        # win the grid if the d + 1 rule did not skip them
         w = schedule.svd_weights(mortality_log, 2)
-        ref = cluster.select_by_bic(w, range(1, 7), seed=0)
-        for seed in range(1, 10):
-            got = cluster.select_by_bic(w, range(1, 7), seed=seed)
-            assert (got.family, got.k) == (ref.family, ref.k)
-            assert got.bic == pytest.approx(ref.bic, abs=1e-9)
-
-
-class TestCharacteristicSchedules:
-    def _basis(self, mortality_log):
-        return schedule.build_basis(mortality_log, 2)
-
-    def test_single_observation_cluster(self, mortality_log):
-        basis = self._basis(mortality_log)
-        w = schedule.svd_weights(mortality_log, 2)
-        assignment = cluster.ClusterAssignment(
-            labels=np.ones(1, dtype=int), responsibilities=np.ones((1, 1))
-        )
-        out = cluster.characteristic_schedules(assignment, w[:1], basis)
-        np.testing.assert_allclose(
-            out[0].values, schedule.reconstruct(basis, w[0]).values, atol=1e-12
-        )
-
-    def test_median_of_three(self, mortality_log):
-        basis = self._basis(mortality_log)
-        weights = np.array([[1.0, 0.0], [3.0, 0.0], [2.0, 0.0]])
-        assignment = cluster.ClusterAssignment(
-            labels=np.ones(3, dtype=int), responsibilities=np.ones((3, 1))
-        )
-        out = cluster.characteristic_schedules(assignment, weights, basis)
-        np.testing.assert_allclose(
-            out[0].values, 2.0 * basis.components[:, 0], atol=1e-12
-        )
-
-    def test_four_period_patterns_show_adult_mortality_hump(self, mortality_log):
-        # periods 1993-97, 1998-2002, 2003-08, 2009-11
-        basis = self._basis(mortality_log)
-        w = schedule.svd_weights(mortality_log, 2)
+        model = cluster.select_by_bic(w, range(1, 7))
+        assert (model.family, model.k) == ("full", 2)
+        assert model.bic == pytest.approx(-157.14822873376994, abs=1e-9)
+        labels = cluster.assign(model, w).labels
         years = [int(y) for y in mortality_log.schedule_labels]
-        labels = np.array(
-            [1 if y <= 1997 else 2 if y <= 2002 else 3 if y <= 2008 else 4 for y in years]
-        )
-        assignment = cluster.ClusterAssignment(
-            labels=labels, responsibilities=np.eye(4)[labels - 1]
-        )
-        patterns = cluster.characteristic_schedules(assignment, w, basis)
-        assert len(patterns) == 4
-        adult_rows = [
-            i
-            for i, g in enumerate(mortality_log.group_labels)
-            if g.split("_")[1] in ("15-19", "20-24", "25-29", "30-34", "35-39", "40-44", "45-49")
-        ]
-        adult_level = [p.values[adult_rows].mean() for p in patterns]
-        assert adult_level[1] > adult_level[0]
-        assert adult_level[2] > adult_level[0]
+        periods = {lab: [y for y, got in zip(years, labels) if got == lab] for lab in set(labels)}
+        assert sorted(periods.values()) == [list(range(1993, 1998)), list(range(1998, 2012))]
+        (full4,) = [p for p in model.grid if (p["family"], p["k"]) == ("full", 4)]
+        assert "fewer than d + 1 = 3" in full4["error"]
 
-    def test_empty_cluster_errors(self, mortality_log):
-        basis = self._basis(mortality_log)
-        w = schedule.svd_weights(mortality_log, 2)
-        assignment = cluster.ClusterAssignment(
-            labels=np.array([1, 3]), responsibilities=np.eye(3)[[0, 2]]
-        )
-        with pytest.raises(DataError):
-            cluster.characteristic_schedules(assignment, w[:2], basis)
-        with pytest.raises(DataError, match="assignment length does not match the weight rows"):
-            cluster.characteristic_schedules(assignment, w[:3], basis)
+    @pytest.mark.parametrize("dataset, k, family, bic", [
+        ("blobs", 3, "spherical", 188.64106768916056),
+        ("normal3d", 1, "spherical", 213.7703519412109),
+        ("normal40x2", 1, "spherical", 251.59158647696557),
+    ])
+    def test_selection_matches_the_seeded_restarts(self, dataset, k, family, bic):
+        # the (k, family) and BIC that seeds 0-3 of five k-means++ restarts selected
+        pts = {
+            **_reference_datasets(),
+            "normal40x2": np.random.default_rng(3).normal(size=(40, 2)),
+        }[dataset]
+        model = cluster.select_by_bic(pts, range(1, 7))
+        assert (model.k, model.family) == (k, family)
+        assert model.bic == pytest.approx(bic, abs=1e-9)
+
+
+def _ward_by_full_search(points, k):
+    # O(n^3) reference for cluster._ward_centers: the same Lance-Williams
+    # updates, but each merge takes the lowest (i, j), i < j, of the least
+    # cost by an argmin over the whole upper triangle
+    n = len(points)
+    dist = ((points[:, None, :] - points) ** 2).sum(axis=-1)
+    dist[np.tril_indices(n)] = np.inf
+    size, labels = np.ones(n), np.arange(n)
+    for _ in range(n - k):
+        i, j = np.unravel_index(dist.argmin(), dist.shape)
+        full = np.minimum(dist, dist.T)  # symmetric, inf on the diagonal
+        cost = ((size[i] + size) * full[i] + (size[j] + size) * full[j] - size * dist[i, j])
+        cost /= size[i] + size[j] + size
+        dist[:i, i], dist[i, i + 1 :] = cost[:i], cost[i + 1 :]
+        dist[:, j] = dist[j] = np.inf
+        size[i] += size[j]
+        labels[labels == j] = i
+    return np.array([points[labels == r].mean(axis=0) for r in np.unique(labels)])
+
+
+def _ward_datasets(mortality_log):
+    return {
+        "mortality": schedule.svd_weights(mortality_log, 2),
+        **_reference_datasets(),
+        "normal40x2": np.random.default_rng(3).normal(size=(40, 2)),
+    }
+
+
+class TestWardStart:
+    @pytest.mark.parametrize("dataset", ["mortality", "blobs", "normal3d", "normal40x2"])
+    def test_cut_matches_scipy(self, dataset, mortality_log):
+        pts = _ward_datasets(mortality_log)[dataset]
+        tree = scipy.cluster.hierarchy.linkage(pts, "ward")
+        for k, got in zip(range(1, 7), cluster._ward_centers(pts, range(1, 7))):
+            labels = scipy.cluster.hierarchy.fcluster(tree, k, "maxclust")
+            want = np.array([pts[labels == c].mean(axis=0) for c in np.unique(labels)])
+            assert got.shape == want.shape == (k, pts.shape[1])
+            # up to label order
+            got, want = got[np.lexsort(got.T)], want[np.lexsort(want.T)]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_ties_merge_in_row_order(self):
+        # rows 0 and 2, and rows 1 and 3, are duplicates: both pairs cost 0, and
+        # (0, 2) merges first, so the cut at 3 keeps rows 1 and 3 apart
+        pts = np.array([[0.0], [1.0], [0.0], [1.0]])
+        three, two = cluster._ward_centers(pts, [3, 2])
+        np.testing.assert_array_equal(three, [[0.0], [1.0], [1.0]])
+        np.testing.assert_array_equal(two, [[0.0], [1.0]])
+        # row 0 is as far from row 1 as from row 2, and (0, 1) merges first
+        (two,) = cluster._ward_centers(np.array([[1.0], [0.0], [2.0]]), [2])
+        np.testing.assert_array_equal(two, [[0.5], [2.0]])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_full_search_on_tied_grids(self, seed):
+        # integer points on a small grid, with duplicates, tie at every level
+        pts = np.random.default_rng(seed).integers(0, 4, size=(30, 2)).astype(float)
+        for k, got in zip(range(1, 9), cluster._ward_centers(pts, range(1, 9))):
+            np.testing.assert_array_equal(got, _ward_by_full_search(pts, k))
+
+    @pytest.mark.parametrize("power", [600, -600])
+    def test_scaling_by_a_power_of_two_scales_the_centers_exactly(self, power, mortality_log):
+        pts = schedule.svd_weights(mortality_log, 2)
+        ks = [6, 1, 3, 2]
+        for got, want in zip(cluster._ward_centers(np.ldexp(pts, power), ks),
+                             cluster._ward_centers(pts, ks)):
+            np.testing.assert_array_equal(got, np.ldexp(want, power))

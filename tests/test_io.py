@@ -181,7 +181,7 @@ def test_a_header_without_data_rows_is_named_without_a_warning(tmp_path, loader,
 
 @pytest.mark.parametrize("loader, first, prefix", WIDE_LOADERS)
 def test_row_labels_outside_latin_1_are_read_as_text(tmp_path, loader, first, prefix):
-    # numpy < 2's loadtxt hands converters latin-1 bytes unless told encoding=None
+    # loadtxt hands converters str on numpy 2 (numpy 1 handed them latin-1 bytes)
     path = tmp_path / "u.csv"
     path.write_text(f"{first},{prefix}1\n中,0.5\n١-٤,1\n", encoding="utf-8")
     loaded = loader(path)
