@@ -432,8 +432,9 @@ class TestSelectByBic:
         ("mortality_1e-3", range(1, 7), 8),
         ("blobs", range(1, 7), 6),
         ("normal3d", range(1, 7), 10),
+        ("normal40x2", range(1, 7), 8),
     ], ids=["two_triples", "two_triples-unsorted", "mortality", "mortality-unsorted",
-            "mortality_1e3", "mortality_1e-3", "blobs", "normal3d"])
+            "mortality_1e3", "mortality_1e-3", "blobs", "normal3d", "normal40x2"])
     def test_grid_records_every_point(self, dataset, ks, n_errors, mortality_log):
         # one EM stack fits every k and every family; an eligible point equals
         # its own single-k fit bit for bit, a k above n keeps its error, and a
@@ -446,6 +447,7 @@ class TestSelectByBic:
             "mortality_1e3": weights * 1e3,
             "mortality_1e-3": weights * 1e-3,
             **_reference_datasets(),
+            "normal40x2": np.random.default_rng(3).normal(size=(40, 2)),
         }[dataset]
         n, d = pts.shape
         model = cluster.select_by_bic(pts, ks)
@@ -571,15 +573,22 @@ def _ward_by_full_search(points, k):
 
 
 def _ward_datasets(mortality_log):
+    weights = schedule.svd_weights(mortality_log, 2)
     return {
-        "mortality": schedule.svd_weights(mortality_log, 2),
+        "mortality": weights,
+        "mortality_1e3": weights * 1e3,
+        "mortality_1e-3": weights * 1e-3,
+        "two_triples": TWO_TRIPLES,
         **_reference_datasets(),
         "normal40x2": np.random.default_rng(3).normal(size=(40, 2)),
     }
 
 
 class TestWardStart:
-    @pytest.mark.parametrize("dataset", ["mortality", "blobs", "normal3d", "normal40x2"])
+    @pytest.mark.parametrize("dataset", [
+        "mortality", "mortality_1e3", "mortality_1e-3", "two_triples", "blobs", "normal3d",
+        "normal40x2",
+    ])
     def test_cut_matches_scipy(self, dataset, mortality_log):
         pts = _ward_datasets(mortality_log)[dataset]
         tree = scipy.cluster.hierarchy.linkage(pts, "ward")
@@ -616,3 +625,14 @@ class TestWardStart:
         for got, want in zip(cluster._ward_centers(np.ldexp(pts, power), ks),
                              cluster._ward_centers(pts, ks)):
             np.testing.assert_array_equal(got, np.ldexp(want, power))
+
+    @pytest.mark.parametrize("e", [155, 300, 307, -300])
+    def test_centers_are_finite_at_every_scale(self, e, mortality_log):
+        # weights x 10^e square past the double range for e > 154, and below it
+        # for e < -154; the start is still finite, and scales by 10^e
+        pts = schedule.svd_weights(mortality_log, 2)
+        ks = [6, 1, 3, 2]
+        for got, want in zip(cluster._ward_centers(pts * 10.0**e, ks),
+                             cluster._ward_centers(pts, ks)):
+            assert np.isfinite(got).all()
+            np.testing.assert_allclose(got, want * 10.0**e, rtol=1e-12, atol=0)
