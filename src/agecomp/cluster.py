@@ -4,13 +4,15 @@ Gaussian mixtures are fitted by EM with a choice of covariance family
 (spherical, diagonal or full, each varying per cluster), and the cluster
 count and family are picked by minimum BIC over a grid, among the fits whose
 every component holds at least d + 1 effective members and no covariance
-rests on the variance floor.  Fits are deterministic, with no random
-generator: as in mclust (Fraley, SIAM J. Sci. Comput. 20(1), 1998; Scrucca,
-Fop, Murphy & Raftery, R Journal 8(1), 2016), EM runs once per model,
-started at each k from the cluster means of one Ward agglomeration of the
-points cut at that k.  Every family at one k starts from those means, and
+reached the variance floor at any EM step.  Fits are deterministic, with no
+random generator: as in mclust (Fraley, SIAM J. Sci. Comput. 20(1), 1998;
+Scrucca, Fop, Murphy & Raftery, R Journal 8(1), 2016), EM runs once per
+model, started at each k from the cluster means of one Ward agglomeration of
+the points cut at that k.  Every family at one k starts from those means, and
 each EM step handles all of them at once, each family's rows constrained by
-its own rule.  The grid runs every k in one such stack: rows ordered by k,
+its own rule.  Each covariance is held as its floored eigenvalues and
+eigenvectors, from which the E-step whitens the points with no further
+factorization.  The grid runs every k in one such stack: rows ordered by k,
 then family, with the weights padded to the largest k by weight-0
 components, and the means and covariances stacked over the real components
 only.  Every per-matrix operation runs at the row's own k, so each grid
@@ -61,36 +63,40 @@ class ClusterAssignment:
     responsibilities: np.ndarray  # n x k, rows sum to 1
 
 
-def _component_log_probs(diff, weights, covs):
+def _component_log_probs(diff, weights, lam, vecs):
     # ... x n x k array of log(weight_j) + log N(x_i | mean_j, cov_j), over leading
     # stack axes.  A component of weight 0 pads a stack row up to a larger k and
-    # gets log-density -inf; diff (m x n x d, the points minus each mean) and
-    # covs (m x d x d) hold only the m components of positive weight, in
-    # row-major order
+    # gets log-density -inf; diff (m x n x d, the points minus each mean), the
+    # covariance eigenvalues lam (m x d) and eigenvectors vecs (m x d x d) hold
+    # only the m components of positive weight, in row-major order.  The points
+    # are whitened by dividing them by sqrt(lam): at a subnormal lam, 1/lam
+    # would overflow and the squared distances underflow.  They are rotated
+    # into m x d x n, so the division and the sum run along the points
+    if (lam <= 0).any():  # a NaN passes: its row ends on a log-likelihood that is not finite
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
     n, d = diff.shape[1:]
-    chol = np.linalg.cholesky(covs)
-    solved = np.linalg.solve(chol, diff.swapaxes(-1, -2))
-    logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    white = (vecs.swapaxes(-1, -2) @ diff.swapaxes(-1, -2)) / np.sqrt(lam)[..., None]
+    quad = (white**2).sum(axis=-2)
+    logdet = np.log(lam).sum(axis=-1)
     logpdf = np.full(weights.shape + (n,), -np.inf)
-    quad = (solved**2).sum(axis=-2)
     logpdf[weights > 0] = -0.5 * (d * np.log(2.0 * np.pi) + logdet[:, None] + quad)
     with np.errstate(divide="ignore"):
         return (np.log(weights)[..., None] + logpdf).swapaxes(-1, -2)
 
 
 def _constrain(covs, family, floor):
-    # (family-constrained stack, whether each matrix has a variance at the floor)
+    # (the family-constrained stack's eigenvalues, floored, and its eigenvectors,
+    #  None where they are the coordinate axes; whether each matrix has a
+    #  variance at the floor)
     d = covs.shape[-1]
+    vecs = None
     if family == "spherical":
-        var = np.trace(covs, axis1=-2, axis2=-1)[..., None] / d
+        var = np.repeat(np.trace(covs, axis1=-2, axis2=-1)[..., None] / d, d, axis=-1)
     elif family == "diagonal":
         var = np.diagonal(covs, axis1=-2, axis2=-1)
     else:
-        var, eigvecs = np.linalg.eigh(covs)
-    floored = var.min(axis=-1) <= floor
-    if family == "full":
-        return (eigvecs * np.maximum(var, floor)[..., None, :]) @ eigvecs.swapaxes(-1, -2), floored
-    return np.eye(d) * np.maximum(var, floor)[..., None, :], floored
+        var, vecs = np.linalg.eigh(covs)
+    return np.maximum(var, floor), vecs, var.min(axis=-1) <= floor
 
 
 def _ward_centers(points, ks):
@@ -146,17 +152,17 @@ def _floor_for(points):
 
 
 def _pooled_cov(points, family, floor):
-    # (the data's covariance as a 1 x d x d stack constrained per family, whether
-    #  it rests on the floor)
+    # (the data's covariance constrained per family as 1 x d eigenvalues and
+    #  1 x d x d eigenvectors, whether it rests on the floor)
     n, d = points.shape
     pooled = np.cov(points.T).reshape(1, d, d) if n > 1 else np.zeros((1, d, d))
-    cov, floored = _constrain(pooled, family, floor)
-    return cov, bool(floored[0])
+    lam, vecs, floored = _constrain(pooled, family, floor)
+    return lam, np.eye(d)[None] if vecs is None else vecs, bool(floored[0])
 
 
-def _posterior(diff, weights, covs):
+def _posterior(diff, weights, lam, vecs):
     # (log-likelihood of each point, ... x n x k responsibilities)
-    logp = _component_log_probs(diff, weights, covs)
+    logp = _component_log_probs(diff, weights, lam, vecs)
     peak = logp.max(axis=-1, keepdims=True)
     logsum = peak[..., 0] + np.log(np.exp(logp - peak).sum(axis=-1))
     return logsum, np.exp(logp - logsum[..., None])
@@ -167,24 +173,28 @@ def _run_em(points, families, starts):
     # family-major: starts holds a k x d array of means per k group, and each
     # family of a group starts from those means and its own pooled covariance.
     # The weights are padded to the largest k with weight-0 components; the
-    # means and covariances are stacked over the real ones only.  So every
-    # per-matrix step (cholesky, solve, the scatter, each family's constraint,
-    # the means product per group) runs on a row's own k components, and a
-    # row's bits do not depend on what else is stacked.  A row leaves the
-    # stacks when it ends, so each runs its own iterations; after a LAPACK
-    # failure each group reruns alone, and a group that fails alone reruns
-    # family by family, so only that pair fails.  Returns per row its
-    # NumericalError or (path, converged, weights, means, covs).
+    # means and covariances are stacked over the real ones only, each
+    # covariance as its floored eigenvalues and its eigenvectors (the axes for
+    # spherical and diagonal components, set once).  So every per-matrix step
+    # (the whitening, the scatter, each family's constraint, the means product
+    # per group) runs on a row's own k components, and a row's bits do not
+    # depend on what else is stacked.  A row leaves the stacks when it ends,
+    # at the latest the step a component reaches the variance floor, so each
+    # runs its own iterations; after a LAPACK failure each group reruns
+    # alone, and a group that fails alone reruns family by family, so only
+    # that pair fails.  Returns per row its NumericalError or
+    # (path, converged, weights, means, covs).
     ks, d, n_families = [len(start) for start in starts], points.shape[1], len(families)
     floor = _floor_for(points)
     pooled = [_pooled_cov(points, family, floor) for family in families]
     n_rows, row_k = n_families * len(ks), np.repeat(ks, n_families)
     row_family = np.tile(range(n_families), len(ks))
-    degenerate = np.array([floored for _, floored in pooled])[row_family]
+    degenerate = np.array([floored for *_, floored in pooled])[row_family]
     real = np.arange(max(ks)) < row_k[:, None]  # the row's components that are not padding
     weights, component_family = real / row_k[:, None], np.repeat(row_family, row_k)
     means = np.concatenate([start for start in starts for _ in families])
-    covs = np.concatenate([np.broadcast_to(cov, (k, d, d)) for k in ks for cov, _ in pooled])
+    lam = np.concatenate([np.broadcast_to(pool[0], (k, d)) for k in ks for pool in pooled])
+    vecs = np.concatenate([np.broadcast_to(pool[1], (k, d, d)) for k in ks for pool in pooled])
     diff = points - means[:, None, :]
     # group g owns rows bounds[g]:bounds[g + 1], and so the stack rows edges[g]:edges[g + 1];
     # the stack row i holds the components firsts[i]:firsts[i] + sizes[i]
@@ -194,7 +204,7 @@ def _run_em(points, families, starts):
     last, out = np.full(n_rows, -np.inf), [None] * n_rows
     try:
         for step in range(_MAX_ITER):
-            logsum, resp = _posterior(diff, weights, covs)
+            logsum, resp = _posterior(diff, weights, lam, vecs)
             counts = resp.sum(axis=1)
             collapsed = np.any((counts < 1e-10) & real, axis=1)
             counts = np.maximum(counts, 1e-10)  # a collapsed row's update is dropped
@@ -203,7 +213,7 @@ def _run_em(points, families, starts):
             # one product per group at its own k: padded, it would not keep its bits
             means = np.concatenate([
                 ((resp[lo:hi, :k] @ points) / counts[lo:hi, :k, None]).reshape(-1, d)
-                for k, lo, hi in zip(ks, edges, edges[1:])
+                for k, lo, hi in zip(ks, edges, edges[1:]) if lo < hi
             ])
             diff = points - means[:, None, :]
             scatter = (resp[real][..., None] * diff).swapaxes(1, 2) @ diff
@@ -211,14 +221,17 @@ def _run_em(points, families, starts):
             floored = np.empty(len(covs), dtype=bool)
             for f, family in enumerate(families):
                 block = component_family == f
-                covs[block], floored[block] = _constrain(covs[block], family, floor)
+                if block.any():
+                    lam[block], axes, floored[block] = _constrain(covs[block], family, floor)
+                    if axes is not None:  # the other families keep the axes
+                        vecs[block] = axes
             if step == len(lls):
                 lls = np.concatenate([lls, np.empty_like(lls)])
             ll = lls[step, rows] = logsum.sum(axis=1)
             met = ll - last < _LL_TOL
             lost = ~np.isfinite(ll)  # its weights may be NaN, which the next E-step cannot pad
-            ends = lost | collapsed | met | (step + 1 == _MAX_ITER)
             rests = np.logical_or.reduceat(floored, firsts) & ~degenerate[rows]
+            ends = lost | collapsed | rests | met | (step + 1 == _MAX_ITER)
             for row in np.flatnonzero(ends):
                 r, k, at = rows[row], sizes[row], firsts[row]
                 if lost[row]:
@@ -229,12 +242,13 @@ def _run_em(points, families, starts):
                     out[r] = NumericalError("a component covariance rests on the variance floor")
                 else:
                     path, mine = lls[: step + 1, r].tolist(), slice(at, at + k)
-                    out[r] = (path, bool(met[row]), weights[row, :k], means[mine], covs[mine])
+                    covs = (vecs[mine] * lam[mine, None, :]) @ vecs[mine].swapaxes(1, 2)
+                    out[r] = (path, bool(met[row]), weights[row, :k], means[mine], covs)
             last = ll
             if ends.any():
                 going, kept = ~ends, np.repeat(~ends, sizes)
                 rows, real, last, weights = rows[going], real[going], last[going], weights[going]
-                means, covs, diff = means[kept], covs[kept], diff[kept]
+                means, lam, vecs, diff = means[kept], lam[kept], vecs[kept], diff[kept]
                 component_family = component_family[kept]
                 if not rows.size:
                     break
@@ -317,11 +331,12 @@ def fit_gmm_em(points, k: int, family: str = "full") -> GmmModel:
     multiple of the data variance so no component becomes exactly singular.
     Raises NumericalError when the fit fails: a component collapses to zero
     weight, the log-likelihood stops being finite, or a component
-    covariance ends resting on the floor (a component shrunk onto too few
-    points to span the space, whose likelihood is set by the floor constant
-    rather than by the data), unless the pooled covariance of the data
-    rests on the floor too (identical points).  The model reports its
-    iteration count and whether it met the log-likelihood tolerance.
+    covariance reaches the floor at any EM step (a component shrunk onto too
+    few points to span the space, whose likelihood is set by the floor
+    constant rather than by the data), unless the pooled covariance of the
+    data rests on the floor too (identical points).  The fit ends at that
+    step.  The model reports its iteration count and whether it met the
+    log-likelihood tolerance.
     """
     pts = linalg.as_matrix(points)
     ((model,),) = _fit_families(pts, [k], (family,))
@@ -334,7 +349,7 @@ def assign(model: GmmModel, points) -> ClusterAssignment:
     """Posterior responsibilities and MAP labels (1..k) for each point."""
     pts = linalg.as_matrix(points)
     diff = pts - model.means[:, None, :]
-    resp = _posterior(diff, model.mixing_weights, model.covariances)[1]
+    resp = _posterior(diff, model.mixing_weights, *np.linalg.eigh(model.covariances))[1]
     return ClusterAssignment(labels=resp.argmax(axis=1) + 1, responsibilities=resp)
 
 
@@ -346,11 +361,11 @@ def select_by_bic(points, k_range, families=FAMILIES) -> GmmModel:
     one agglomeration of the points.  A grid point is skipped, like a
     selection returning NA for an unfittable model, when its fit fails: a
     component collapses, the log-likelihood is not finite, or a covariance
-    rests on the variance floor.  So is a fit with a component of fewer
-    than d + 1 effective members (mixing weight x n), too few to span its
-    covariance: a spurious maximum of the unbounded mixture likelihood
-    (Hathaway, Ann. Statist. 13(2), 1985).  Ties prefer smaller k, then the
-    simpler family.
+    reaches the variance floor at any EM step.  So is a fit with a component
+    of fewer than d + 1 effective members (mixing weight x n), too few to
+    span its covariance: a spurious maximum of the unbounded mixture
+    likelihood (Hathaway, Ann. Statist. 13(2), 1985).  Ties prefer smaller k,
+    then the simpler family.
     An unknown family, or one listed twice, is a DataError before any fit;
     otherwise raises only if every grid point fails.  ``grid`` lists each
     point's diagnostics or error, family by family.

@@ -141,17 +141,22 @@ class TestCluster:
         payload = json.loads(outs[0].read_text())
         assert set(payload["labels"]) == set(str(y) for y in range(1993, 2012))
 
-    @pytest.mark.parametrize("e", [154, 155, 160, 200, 300, 307])
-    def test_weights_past_1e154(self, e, tmp_path, basis_and_weights, capsys):
-        # past 1e154 the EM's squared distances overflow: every grid point ends
-        # on a log-likelihood that is not finite, and the command exits 3
+    @staticmethod
+    def _cluster_scaled(e, tmp_path, basis_and_weights, capsys):
+        # (exit code, printed) of clustering the bundled weights x 10^e
         labels, w = io.load_weights_csv(basis_and_weights[1])
         scaled = tmp_path / "w.csv"
         scaled.write_text("schedule,v1,v2\n" + "".join(
             f"{lab},{a!r},{b!r}\n" for lab, (a, b) in zip(labels, (w * 10.0**e).tolist())))
         capsys.readouterr()
         code = run("cluster", "--weights", scaled, "--k-range", "1:6", "--out", tmp_path / "c.json")
-        printed = capsys.readouterr()
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize("e", [154, 155, 160, 200, 300, 307])
+    def test_weights_past_1e154(self, e, tmp_path, basis_and_weights, capsys):
+        # past 1e154 the EM's squared distances overflow: every grid point ends
+        # on a log-likelihood that is not finite, and the command exits 3
+        code, printed = self._cluster_scaled(e, tmp_path, basis_and_weights, capsys)
         if e == 154:
             # the unscaled selection, its BIC moved by 2 * n * d * 154 * ln 10 =
             # 2 * 19 * 2 * 154 * ln 10 from -157.15
@@ -161,6 +166,21 @@ class TestCluster:
         assert code == 3
         assert printed.err.splitlines()[-1].startswith("numerical failure:")
         assert "Traceback" not in printed.err
+
+    @pytest.mark.parametrize("e, family, k", [
+        (-150, "full", 2), (-155, "full", 2), (-160, "full", 1),
+        (-200, "spherical", 1), (-300, "spherical", 1),
+    ])
+    def test_weights_below_1e_150(self, e, family, k, tmp_path, basis_and_weights, capsys):
+        # the E-step divides by sqrt(eigenvalue), which neither under- nor
+        # overflows where the eigenvalues are tiny.  The variance floor is
+        # subnormal at e = -150 and -155 and underflows to 0 at -160; below
+        # that the data variance is 0 too, its 1e-12 fallback floors every
+        # covariance, and spherical k=1 wins
+        code, printed = self._cluster_scaled(e, tmp_path, basis_and_weights, capsys)
+        assert code == 0
+        assert printed.err == ""
+        assert printed.out.startswith(f"selected {family} mixture with k={k} (BIC ")
 
     def test_csv_format(self, tmp_path, basis_and_weights):
         _, weights = basis_and_weights

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.cluster.hierarchy
+import scipy.special
 import scipy.stats
 
 from agecomp import cluster, schedule
@@ -127,6 +128,14 @@ def _constrain_one(cov, family, floor):
     return (eigvecs * np.maximum(eigvals, floor)) @ eigvecs.T, eigvals.min() <= floor
 
 
+def _constrained(covs, family, floor):
+    # cluster._constrain's stack rebuilt as V diag(lam) V', with its floor flags
+    lam, vecs, hit = cluster._constrain(covs, family, floor)
+    if vecs is None:  # the coordinate axes
+        vecs = np.broadcast_to(np.eye(covs.shape[-1]), covs.shape)
+    return (vecs * lam[:, None, :]) @ vecs.transpose(0, 2, 1), hit
+
+
 class TestBatchedEm:
     @pytest.mark.parametrize("family", cluster.FAMILIES)
     @pytest.mark.parametrize("k", [1, 3])
@@ -136,7 +145,9 @@ class TestBatchedEm:
         means = rng.normal(size=(k, d))
         covs = _family_covariances(rng, family, k, d)
         weights = rng.dirichlet(np.ones(k))
-        got = cluster._component_log_probs(points - means[:, None, :], weights, covs)
+        got = cluster._component_log_probs(
+            points - means[:, None, :], weights, *np.linalg.eigh(covs)
+        )
         assert got.shape == (20, k)
         for j in range(k):
             expected = np.log(weights[j]) + scipy.stats.multivariate_normal.logpdf(
@@ -144,17 +155,12 @@ class TestBatchedEm:
             )
             np.testing.assert_allclose(got[:, j], expected, rtol=0, atol=1e-12)
 
-    def test_non_positive_definite_component_raises(self, rng):
-        covs = np.array([np.eye(2), -np.eye(2)])
-        with pytest.raises(np.linalg.LinAlgError):
-            cluster._component_log_probs(rng.normal(size=(2, 5, 2)), np.full(2, 0.5), covs)
-
     @pytest.mark.parametrize("family", cluster.FAMILIES)
     def test_stacked_constrain_matches_per_matrix(self, rng, family):
         a = rng.normal(size=(4, 3, 3))
         covs = a @ a.transpose(0, 2, 1)
         floor = 1e-3
-        got, hit = cluster._constrain(covs, family, floor)
+        got, hit = _constrained(covs, family, floor)
         for j in range(4):
             expected, _ = _constrain_one(covs[j], family, floor)
             np.testing.assert_allclose(got[j], expected, rtol=1e-12, atol=1e-15)
@@ -164,7 +170,7 @@ class TestBatchedEm:
     def test_floor_flag_set_by_any_single_component(self, family):
         floor = 1e-3
         covs = np.array([np.eye(2), np.eye(2), np.diag([1.0, 0.0]) * 1e-4])
-        got, hit = cluster._constrain(covs, family, floor)
+        got, hit = _constrained(covs, family, floor)
         assert hit.tolist() == [_constrain_one(c, family, floor)[1] for c in covs]
         assert hit.tolist() == [False, False, True]
         for j in range(3):
@@ -173,17 +179,33 @@ class TestBatchedEm:
             )
 
 
+def _log_posterior(points, weights, means, covs):
+    # (log-likelihood of each point, n x k responsibilities) from a Cholesky
+    # factor and a solve per component: not the eigen-decomposition that
+    # cluster's E-step whitens by
+    d = points.shape[1]
+    chol = np.linalg.cholesky(covs)
+    solved = np.linalg.solve(chol, (points - means[:, None, :]).transpose(0, 2, 1))
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    quad = (solved**2).sum(axis=1)
+    logp = (np.log(weights)[:, None] - 0.5 * (d * np.log(2.0 * np.pi) + logdet[:, None] + quad)).T
+    logsum = scipy.special.logsumexp(logp, axis=1)
+    return logsum, np.exp(logp - logsum[:, None])
+
+
 def _em_alone(points, k, family):
     # one-fit reference for the stacked EM of cluster.fit_gmm_em, from the same
-    # Ward means; returns its failure text or (log-likelihood path, converged)
+    # Ward means; returns its failure text or (log-likelihood path, converged).
+    # A fit fails the step a component reaches the variance floor, unless the
+    # pooled covariance rests on it too
     floor = cluster._floor_for(points)
-    pooled, degenerate = cluster._pooled_cov(points, family, floor)
+    pooled, degenerate = _constrain_one(np.cov(points.T), family, floor)
     (means,) = cluster._ward_centers(points, [k])
-    weights, covs = np.full(k, 1.0 / k), np.repeat(pooled, k, axis=0)
+    weights, covs = np.full(k, 1.0 / k), np.repeat(pooled[None], k, axis=0)
     path, converged = [], False
     try:
         for iteration in range(cluster._MAX_ITER):
-            logsum, resp = cluster._posterior(points - means[:, None, :], weights, covs)
+            logsum, resp = _log_posterior(points, weights, means, covs)
             path.append(float(logsum.sum()))
             counts = resp.sum(axis=0)
             if np.any(counts < 1e-10):
@@ -192,14 +214,15 @@ def _em_alone(points, k, family):
             means = (resp.T @ points) / counts[:, None]
             diff = points[None, :, :] - means[:, None, :]
             scatter = (resp.T[:, :, None] * diff).transpose(0, 2, 1) @ diff
-            covs, floored = cluster._constrain(scatter / counts[:, None, None], family, floor)
+            constrained = [_constrain_one(c, family, floor) for c in scatter / counts[:, None, None]]
+            if any(floored for _, floored in constrained) and not degenerate:
+                raise NumericalError("a component covariance rests on the variance floor")
+            covs = np.array([cov for cov, _ in constrained])
             if iteration > 0 and path[-1] - path[-2] < cluster._LL_TOL:
                 converged = True
                 break
     except (NumericalError, np.linalg.LinAlgError) as exc:
         return str(exc)
-    if floored.any() and not degenerate:
-        return "a component covariance rests on the variance floor"
     return path, converged
 
 
@@ -211,23 +234,21 @@ def _reference_datasets():
     return {"blobs": blobs, "normal3d": np.random.default_rng(12).normal(size=(25, 3))}
 
 
-def _failing_on(target, cholesky):
-    # a cholesky that raises for any stack holding the matrix target
+def _failing_on(target, eigh):
+    # an eigh that fails for any stack holding the matrix target
     def failing(a):
         if any(np.array_equal(target, cov) for cov in np.reshape(a, (-1,) + target.shape)):
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
-        return cholesky(a)
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a)
 
     return failing
 
 
-def _recording_cholesky(monkeypatch):
-    # the stacks cholesky is called on, in order
-    real_cholesky, stacks = np.linalg.cholesky, []
-    monkeypatch.setattr(
-        np.linalg, "cholesky", lambda a: stacks.append(np.array(a)) or real_cholesky(a)
-    )
-    return real_cholesky, stacks
+def _recording_eigh(monkeypatch):
+    # the stacks eigh is called on, in order
+    real_eigh, stacks = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: stacks.append(np.array(a)) or real_eigh(a))
+    return real_eigh, stacks
 
 
 class TestEmStack:
@@ -252,13 +273,13 @@ class TestEmStack:
 
     def test_lapack_failure_fails_the_fit(self, rng, monkeypatch):
         pts = two_blobs(rng)
-        real_cholesky, stacks = _recording_cholesky(monkeypatch)
+        real_eigh, stacks = _recording_eigh(monkeypatch)
         cluster.fit_gmm_em(pts, k=2, family="full")
-        # the first covariance after the first EM step, in the stack of the real
-        # components
-        assert stacks[1].shape[0] == 2
-        monkeypatch.setattr(np.linalg, "cholesky", _failing_on(stacks[1][0], real_cholesky))
-        with pytest.raises(NumericalError, match="EM failed: Matrix is not positive definite"):
+        # after the pooled covariance, the first EM step's covariances, one per
+        # real component
+        assert [stack.shape[0] for stack in stacks[:2]] == [1, 2]
+        monkeypatch.setattr(np.linalg, "eigh", _failing_on(stacks[1][0], real_eigh))
+        with pytest.raises(NumericalError, match="EM failed: Eigenvalues did not converge"):
             cluster.fit_gmm_em(pts, k=2, family="full")
 
     def test_every_k_in_one_runner_call(self, rng, monkeypatch):
@@ -281,18 +302,18 @@ class TestEmStack:
         pts = two_blobs(rng)
         ref = cluster.select_by_bic(pts, [2])
         assert not any("error" in point for point in ref.grid)
-        real_cholesky, stacks = _recording_cholesky(monkeypatch)
+        real_eigh, stacks = _recording_eigh(monkeypatch)
         cluster.select_by_bic(pts, [2])
-        # full's first covariance after its first EM step, unique in the stack of
-        # the real components: family-major rows of k = 2 components each
-        assert stacks[1].shape[0] == 3 * 2
-        target = stacks[1][2 * 2]
+        # eigh runs on the full family's components only: after its pooled
+        # covariance, the first EM step's two, of which the first is unique
+        assert [stack.shape[0] for stack in stacks[:2]] == [1, 2]
+        target = stacks[1][0]
         assert sum(np.array_equal(target, cov) for cov in stacks[1]) == 1
-        monkeypatch.setattr(np.linalg, "cholesky", _failing_on(target, real_cholesky))
+        monkeypatch.setattr(np.linalg, "eigh", _failing_on(target, real_eigh))
         got = cluster.select_by_bic(pts, [2])
         assert [p["family"] for p in got.grid] == list(cluster.FAMILIES)
         assert got.grid[2] == {"k": 2, "family": "full",
-                               "error": "EM failed: Matrix is not positive definite"}
+                               "error": "EM failed: Eigenvalues did not converge"}
         assert got.grid[:2] == ref.grid[:2]  # spherical and diagonal as unpatched
 
     def test_lapack_failure_in_the_merged_grid_fails_only_that_pair(self, rng, monkeypatch):
@@ -301,22 +322,31 @@ class TestEmStack:
         pts = two_blobs(rng)
         ref = cluster.select_by_bic(pts, range(1, 7))
         assert isinstance(_em_alone(pts, 4, "full"), tuple)
-        real_cholesky, stacks = _recording_cholesky(monkeypatch)
+        real_eigh, stacks = _recording_eigh(monkeypatch)
         cluster.select_by_bic(pts, range(1, 7))
-        # the grid's stack after its first EM step, one matrix per real component;
-        # rows are k-major, then family-major: k = 1, 2 and 3 come before full k = 4
-        n_real = 3 * sum(range(1, 7))
-        merged = [stack for stack in stacks if len(stack) == n_real][1]
-        target = merged[3 * (1 + 2 + 3) + 2 * 4]
+        # the grid's first EM step, one matrix per real full-family component,
+        # k-major: k = 1, 2 and 3 come before k = 4
+        merged = next(stack for stack in stacks if len(stack) == sum(range(1, 7)))
+        target = merged[1 + 2 + 3]
         assert sum(np.array_equal(target, cov) for cov in merged) == 1
-        monkeypatch.setattr(np.linalg, "cholesky", _failing_on(target, real_cholesky))
+        monkeypatch.setattr(np.linalg, "eigh", _failing_on(target, real_eigh))
         got = cluster.select_by_bic(pts, range(1, 7))
         where = [(p["family"], p["k"]) for p in got.grid]
         full4 = where.index(("full", 4))
         assert where == [(p["family"], p["k"]) for p in ref.grid]
         assert got.grid[:full4] + got.grid[full4 + 1 :] == ref.grid[:full4] + ref.grid[full4 + 1 :]
         assert got.grid[full4] == {"k": 4, "family": "full",
-                                   "error": "EM failed: Matrix is not positive definite"}
+                                   "error": "EM failed: Eigenvalues did not converge"}
+
+    def test_a_fit_ends_the_step_it_reaches_the_floor(self, mortality_log, monkeypatch):
+        # on the bundled weights the kept fits end by step 31; full k=6, which
+        # reaches the floor, would run to step 39 if only its last step judged it
+        real_posterior, calls = cluster._posterior, []
+        monkeypatch.setattr(cluster, "_posterior", lambda *a: calls.append(1) or real_posterior(*a))
+        model = cluster.select_by_bic(schedule.svd_weights(mortality_log, 2), range(1, 7))
+        assert len(calls) == 31
+        (full6,) = [p for p in model.grid if (p["family"], p["k"]) == ("full", 6)]
+        assert full6["error"] == "a component covariance rests on the variance floor"
 
     def test_a_center_far_from_every_point_collapses(self):
         # the second center takes no responsibility for any point in the first E-step
@@ -375,6 +405,15 @@ class TestAssign:
         mapping = {}
         for la, lb in zip(a, b):
             assert mapping.setdefault(la, lb) == lb
+
+    def test_non_positive_definite_component_raises(self, rng):
+        model = cluster.GmmModel(
+            k=2, family="full", mixing_weights=np.full(2, 0.5), means=np.zeros((2, 2)),
+            covariances=np.array([np.eye(2), -np.eye(2)]), log_likelihood=0.0, bic=0.0,
+            n_params=11, n_obs=5,
+        )
+        with pytest.raises(np.linalg.LinAlgError, match="Matrix is not positive definite"):
+            cluster.assign(model, rng.normal(size=(5, 2)))
 
 
 class TestSelectByBic:
