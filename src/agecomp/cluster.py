@@ -13,10 +13,10 @@ each EM step handles all of them at once, each family's rows constrained by
 its own rule.  Each covariance is held as its floored eigenvalues and
 eigenvectors, from which the E-step whitens the points with no further
 factorization.  The grid runs every k in one such stack: rows ordered by k,
-then family, with the weights padded to the largest k by weight-0
-components, and the means and covariances stacked over the real components
-only.  Every per-matrix operation runs at the row's own k, so each grid
-point has the bits of its own single-k fit.
+then family, and every row's k components stacked flat, one after another.
+Every per-matrix operation runs on one component and every sum over
+components on one row's, so each grid point has the bits of its own
+single-k fit.
 """
 
 import math
@@ -64,24 +64,18 @@ class ClusterAssignment:
 
 
 def _component_log_probs(diff, weights, lam, vecs):
-    # ... x n x k array of log(weight_j) + log N(x_i | mean_j, cov_j), over leading
-    # stack axes.  A component of weight 0 pads a stack row up to a larger k and
-    # gets log-density -inf; diff (m x n x d, the points minus each mean), the
-    # covariance eigenvalues lam (m x d) and eigenvectors vecs (m x d x d) hold
-    # only the m components of positive weight, in row-major order.  The points
-    # are whitened by dividing them by sqrt(lam): at a subnormal lam, 1/lam
-    # would overflow and the squared distances underflow.  They are rotated
-    # into m x d x n, so the division and the sum run along the points
+    # m x n array of log(weight_j) + log N(x_i | mean_j, cov_j) over a stack of
+    # m components: diff (m x d x n) holds the points minus each mean, lam
+    # (m x d) and vecs (m x d x d) each covariance's eigenvalues and
+    # eigenvectors.  The points are whitened by dividing them by sqrt(lam): at
+    # a subnormal lam, 1/lam would overflow and the squared distances underflow
     if (lam <= 0).any():  # a NaN passes: its row ends on a log-likelihood that is not finite
         raise np.linalg.LinAlgError("Matrix is not positive definite")
-    n, d = diff.shape[1:]
-    white = (vecs.swapaxes(-1, -2) @ diff.swapaxes(-1, -2)) / np.sqrt(lam)[..., None]
+    d = diff.shape[1]
+    white = (vecs.swapaxes(-1, -2) @ diff) / np.sqrt(lam)[..., None]
     quad = (white**2).sum(axis=-2)
     logdet = np.log(lam).sum(axis=-1)
-    logpdf = np.full(weights.shape + (n,), -np.inf)
-    logpdf[weights > 0] = -0.5 * (d * np.log(2.0 * np.pi) + logdet[:, None] + quad)
-    with np.errstate(divide="ignore"):
-        return (np.log(weights)[..., None] + logpdf).swapaxes(-1, -2)
+    return np.log(weights)[:, None] - 0.5 * (d * np.log(2.0 * np.pi) + logdet[:, None] + quad)
 
 
 def _constrain(covs, family, floor):
@@ -160,64 +154,56 @@ def _pooled_cov(points, family, floor):
     return lam, np.eye(d)[None] if vecs is None else vecs, bool(floored[0])
 
 
-def _posterior(diff, weights, lam, vecs):
-    # (log-likelihood of each point, ... x n x k responsibilities)
+def _posterior(diff, weights, lam, vecs, sizes):
+    # (rows x n log-likelihood of each point, m x n responsibilities) of a stack
+    # of rows, row i holding the next sizes[i] of the m components
     logp = _component_log_probs(diff, weights, lam, vecs)
-    peak = logp.max(axis=-1, keepdims=True)
-    logsum = peak[..., 0] + np.log(np.exp(logp - peak).sum(axis=-1))
-    return logsum, np.exp(logp - logsum[..., None])
+    firsts = np.cumsum(sizes) - sizes
+    peak = np.maximum.reduceat(logp, firsts)
+    logsum = peak + np.log(np.add.reduceat(np.exp(logp - np.repeat(peak, sizes, axis=0)), firsts))
+    return logsum, np.exp(logp - np.repeat(logsum, sizes, axis=0))
 
 
 def _run_em(points, families, starts):
     # EM on every (k, family) pair at once, one row each, k-major, then
     # family-major: starts holds a k x d array of means per k group, and each
     # family of a group starts from those means and its own pooled covariance.
-    # The weights are padded to the largest k with weight-0 components; the
-    # means and covariances are stacked over the real ones only, each
-    # covariance as its floored eigenvalues and its eigenvectors (the axes for
-    # spherical and diagonal components, set once).  So every per-matrix step
-    # (the whitening, the scatter, each family's constraint, the means product
-    # per group) runs on a row's own k components, and a row's bits do not
-    # depend on what else is stacked.  A row leaves the stacks when it ends,
-    # at the latest the step a component reaches the variance floor, so each
-    # runs its own iterations; after a LAPACK failure each group reruns
-    # alone, and a group that fails alone reruns family by family, so only
-    # that pair fails.  Returns per row its NumericalError or
-    # (path, converged, weights, means, covs).
+    # The rows' components are stacked flat, row by row: the weights, the means
+    # and each covariance as its floored eigenvalues and its eigenvectors (the
+    # axes for spherical and diagonal components, set once).  Every per-matrix
+    # step (the whitening, the means product, the scatter, each family's
+    # constraint) runs on one component, and every sum over components on one
+    # row's, so a row's bits do not depend on what else is stacked.  A row
+    # leaves the stack when it ends, at the latest the step a component
+    # reaches the variance floor, so each runs its own iterations; after a
+    # LAPACK failure each group reruns alone, and a group that fails alone
+    # reruns family by family, so only that pair fails.  Returns per row its
+    # NumericalError or (path, converged, weights, means, covs).
     ks, d, n_families = [len(start) for start in starts], points.shape[1], len(families)
     floor = _floor_for(points)
     pooled = [_pooled_cov(points, family, floor) for family in families]
     n_rows, row_k = n_families * len(ks), np.repeat(ks, n_families)
     row_family = np.tile(range(n_families), len(ks))
     degenerate = np.array([floored for *_, floored in pooled])[row_family]
-    real = np.arange(max(ks)) < row_k[:, None]  # the row's components that are not padding
-    weights, component_family = real / row_k[:, None], np.repeat(row_family, row_k)
+    weights, component_family = np.repeat(1.0 / row_k, row_k), np.repeat(row_family, row_k)
     means = np.concatenate([start for start in starts for _ in families])
     lam = np.concatenate([np.broadcast_to(pool[0], (k, d)) for k in ks for pool in pooled])
     vecs = np.concatenate([np.broadcast_to(pool[1], (k, d, d)) for k in ks for pool in pooled])
-    diff = points - means[:, None, :]
-    # group g owns rows bounds[g]:bounds[g + 1], and so the stack rows edges[g]:edges[g + 1];
-    # the stack row i holds the components firsts[i]:firsts[i] + sizes[i]
-    bounds = edges = np.arange(0, n_rows + 1, n_families)
-    rows, sizes, firsts = np.arange(n_rows), row_k, np.cumsum(row_k) - row_k
-    lls = np.empty((1, n_rows))  # each row's log-likelihood path down its column; doubles when full
+    diff = points.T - means[:, :, None]
+    rows, sizes, paths = np.arange(n_rows), row_k, [[] for _ in range(n_rows)]
     last, out = np.full(n_rows, -np.inf), [None] * n_rows
     try:
         for step in range(_MAX_ITER):
-            logsum, resp = _posterior(diff, weights, lam, vecs)
+            logsum, resp = _posterior(diff, weights, lam, vecs, sizes)
+            firsts = np.cumsum(sizes) - sizes  # live row i: components firsts[i]:firsts[i] + sizes[i]
             counts = resp.sum(axis=1)
-            collapsed = np.any((counts < 1e-10) & real, axis=1)
+            collapsed = np.logical_or.reduceat(counts < 1e-10, firsts)
             counts = np.maximum(counts, 1e-10)  # a collapsed row's update is dropped
-            weights = np.where(real, counts / len(points), 0.0)
-            resp = resp.swapaxes(1, 2)
-            # one product per group at its own k: padded, it would not keep its bits
-            means = np.concatenate([
-                ((resp[lo:hi, :k] @ points) / counts[lo:hi, :k, None]).reshape(-1, d)
-                for k, lo, hi in zip(ks, edges, edges[1:]) if lo < hi
-            ])
-            diff = points - means[:, None, :]
-            scatter = (resp[real][..., None] * diff).swapaxes(1, 2) @ diff
-            covs = scatter / counts[real][:, None, None]
+            weights = counts / len(points)
+            # one product per component: over the whole stack, a row's bits would depend on it
+            means = (resp[:, None, :] @ points)[:, 0] / counts[:, None]
+            diff = points.T - means[:, :, None]
+            covs = ((resp[:, None, :] * diff) @ diff.swapaxes(1, 2)) / counts[:, None, None]
             floored = np.empty(len(covs), dtype=bool)
             for f, family in enumerate(families):
                 block = component_family == f
@@ -225,15 +211,15 @@ def _run_em(points, families, starts):
                     lam[block], axes, floored[block] = _constrain(covs[block], family, floor)
                     if axes is not None:  # the other families keep the axes
                         vecs[block] = axes
-            if step == len(lls):
-                lls = np.concatenate([lls, np.empty_like(lls)])
-            ll = lls[step, rows] = logsum.sum(axis=1)
+            ll = logsum.sum(axis=1)
+            for r, value in zip(rows, ll.tolist()):
+                paths[r].append(value)
             met = ll - last < _LL_TOL
-            lost = ~np.isfinite(ll)  # its weights may be NaN, which the next E-step cannot pad
+            lost = ~np.isfinite(ll)  # its weights may be NaN, and a NaN never meets the tolerance
             rests = np.logical_or.reduceat(floored, firsts) & ~degenerate[rows]
             ends = lost | collapsed | rests | met | (step + 1 == _MAX_ITER)
             for row in np.flatnonzero(ends):
-                r, k, at = rows[row], sizes[row], firsts[row]
+                r, mine = rows[row], slice(firsts[row], firsts[row] + sizes[row])
                 if lost[row]:
                     out[r] = NumericalError("EM log-likelihood is not finite")
                 elif collapsed[row]:
@@ -241,19 +227,16 @@ def _run_em(points, families, starts):
                 elif rests[row]:
                     out[r] = NumericalError("a component covariance rests on the variance floor")
                 else:
-                    path, mine = lls[: step + 1, r].tolist(), slice(at, at + k)
                     covs = (vecs[mine] * lam[mine, None, :]) @ vecs[mine].swapaxes(1, 2)
-                    out[r] = (path, bool(met[row]), weights[row, :k], means[mine], covs)
+                    out[r] = (paths[r], bool(met[row]), weights[mine], means[mine], covs)
             last = ll
             if ends.any():
                 going, kept = ~ends, np.repeat(~ends, sizes)
-                rows, real, last, weights = rows[going], real[going], last[going], weights[going]
-                means, lam, vecs, diff = means[kept], lam[kept], vecs[kept], diff[kept]
-                component_family = component_family[kept]
+                rows, sizes, last = rows[going], sizes[going], last[going]
+                weights, means, diff = weights[kept], means[kept], diff[kept]
+                lam, vecs, component_family = lam[kept], vecs[kept], component_family[kept]
                 if not rows.size:
                     break
-                sizes = row_k[rows]
-                firsts, edges = np.cumsum(sizes) - sizes, np.searchsorted(rows, bounds)
     except np.linalg.LinAlgError as exc:
         if len(starts) > 1:
             return [run for start in starts for run in _run_em(points, families, [start])]
@@ -348,8 +331,8 @@ def fit_gmm_em(points, k: int, family: str = "full") -> GmmModel:
 def assign(model: GmmModel, points) -> ClusterAssignment:
     """Posterior responsibilities and MAP labels (1..k) for each point."""
     pts = linalg.as_matrix(points)
-    diff = pts - model.means[:, None, :]
-    resp = _posterior(diff, model.mixing_weights, *np.linalg.eigh(model.covariances))[1]
+    diff = pts.T - model.means[:, :, None]
+    resp = _posterior(diff, model.mixing_weights, *np.linalg.eigh(model.covariances), [model.k])[1].T
     return ClusterAssignment(labels=resp.argmax(axis=1) + 1, responsibilities=resp)
 
 

@@ -228,26 +228,21 @@ def smooth_matrix(a: ScheduleMatrix, c: int | None) -> ScheduleMatrix:
 def fit_weights(observed: AgeSchedule, basis: ComponentBasis) -> FittedSchedule:
     """Intercept-free least-squares weights of a schedule on the components.
 
-    Where the products y'comp overflow, the weights are projected again from
-    y / max|y| and scaled back, as :func:`fit_matrix` does; the first
-    projection's RuntimeWarning is not silenced.  A residual whose 2-norm is
-    past the float maximum raises NumericalError, as in :func:`fit_matrix`.
+    Where the residual's sum of squares is not finite, the schedule is fitted
+    again as a one-column :func:`fit_matrix`, which rescales the products
+    y'comp that overflow and raises NumericalError for a residual whose
+    2-norm is past the float maximum; the first projection's RuntimeWarning
+    is not silenced.
     """
-    betas = basis.project(observed.values, observed.scale)
-    fitted = basis.components @ betas
-    residual = observed.values - fitted
+    y = observed.values
+    betas = basis.project(y, observed.scale)
+    residual = y - basis.components @ betas
     sumsq = np.vdot(residual, residual)  # residual @ residual's bytes, with no overflow warning
     if math.isfinite(sumsq):
         return FittedSchedule(betas, float(linalg.root_sum_squares(residual, sumsq)))
-    if not np.isfinite(fitted).all():  # the products y'comp overflowed
-        top = np.abs(observed.values).max()
-        with np.errstate(over="ignore", invalid="ignore"):
-            betas = basis.project(observed.values / top, observed.scale) * top
-            residual = observed.values - basis.components @ betas
-        sumsq = np.vdot(residual, residual)
-    norm = linalg.root_sum_squares(residual, sumsq)
-    if not math.isfinite(norm):
-        raise NumericalError("fitted weights or residuals overflow float64")
+    # groups labelled by position: unlike a matrix's, a schedule's labels may repeat
+    column = ScheduleMatrix(range(len(y)), ("y",), y[:, None], observed.scale)
+    (betas,), (norm,) = fit_matrix(column, basis)
     return FittedSchedule(betas, float(norm))
 
 

@@ -3,6 +3,9 @@ import pytest
 import scipy.cluster.hierarchy
 import scipy.special
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from agecomp import cluster, schedule
 from agecomp.errors import DataError, NumericalError
@@ -146,14 +149,32 @@ class TestBatchedEm:
         covs = _family_covariances(rng, family, k, d)
         weights = rng.dirichlet(np.ones(k))
         got = cluster._component_log_probs(
-            points - means[:, None, :], weights, *np.linalg.eigh(covs)
+            points.T - means[:, :, None], weights, *np.linalg.eigh(covs)
         )
-        assert got.shape == (20, k)
+        assert got.shape == (k, 20)
         for j in range(k):
             expected = np.log(weights[j]) + scipy.stats.multivariate_normal.logpdf(
                 points, means[j], covs[j]
             )
-            np.testing.assert_allclose(got[:, j], expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got[j], expected, rtol=0, atol=1e-12)
+
+    def test_posterior_rows_of_different_k_do_not_mix(self, rng):
+        # a stack of rows of k = 1, 3 and 6: each row's log-sum-exp and
+        # responsibilities run over its own components only
+        ks, points = [1, 3, 6], rng.normal(size=(15, 2))
+        rows = []
+        for k in ks:
+            means, covs = rng.normal(size=(k, 2)), _family_covariances(rng, "full", k, 2)
+            weights = rng.dirichlet(np.ones(k))
+            rows.append((points.T - means[:, :, None], weights, *np.linalg.eigh(covs)))
+        logsum, resp = cluster._posterior(*(np.concatenate(parts) for parts in zip(*rows)), ks)
+        assert logsum.shape == (3, 15) and resp.shape == (10, 15)
+        for i, (k, first, row) in enumerate(zip(ks, [0, 1, 4], rows)):
+            alone_logsum, alone_resp = cluster._posterior(*row, [k])
+            np.testing.assert_array_equal(logsum[i], alone_logsum[0])
+            np.testing.assert_array_equal(resp[first : first + k], alone_resp)
+            expected = scipy.special.logsumexp(cluster._component_log_probs(*row), axis=0)
+            np.testing.assert_allclose(logsum[i], expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("family", cluster.FAMILIES)
     def test_stacked_constrain_matches_per_matrix(self, rng, family):
@@ -357,7 +378,7 @@ class TestEmStack:
 
     def test_a_log_likelihood_that_is_not_finite_ends_its_row(self):
         # past 1e154 the squared distances overflow, so the log-likelihoods are
-        # not finite and the weights NaN, which the next E-step could not pad
+        # not finite and the weights NaN
         pts = TWO_TRIPLES * 1e160
         with np.errstate(all="ignore"):
             runs = cluster._run_em(pts, cluster.FAMILIES, cluster._ward_centers(pts, [1, 2]))
@@ -589,6 +610,49 @@ class TestSelectByBic:
         model = cluster.select_by_bic(pts, range(1, 7))
         assert (model.k, model.family) == (k, family)
         assert model.bic == pytest.approx(bic, abs=1e-9)
+
+
+@st.composite
+def _grid_inputs(draw):
+    # n points in d dimensions, some rounded to force ties, and a k list from 1..6
+    n, d = draw(st.integers(2, 40)), draw(st.integers(1, 3))
+    pts = draw(arrays(np.float64, (n, d), elements=st.floats(-10, 10, allow_subnormal=False)))
+    decimals = draw(st.sampled_from([None, 0, 1]))
+    ks = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6, unique=True))
+    return (pts if decimals is None else np.round(pts, decimals)), ks
+
+
+def _own_fit(pts, k, family):
+    # the grid point select_by_bic should record, from a single-k fit
+    n, d = pts.shape
+    where = {"k": k, "family": family}
+    if k > n:
+        return {**where, "error": f"cannot fit {k} clusters to {n} observations"}
+    try:
+        fit = cluster.fit_gmm_em(pts, k, family)
+    except NumericalError as exc:
+        return {**where, "error": str(exc)}
+    if (least := fit.mixing_weights.min() * n) < d + 1:
+        return {**where, "error": (
+            f"a component holds {least:.4g} effective members (mixing weight x n), "
+            f"fewer than d + 1 = {d + 1}"
+        )}
+    return {f: getattr(fit, f) for f in cluster._GRID_FIELDS}
+
+
+@settings(deadline=None, max_examples=50)
+@given(_grid_inputs())
+def test_every_grid_point_is_its_own_fit(inputs):
+    # each point of the grid's one EM stack has the bits, or the error, of its own fit
+    pts, ks = inputs
+    expected = [_own_fit(pts, k, family) for family in cluster.FAMILIES for k in ks]
+    try:
+        grid = list(cluster.select_by_bic(pts, ks).grid)
+    except NumericalError as exc:
+        assert all("error" in point for point in expected)
+        assert str(exc) == f"no (k, family) grid point could be fitted: {expected[-1]['error']}"
+        return
+    assert grid == expected
 
 
 def _ward_by_full_search(points, k):
