@@ -95,10 +95,12 @@ def _constrain(covs, family, floor):
 
 def _ward_centers(points, ks):
     # per k of ks (each 1..n), the k x d cluster means of one Ward agglomeration
-    # of the points cut at k clusters.  Lance-Williams updates on squared
-    # distances, with each row's nearest later row kept so a merge costs O(n).
-    # A cluster keeps the index of its first row, and of equal merge costs the
-    # lowest such (i, j), i < j, merges first; the means come in that order.
+    # of the points cut at k clusters.  Lance-Williams updates on the stored
+    # squared distances, inf on the diagonal and on merged-away rows and
+    # columns; each merge is the argmin over the whole matrix, O(n^2) per merge.
+    # A cluster keeps the index of its first row, and as the matrix is
+    # symmetric, the row-major argmin of equal merge costs is the lowest
+    # (i, j), i < j; the means come in that order.
     # The points are scaled by a power of two that brings max|x| into
     # [0.5, 1), so no square overflows; that is exact, and so neither the
     # merge order nor the means depend on the data's scale
@@ -108,35 +110,19 @@ def _ward_centers(points, ks):
     dist = ((x[:, None, :] - x) ** 2).sum(axis=-1)
     np.fill_diagonal(dist, np.inf)
     size, labels = np.ones(n), np.arange(n)
-    nearest, nearest_dist = np.zeros(n, dtype=int), np.full(n, np.inf)
-
-    def renew(rows):
-        for r in rows:
-            if r + 1 < n:
-                nearest[r] = r + 1 + dist[r, r + 1 :].argmin()
-                nearest_dist[r] = dist[r, nearest[r]]
-
-    renew(range(n))
     centers, last = {}, min(ks)
     for count in range(n, last - 1, -1):
         if count in ks:
             centers[count] = np.ldexp([x[labels == r].mean(axis=0) for r in np.unique(labels)], scale)
         if count == last:
             break
-        i = nearest_dist.argmin()
-        j = nearest[i]
+        i, j = divmod(int(dist.argmin()), n)
         grown = size[i] + size[j] + size
         merged = ((size[i] + size) * dist[i] + (size[j] + size) * dist[j] - size * dist[i, j]) / grown
         dist[i], dist[:, i], dist[j], dist[:, j] = merged, merged, np.inf, np.inf
         dist[i, i] = np.inf
         size[i] += size[j]
         labels[labels == j] = i
-        nearest_dist[j] = np.inf
-        stale = (nearest[:j] == i) | (nearest[:j] == j)
-        # Ward is reducible: an earlier row's cost to the merged cluster exceeds
-        # its nearest's, unless rounding brings it level or below
-        stale[:i] |= merged[:i] <= nearest_dist[:i]
-        renew([i, *np.flatnonzero(stale)])
     return [centers[k] for k in ks]
 
 
@@ -274,7 +260,7 @@ def _model(run, k, family, n, d):
 
 
 def _fit_families(pts, ks, families):
-    # per k, per family, the fitted model or the NumericalError it failed with,
+    # {(k, family): the fitted model or the NumericalError it failed with},
     # after checking the grid's inputs.  Every family at one k starts from the
     # same Ward means, and every fittable k runs in one EM stack, in the
     # caller's order
@@ -292,17 +278,13 @@ def _fit_families(pts, ks, families):
         if k < 1:
             raise DataError(f"k must be >= 1, got {k}")
     fitted = [k for k in dict.fromkeys(ks) if k <= n]
-    flat = _run_em(pts, families, _ward_centers(pts, fitted)) if fitted else []
-    size = len(families)
-    runs = {k: flat[i * size : (i + 1) * size] for i, k in enumerate(fitted)}
-    return [
-        [
-            _model(runs[k][i], k, family, n, d)
-            if k in runs else NumericalError(f"cannot fit {k} clusters to {n} observations")
-            for i, family in enumerate(families)
-        ]
-        for k in ks
-    ]
+    runs = iter(_run_em(pts, families, _ward_centers(pts, fitted)) if fitted else ())
+    return {
+        (k, family): _model(next(runs), k, family, n, d)
+        if k <= n else NumericalError(f"cannot fit {k} clusters to {n} observations")
+        for k in dict.fromkeys(ks)
+        for family in families
+    }
 
 
 def fit_gmm_em(points, k: int, family: str = "full") -> GmmModel:
@@ -322,7 +304,7 @@ def fit_gmm_em(points, k: int, family: str = "full") -> GmmModel:
     log-likelihood tolerance.
     """
     pts = linalg.as_matrix(points)
-    ((model,),) = _fit_families(pts, [k], (family,))
+    model = _fit_families(pts, [k], (family,))[k, family]
     if isinstance(model, NumericalError):
         raise model
     return model
@@ -359,9 +341,9 @@ def select_by_bic(points, k_range, families=FAMILIES) -> GmmModel:
     fits = _fit_families(pts, ks, families)
     candidates = []
     grid = []
-    for i, family in enumerate(families):
-        for k, fits_k in zip(ks, fits):
-            model = fits_k[i]
+    for family in families:
+        for k in ks:
+            model = fits[k, family]
             if isinstance(model, GmmModel) and (least := model.mixing_weights.min() * n) < d + 1:
                 model = NumericalError(
                     f"a component holds {least:.4g} effective members (mixing weight x n), "

@@ -657,8 +657,9 @@ def test_every_grid_point_is_its_own_fit(inputs):
 
 def _ward_by_full_search(points, k):
     # O(n^3) reference for cluster._ward_centers: the same Lance-Williams
-    # updates, but each merge takes the lowest (i, j), i < j, of the least
-    # cost by an argmin over the whole upper triangle
+    # updates, kept in the upper triangle only, on the unscaled points; each
+    # merge takes the lowest (i, j), i < j, of the least cost by an argmin
+    # over that triangle
     n = len(points)
     dist = ((points[:, None, :] - points) ** 2).sum(axis=-1)
     dist[np.tril_indices(n)] = np.inf
@@ -684,13 +685,15 @@ def _ward_datasets(mortality_log):
         "two_triples": TWO_TRIPLES,
         **_reference_datasets(),
         "normal40x2": np.random.default_rng(3).normal(size=(40, 2)),
+        "normal200x3": np.random.default_rng(4).normal(size=(200, 3)),
+        "normal60x1": np.random.default_rng(5).normal(size=(60, 1)),
     }
 
 
 class TestWardStart:
     @pytest.mark.parametrize("dataset", [
         "mortality", "mortality_1e3", "mortality_1e-3", "two_triples", "blobs", "normal3d",
-        "normal40x2",
+        "normal40x2", "normal200x3", "normal60x1",
     ])
     def test_cut_matches_scipy(self, dataset, mortality_log):
         pts = _ward_datasets(mortality_log)[dataset]
