@@ -1,9 +1,9 @@
-"""Demographic summary measures: abridged life tables, TFR, untreated-HIV share.
+"""Demographic measures: the abridged life table and the untreated-HIV share.
 
-These feed the covariate side of the weight regressions.  The life table
-uses the standard abridged construction from age-specific death rates with
-a conventional average-years-lived rule: 0.3 years for infants, 1.5 for
-ages 1-4, half the interval otherwise, and an open-ended last group.
+The life table is what ``lifetable`` writes, built from age-specific death
+rates with a conventional average-years-lived rule: 0.3 years for infants,
+1.5 for ages 1-4, half the interval otherwise, and an open-ended last group.
+The untreated-HIV share is a covariate of the weight regressions.
 """
 
 import warnings
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .schedule import NATURAL, AgeSchedule
 
 
@@ -19,8 +19,6 @@ from .schedule import NATURAL, AgeSchedule
 class LifeTable:
     """Abridged period life table with radix 1.0."""
 
-    age_start: np.ndarray  # start of each interval; last interval open
-    age_width: np.ndarray  # width in years; last entry is inf
     mx: np.ndarray  # death rate per person-year
     ax: np.ndarray  # average years lived in interval by those dying in it
     qx: np.ndarray  # probability of dying within the interval
@@ -40,7 +38,9 @@ def life_table_from_mx(mx: AgeSchedule, age_starts) -> LifeTable:
     ``age_starts`` holds the ascending start age of every group; the last
     group is open-ended.  Closed intervals convert rates to probabilities
     with qx = n*mx / (1 + (n - ax)*mx); the open interval has qx = 1,
-    ax = 1/mx and person-years lx/mx.
+    ax = 1/mx and person-years lx/mx.  A column that overflows (a rate near
+    the float maximum, or 1/mx of a subnormal open-interval rate) is a
+    NumericalError naming the first such column computed and its first age.
     """
     if mx.scale != NATURAL:
         raise DataError("life table needs natural-scale rates")
@@ -59,54 +59,32 @@ def life_table_from_mx(mx: AgeSchedule, age_starts) -> LifeTable:
     widths = np.empty(n_groups)
     widths[:-1] = np.diff(starts)
     widths[-1] = np.inf
-    ax = np.where(
-        (starts == 0.0) & (widths <= 1.0), 0.3,
-        np.where((starts == 1.0) & (widths == 4.0), 1.5, widths / 2.0),
-    )
-    ax[-1] = 1.0 / rates[-1]  # the open interval's Lx / dx
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ax = np.where(
+            (starts == 0.0) & (widths <= 1.0), 0.3,
+            np.where((starts == 1.0) & (widths == 4.0), 1.5, widths / 2.0),
+        )
+        ax[-1] = 1.0 / rates[-1]  # the open interval's Lx / dx
 
-    qx = np.empty(n_groups)
-    with np.errstate(invalid="ignore"):
+        qx = np.empty(n_groups)
         qx[:-1] = (widths[:-1] * rates[:-1]) / (1.0 + (widths[:-1] - ax[:-1]) * rates[:-1])
-    qx[:-1] = np.clip(qx[:-1], 0.0, 1.0)
-    qx[-1] = 1.0
+        qx[:-1] = np.clip(qx[:-1], 0.0, 1.0)
+        qx[-1] = 1.0
 
-    lx = np.cumprod(np.concatenate(([1.0], 1.0 - qx[:-1])))
-    deaths = lx * qx
+        lx = np.cumprod(np.concatenate(([1.0], 1.0 - qx[:-1])))
+        deaths = lx * qx
 
-    Lx = np.empty(n_groups)
-    Lx[:-1] = widths[:-1] * lx[1:] + ax[:-1] * deaths[:-1]
-    Lx[-1] = lx[-1] / rates[-1]
-    Tx = np.cumsum(Lx[::-1])[::-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
+        Lx = np.empty(n_groups)
+        Lx[:-1] = widths[:-1] * lx[1:] + ax[:-1] * deaths[:-1]
+        Lx[-1] = lx[-1] / rates[-1]
+        Tx = np.cumsum(Lx[::-1])[::-1]
         ex = np.where(lx > 0, Tx / lx, 0.0)
-    return LifeTable(
-        age_start=starts, age_width=widths, mx=rates.copy(), ax=ax,
-        qx=qx, lx=lx, Lx=Lx, Tx=Tx, ex=ex,
-    )
-
-
-def interval_death_prob(lt: LifeTable, x: float, n: float) -> float:
-    """Probability of dying between exact ages x and x+n, given alive at x."""
-    at = [np.flatnonzero(np.isclose(lt.age_start, b, rtol=0, atol=1e-9)) for b in (x, x + n)]
-    for bound, hits in zip((x, x + n), at):
-        if hits.size == 0:
-            raise DataError(f"age {bound} is not on the life-table grid")
-    lo, hi = (lt.lx[hits[0]] for hits in at)
-    if lo == 0.0:
-        raise DataError(f"no survivors at age {x}")
-    return float(1.0 - hi / lo)
-
-
-def tfr(asfr: AgeSchedule, width: float) -> float:
-    """Total fertility rate: interval width times the summed rates."""
-    if asfr.scale != NATURAL:
-        raise DataError("TFR needs natural-scale fertility rates")
-    if np.any(asfr.values < 0):
-        raise DataError("fertility rates must be nonnegative")
-    if width <= 0:
-        raise DataError("age-group width must be positive")
-    return float(width * asfr.values.sum())
+    finite = np.isfinite(np.stack((ax, qx, lx, Lx, Tx, ex)))  # in the order computed
+    if not finite.all():
+        column, age = divmod(int(finite.argmin()), n_groups)
+        raise NumericalError(f"life table {('ax', 'qx', 'lx', 'Lx', 'Tx', 'ex')[column]} is "
+                             f"not finite at age {mx.group_labels[age]!r}")
+    return LifeTable(mx=rates.copy(), ax=ax, qx=qx, lx=lx, Lx=Lx, Tx=Tx, ex=ex)
 
 
 def derive_delta(hiv_prev, art_cov):

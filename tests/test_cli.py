@@ -731,6 +731,26 @@ class TestOneLineFailures:
         assert "finite and strictly ascending" in one_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("case, column, message", [
+        # n m overflows in the closed interval 1-4, so its qx is inf / inf
+        ("closed", "x", "life table qx is not finite at age '1'"),
+        # 1 / m and l / m of the subnormal open-interval rate overflow
+        ("subnormal", "2000", "life table ax is not finite at age '85+'"),
+    ], ids=["closed-rate-1e308", "bundled-rates-times-1e-320"])
+    def test_lifetable_that_overflows_is_a_numerical_failure(
+        self, case, column, message, tmp_path, data_dir, capsys
+    ):
+        path, out = tmp_path / "mx.csv", tmp_path / "lt.csv"
+        if case == "closed":
+            path.write_text("age,x\n0,0.01\n1,1e308\n5,0.01\n10+,0.2\n")
+        else:
+            table = io.load_schedule_csv(data_dir / MX_F)
+            io.write_schedule_csv(replace(table, data=table.data * 1e-320), path)
+        assert run("lifetable", path, "--column", column, "--out", out) == 3
+        printed = capsys.readouterr()
+        assert printed.err == f"numerical failure: {message}\n" and printed.out == ""
+        assert not out.exists()
+
     def test_metrics_overflow_is_a_numerical_failure(self, tmp_path, capsys):
         pred, obs, out = tmp_path / "p.csv", tmp_path / "o.csv", tmp_path / "m.json"
         pred.write_text("age,a,b\n0,1e308,-1e308\n")

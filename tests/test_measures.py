@@ -101,6 +101,14 @@ class TestLifeTable:
         with pytest.raises(DataError, match="age grid does not match the rate schedule"):
             measures.life_table_from_mx(AgeSchedule(["0", "5+"], [0.1, 0.1]), [0, 5, 10])
 
+    def test_a_certain_death_interval_leaves_no_survivors(self):
+        # 5 m = 5 >= 2 makes q = 1 in the closed interval 5-10, so l(10) = 0
+        starts = [0, 5, 10, 15]
+        lt = measures.life_table_from_mx(AgeSchedule(list("abcd"), [0.1, 1.0, 0.1, 0.2]), starts)
+        assert lt.qx[1] == 1.0
+        np.testing.assert_array_equal(lt.lx[2:], [0.0, 0.0])
+        np.testing.assert_array_equal(lt.ex[2:], [0.0, 0.0])
+
     @pytest.mark.parametrize("starts", [[0, np.nan, 5], [np.nan, 1, 5], [0, 1, np.nan],
                                         [0, 1, np.inf], [-np.inf, 1, 5]])
     def test_non_finite_age_start(self, starts):
@@ -108,95 +116,12 @@ class TestLifeTable:
             measures.life_table_from_mx(AgeSchedule(["a", "b", "c"], [0.1, 0.1, 0.2]), starts)
 
 
-class TestIntervalDeathProb:
-    def _table(self, rates):
-        labels = [str(s) for s in ABRIDGED_STARTS]
-        return measures.life_table_from_mx(AgeSchedule(labels, rates), ABRIDGED_STARTS)
-
-    def test_zero_mortality_interval(self):
-        rates = np.full(len(ABRIDGED_STARTS), 1e-9)
-        rates[-1] = 0.1
-        lt = self._table(rates)
-        assert measures.interval_death_prob(lt, 15, 45) == pytest.approx(0.0, abs=1e-6)
-
-    def test_q5_is_one_minus_l5(self, data_dir):
-        mx = load_schedule_csv(data_dir / "agincourt_mx_female.csv").column("2011")
-        lt = measures.life_table_from_mx(mx, ABRIDGED_STARTS)
-        q5 = measures.interval_death_prob(lt, 0, 5)
-        assert q5 == pytest.approx(1.0 - lt.lx[2], abs=1e-15)
-
-    def test_against_oracle(self, data_dir):
-        mx = load_schedule_csv(data_dir / "agincourt_mx_female.csv").column("2011")
-        lt = measures.life_table_from_mx(mx, ABRIDGED_STARTS)
-        oracle = oracle_life_table(list(mx.values), ABRIDGED_STARTS)
-        l15 = oracle[ABRIDGED_STARTS.index(15)]["l"]
-        l60 = oracle[ABRIDGED_STARTS.index(60)]["l"]
-        assert measures.interval_death_prob(lt, 15, 45) == pytest.approx(
-            1.0 - l60 / l15, abs=1e-6
-        )
-
-    def test_sub_year_grid_ages_match_within_tolerance(self):
-        # 0.1 + 0.2 is 0.30000000000000004, which is not the grid age 0.3
-        starts = [0, 0.1, 0.3, 1, 5, 10]
-        rates = [0.05, 0.04, 0.03, 0.01, 0.005, 0.2]
-        lt = measures.life_table_from_mx(AgeSchedule([str(s) for s in starts], rates), starts)
-        got = measures.interval_death_prob(lt, 0.1, 0.2)
-        assert got == pytest.approx(1.0 - lt.lx[2] / lt.lx[1], rel=1e-15)
-        with pytest.raises(DataError):
-            measures.interval_death_prob(lt, 0.1, 0.2 + 1e-6)
-
-    def test_off_grid_errors(self, data_dir):
-        mx = load_schedule_csv(data_dir / "agincourt_mx_female.csv").column("2011")
-        lt = measures.life_table_from_mx(mx, ABRIDGED_STARTS)
-        with pytest.raises(DataError):
-            measures.interval_death_prob(lt, 2, 5)
-
-    def test_no_survivors_at_the_start_age(self):
-        # 5 m = 5 >= 2 makes q = 1 in the closed interval 5-10, so l(10) = 0
-        starts = [0, 5, 10, 15]
-        lt = measures.life_table_from_mx(AgeSchedule(list("abcd"), [0.1, 1.0, 0.1, 0.2]), starts)
-        assert lt.lx[2] == 0.0
-        with pytest.raises(DataError, match="no survivors at age 10"):
-            measures.interval_death_prob(lt, 10, 5)
-
-
-class TestTfr:
-    def test_uniform_rates(self):
-        asfr = AgeSchedule([f"g{i}" for i in range(7)], [0.1] * 7)
-        assert measures.tfr(asfr, 5.0) == pytest.approx(3.5)
-
-    def test_zero_rates(self):
-        asfr = AgeSchedule(["a", "b"], [0.0, 0.0])
-        assert measures.tfr(asfr, 5.0) == 0.0
-
-    def test_published_1993_column_sum(self, data_dir):
-        # the printed TFR for 1993 is 3.47; the smoothed rates sum lower,
-        # so regressions consume the printed covariate column instead
-        asfr = load_schedule_csv(data_dir / "agincourt_fx.csv").column("1993")
-        assert measures.tfr(asfr, 5.0) == pytest.approx(2.985, abs=0.001)
-
-    def test_linearity(self, rng):
-        labels = [f"g{i}" for i in range(7)]
-        a = rng.uniform(0, 0.2, size=7)
-        b = rng.uniform(0, 0.2, size=7)
-        total = measures.tfr(AgeSchedule(labels, a + b), 5.0)
-        assert total == pytest.approx(
-            measures.tfr(AgeSchedule(labels, a), 5.0)
-            + measures.tfr(AgeSchedule(labels, b), 5.0)
-        )
-
-    def test_negative_rate_errors(self):
-        with pytest.raises(DataError):
-            measures.tfr(AgeSchedule(["a"], [-0.1]), 5.0)
-
-    @pytest.mark.parametrize("scale, width, message", [
-        ("log", 5.0, "natural-scale fertility rates"),
-        ("natural", 0.0, "width must be positive"),
-        ("natural", -5.0, "width must be positive"),
-    ])
-    def test_log_scale_and_non_positive_width_errors(self, scale, width, message):
-        with pytest.raises(DataError, match=message):
-            measures.tfr(AgeSchedule(["a"], [0.1], scale), width)
+def test_bundled_1993_fertility_sums_below_the_printed_tfr(data_dir, fertility_covariates):
+    # the printed TFR for 1993 is 3.47; the smoothed rates sum lower, so
+    # regressions consume the printed covariate column instead
+    asfr = load_schedule_csv(data_dir / "agincourt_fx.csv").column("1993")
+    assert 5.0 * asfr.values.sum() == pytest.approx(2.985, abs=0.001)
+    assert fertility_covariates.row("1993")["tfr"] == 3.47
 
 
 class TestDeriveDelta:
