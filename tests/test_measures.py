@@ -115,6 +115,59 @@ class TestLifeTable:
         with pytest.raises(DataError, match="finite and strictly ascending"):
             measures.life_table_from_mx(AgeSchedule(["a", "b", "c"], [0.1, 0.1, 0.2]), starts)
 
+    def test_near_zero_mortality_keeps_survivors_from_15_to_60(self):
+        rates = np.full(len(ABRIDGED_STARTS), 1e-9)
+        rates[-1] = 0.1
+        lt = measures.life_table_from_mx(
+            AgeSchedule([str(s) for s in ABRIDGED_STARTS], rates), ABRIDGED_STARTS
+        )
+        l15, l60 = lt.lx[ABRIDGED_STARTS.index(15)], lt.lx[ABRIDGED_STARTS.index(60)]
+        assert 1.0 - l60 / l15 == pytest.approx(0.0, abs=1e-6)
+
+    @pytest.mark.parametrize("name", ["agincourt_mx_female.csv", "agincourt_mx_male.csv"])
+    def test_closed_interval_qx_is_one_minus_the_survivor_ratio(self, data_dir, name):
+        table = load_schedule_csv(data_dir / name)
+        for label in table.schedule_labels:
+            lt = measures.life_table_from_mx(table.column(label), ABRIDGED_STARTS)
+            np.testing.assert_allclose(1.0 - lt.lx[1:] / lt.lx[:-1], lt.qx[:-1],
+                                       rtol=1e-12, atol=1e-15)
+            # 5q0 spans the infant and 1-4 groups
+            assert 1.0 - lt.lx[2] == pytest.approx(
+                1.0 - (1.0 - lt.qx[0]) * (1.0 - lt.qx[1]), abs=1e-15
+            )
+
+    @pytest.mark.parametrize("name", ["agincourt_mx_female.csv", "agincourt_mx_male.csv"])
+    @pytest.mark.parametrize("start, end", [(0, 5), (15, 60)])
+    def test_interval_death_probabilities_against_oracle(self, data_dir, name, start, end):
+        # 5q0 and 45q15, the paper's mortality covariates, read off the survivor column
+        table = load_schedule_csv(data_dir / name)
+        i, j = ABRIDGED_STARTS.index(start), ABRIDGED_STARTS.index(end)
+        for label in table.schedule_labels:
+            mx = table.column(label)
+            lt = measures.life_table_from_mx(mx, ABRIDGED_STARTS)
+            oracle = oracle_life_table(list(mx.values), ABRIDGED_STARTS)
+            assert 1.0 - lt.lx[j] / lt.lx[i] == pytest.approx(
+                1.0 - oracle[j]["l"] / oracle[i]["l"], abs=1e-12
+            )
+
+    def test_sub_year_grid_against_oracle(self):
+        # 0.3 - 0.1 is 0.19999999999999998; both sides take widths as differences
+        starts = [0, 0.1, 0.3, 1, 5, 10]
+        rates = [0.05, 0.04, 0.03, 0.01, 0.005, 0.2]
+        lt = measures.life_table_from_mx(AgeSchedule([str(s) for s in starts], rates), starts)
+        oracle = oracle_life_table(rates, starts)
+        for column, key in ((lt.qx, "q"), (lt.lx, "l"), (lt.Lx, "L"), (lt.Tx, "T"),
+                            (lt.ex, "e")):
+            np.testing.assert_allclose(column, [row[key] for row in oracle], rtol=1e-14)
+        assert lt.ax[1] == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("name", ["agincourt_mx_female.csv", "agincourt_mx_male.csv"])
+    def test_deaths_sum_to_the_radix(self, data_dir, name):
+        table = load_schedule_csv(data_dir / name)
+        for label in table.schedule_labels:
+            lt = measures.life_table_from_mx(table.column(label), ABRIDGED_STARTS)
+            assert float(np.sum(lt.lx * lt.qx)) == pytest.approx(1.0, abs=1e-12)
+
 
 def test_bundled_1993_fertility_sums_below_the_printed_tfr(data_dir, fertility_covariates):
     # the printed TFR for 1993 is 3.47; the smoothed rates sum lower, so
