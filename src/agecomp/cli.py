@@ -207,7 +207,7 @@ def _parse_age_start(label: str) -> float:
 
 def _cmd_lifetable(args):
     matrix = io.load_schedule_csv(args.input)
-    label = args.column if args.column else matrix.schedule_labels[0]
+    label = args.column if args.column is not None else matrix.schedule_labels[0]
     starts = [_parse_age_start(g) for g in matrix.group_labels]
     lt = measures.life_table_from_mx(matrix.column(label), starts)
     table = np.column_stack([lt.mx, lt.ax, lt.qx, lt.lx, lt.Lx, lt.Tx, lt.ex])

@@ -1,7 +1,7 @@
 """Demographic measures: the abridged life table and the untreated-HIV share.
 
 The life table is what ``lifetable`` writes, built from age-specific death
-rates with a conventional average-years-lived rule: 0.3 years for infants,
+rates with a conventional average-years-lived rule: 0.3 years for ages 0-1,
 1.5 for ages 1-4, half the interval otherwise, and an open-ended last group.
 The untreated-HIV share is a covariate of the weight regressions.
 """
@@ -61,7 +61,7 @@ def life_table_from_mx(mx: AgeSchedule, age_starts) -> LifeTable:
     widths[-1] = np.inf
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ax = np.where(
-            (starts == 0.0) & (widths <= 1.0), 0.3,
+            (starts == 0.0) & (widths == 1.0), 0.3,
             np.where((starts == 1.0) & (widths == 4.0), 1.5, widths / 2.0),
         )
         ax[-1] = 1.0 / rates[-1]  # the open interval's Lx / dx

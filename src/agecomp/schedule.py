@@ -66,8 +66,9 @@ class ScheduleMatrix:
     """Labeled G x H matrix: one age schedule per column.
 
     ``data`` is kept as a read-only view, not a copy, of the array passed in,
-    and its SVD is computed once, on first use, by :attr:`factors`.  A caller
-    must not write to an array after building a matrix from it.
+    and its SVD is taken on first use by :attr:`factors`, from
+    :func:`linalg.svd`, which also answers a repeat of its last input.  A
+    caller must not write to an array after building a matrix from it.
     """
 
     group_labels: tuple
@@ -93,11 +94,8 @@ class ScheduleMatrix:
 
     @cached_property
     def factors(self) -> linalg.SvdFactorization:
-        """The matrix's one SVD, with read-only factors."""
-        f = linalg.svd(self.data)
-        for x in (f.u, f.s, f.v):
-            x.flags.writeable = False
-        return f
+        """The matrix's one SVD, with read-only factors (see :func:`linalg.svd`)."""
+        return linalg.svd(self.data)
 
     def column(self, label) -> AgeSchedule:
         h = self._columns.get(label)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import agecomp
-from agecomp import io, schedule
+from agecomp import io, linalg, schedule
 from agecomp.cli import _build_parser, main
 
 MX_F = "agincourt_mx_female.csv"
@@ -273,6 +273,13 @@ class TestLifetablePlot:
         assert len(lines) == 20
         assert not any(cell == "nan" for line in lines for cell in line.split(","))
 
+    def test_lifetable_empty_column_is_not_the_first_schedule(self, tmp_path, data_dir, capsys):
+        out = tmp_path / "lt.csv"
+        assert run("lifetable", data_dir / MX_F, "--column", "", "--out", out) == 2
+        printed = capsys.readouterr()
+        assert printed.err == "data error: no schedule labeled ''\n" and printed.out == ""
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_usage_errors(self, tmp_path):
@@ -324,6 +331,7 @@ class TestExitCodes:
         monkeypatch.setattr(np.linalg, "svd", failing_svd)
         small = tmp_path / "small.csv"
         small.write_text("age,x,y\n0,2,1\n1,1,1\n2,1,2\n")
+        linalg._svd.cache_clear()  # an earlier test may have decomposed this matrix
         assert run(
             "decompose", small, "--components", "1", "--out", tmp_path / "o.json"
         ) == 3
@@ -384,8 +392,6 @@ class TestOneDecomposition:
         ("smooth", "-c", "2", "--out", "s.csv"),
     ])
     def test_each_command_factorizes_once(self, argv, tmp_path, data_dir, monkeypatch):
-        from agecomp import linalg
-
         calls = []
         real = linalg.svd
 
@@ -482,8 +488,6 @@ class TestRegressAndModels:
 
     @pytest.mark.parametrize("c", [1, 2, 3])
     def test_regress_factorizes_the_design_once(self, c, tmp_path, data_dir, monkeypatch):
-        from agecomp import linalg
-
         weights = self._weights(tmp_path, data_dir, c)
         calls = []
         real = linalg.svd

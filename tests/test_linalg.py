@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from agecomp import linalg
+from agecomp import linalg, schedule
 from agecomp.errors import DataError, NumericalError
+from agecomp.schedule import ScheduleMatrix
 
 X32 = np.array([[2.0, 1.0], [1.0, 1.0], [1.0, 2.0]])
 
@@ -70,7 +71,9 @@ class TestSvd:
 
     def test_deterministic(self, rng):
         x = rng.normal(size=(7, 5))
-        f1, f2 = linalg.svd(x), linalg.svd(x)
+        f1 = linalg.svd(x)
+        linalg._svd.cache_clear()  # factorize again, not answer from the kept result
+        f2 = linalg.svd(x)
         np.testing.assert_array_equal(f1.u, f2.u)
         np.testing.assert_array_equal(f1.s, f2.s)
         np.testing.assert_array_equal(f1.v, f2.v)
@@ -99,6 +102,100 @@ class TestSvd:
         x = 1.7e308 * np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, 1.0, -1.0]])
         with pytest.raises(NumericalError, match="overflow"):
             linalg.svd(x)
+
+
+class TestSvdCache:
+    """``svd`` keeps its last result, keyed on the input's shape and bits."""
+
+    @pytest.fixture()
+    def lapack_calls(self, monkeypatch):
+        calls = []
+        real = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            calls.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        linalg._svd.cache_clear()
+        return calls
+
+    @staticmethod
+    def assert_same_factors(f, g):
+        for a, b in ((f.u, g.u), (f.s, g.s), (f.v, g.v)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_explained_shares_then_a_basis_factorize_once(self, rng, lapack_calls):
+        x = rng.normal(size=(9, 6))
+        f = linalg.svd(x)
+        m = ScheduleMatrix([f"a{i}" for i in range(9)], [f"t{j}" for j in range(6)], x)
+        basis = schedule.build_basis(m, 2)
+        assert len(lapack_calls) == 1
+        assert m.factors is f
+        linalg._svd.cache_clear()
+        fresh = linalg.svd(x)
+        assert len(lapack_calls) == 2
+        self.assert_same_factors(f, fresh)
+        np.testing.assert_array_equal(basis.components, fresh.u[:, :2] * fresh.s[:2])
+
+    def test_only_the_last_input_is_kept(self, rng, lapack_calls):
+        a, b = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
+        linalg.svd(a)
+        linalg.svd(b)
+        linalg.svd(a)
+        assert len(lapack_calls) == 3
+
+    def test_a_negative_zero_is_a_miss(self, lapack_calls):
+        x = np.array([[1.0, 0.0], [2.0, 3.0]])
+        linalg.svd(x)
+        y = x.copy()
+        y[0, 1] = -0.0
+        linalg.svd(y)
+        assert len(lapack_calls) == 2
+
+    def test_writing_to_the_input_after_the_call_is_a_miss(self, rng, lapack_calls):
+        x = rng.normal(size=(5, 4))
+        f = linalg.svd(x)
+        x[2, 1] += 1.0
+        g = linalg.svd(x)
+        assert len(lapack_calls) == 2
+        assert not np.array_equal(f.s, g.s)
+
+    def test_a_fortran_order_copy_is_a_hit_with_the_same_bits(self, rng, lapack_calls):
+        x = rng.normal(size=(8, 5))
+        fortran = np.asfortranarray(x)
+        assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+        f = linalg.svd(fortran)
+        assert linalg.svd(x) is f
+        assert len(lapack_calls) == 1
+        linalg._svd.cache_clear()
+        self.assert_same_factors(f, linalg.svd(x))
+
+    def test_the_same_bits_in_another_shape_are_a_miss(self, rng, lapack_calls):
+        x = rng.normal(size=(4, 6))
+        linalg.svd(x)
+        linalg.svd(x.reshape(6, 4))
+        assert lapack_calls == [(4, 6), (6, 4)]
+
+    def test_factors_are_read_only(self, rng):
+        f = linalg.svd(rng.normal(size=(5, 4)))
+        for factor in (f.u, f.s, f.v):
+            with pytest.raises(ValueError, match="read-only"):
+                factor[0] = 1.0
+
+    def test_a_lapack_failure_is_raised_on_every_call(self, monkeypatch):
+        calls = []
+
+        def failing_svd(*args, **kwargs):
+            calls.append(1)
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        linalg._svd.cache_clear()
+        for _ in range(2):
+            with pytest.raises(NumericalError, match="SVD failed"):
+                linalg.svd(X32)
+        assert len(calls) == 2
 
 
 class TestCanonicalizeSigns:

@@ -25,7 +25,7 @@ def oracle_life_table(rates, starts):
             width = None
         else:
             width = starts[i + 1] - starts[i]
-            if starts[i] == 0 and width <= 1:
+            if starts[i] == 0 and width == 1:
                 a = 0.3
             elif starts[i] == 1 and width == 4:
                 a = 1.5
@@ -160,6 +160,10 @@ class TestLifeTable:
                             (lt.ex, "e")):
             np.testing.assert_allclose(column, [row[key] for row in oracle], rtol=1e-14)
         assert lt.ax[1] == pytest.approx(0.1)
+        # no closed interval credits its deaths, or its survivors, more years than it holds
+        widths = np.diff(starts)
+        assert np.all(lt.ax[:-1] <= widths)
+        assert np.all(lt.Lx[:-1] <= widths * lt.lx[:-1])
 
     @pytest.mark.parametrize("name", ["agincourt_mx_female.csv", "agincourt_mx_male.csv"])
     def test_deaths_sum_to_the_radix(self, data_dir, name):
@@ -202,7 +206,7 @@ def loop_ax_lx(starts, qx):
     """The average-years rule and survivor column one interval at a time."""
     ax, lx = [], [1.0]
     for start, width, q in zip(starts[:-1], np.diff(starts), qx[:-1]):
-        if start == 0.0 and width <= 1.0:
+        if start == 0.0 and width == 1.0:
             ax.append(0.3)
         elif start == 1.0 and width == 4.0:
             ax.append(1.5)
