@@ -1,24 +1,32 @@
-"""The README chain's output bytes, pinned.
+"""The README chain's output bytes and the BIC grids' records, pinned.
 
 The chain is the 48 commands of the paper's workflow on the bundled
 Agincourt tables: decompose, regress, predict, smooth, metrics, cluster,
 fit, reconstruct, one lifetable per year and sex, then the fertility
 decompose and regress.  ``golden/agincourt_chain.json`` holds the sha256 of
-every file it writes and its captured stdout.  A change that moves any of
-those bytes regenerates the manifest with ``golden/regen.py`` and says
-which files changed.
+every file it writes and its captured stdout.  ``golden/bic_grids.json``
+holds every record of ``select_by_bic(x, range(1, 7))`` on 11 datasets,
+with each float as its ``repr``, and the selection and labels.  A change
+that moves any of those bytes regenerates the manifests with
+``golden/regen.py`` and says which files or records changed.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+from itertools import zip_longest
 from pathlib import Path
 
-from agecomp import cli
+import numpy as np
+from test_cluster import TWO_TRIPLES, _reference_datasets
+
+from agecomp import cli, cluster, schedule
+from agecomp import io as agecomp_io
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 MANIFEST = Path(__file__).resolve().parent / "golden" / "agincourt_chain.json"
+GRIDS = Path(__file__).resolve().parent / "golden" / "bic_grids.json"
 
 
 def chain_argvs(out: Path) -> list[list[str]]:
@@ -85,3 +93,47 @@ def test_chain_outputs_keep_their_bytes(tmp_path):
     assert not differ, f"{len(differ)} chain outputs differ from the manifest: {differ}"
     assert got["stdout"] == want["stdout"]
     assert got["stderr"] == want["stderr"]
+
+
+def grid_datasets() -> dict:
+    """The 11 BIC-grid datasets: the bundled weights, in and off range, and four samples."""
+    female, male = (agecomp_io.load_schedule_csv(DATA / f"agincourt_mx_{sex}.csv", log=True)
+                    for sex in ("female", "male"))
+    weights = schedule.svd_weights(schedule.concat_sexes(female, male), 2)
+    return {
+        "mortality": weights,
+        "mortality_1e3": weights * 1e3,
+        "mortality_1e-3": weights * 1e-3,
+        **_reference_datasets(),
+        "normal40x2": np.random.default_rng(3).normal(size=(40, 2)),
+        "two_triples": TWO_TRIPLES,
+        **{f"mortality_1e{e}": weights * 10.0**e for e in (154, -150, -155, -160)},
+    }
+
+
+def grid_records(points) -> dict:
+    """Every record of the ``range(1, 7)`` grid on ``points``, floats as ``repr``."""
+    model = cluster.select_by_bic(points, range(1, 7))
+    return {
+        "grid": [{key: repr(float(value)) if key in ("bic", "log_likelihood") else value
+                  for key, value in point.items()} for point in model.grid],
+        "selected": {"family": model.family, "k": model.k, "bic": repr(float(model.bic))},
+        "labels": cluster.assign(model, points).labels.tolist(),
+    }
+
+
+def test_bic_grids_keep_their_records():
+    """Every grid record, selection and label list equals the manifest exactly.
+
+    Like the chain's bytes, the records depend on the numpy and BLAS/LAPACK
+    build that ``bic_grids.json`` records; on another build the test fails
+    rather than passing, and is not to be skipped or loosened there.
+    """
+    want = json.loads(GRIDS.read_text(encoding="utf-8"))["datasets"]
+    got = {name: grid_records(points) for name, points in grid_datasets().items()}
+    assert list(got) == list(want)
+    for name in want:
+        for i, (old, new) in enumerate(zip_longest(want[name]["grid"], got[name]["grid"])):
+            assert new == old, f"{name}: grid record {i} is {new}, the manifest has {old}"
+        for key in ("selected", "labels"):
+            assert got[name][key] == want[name][key], f"{name}: the {key} differ from the manifest"
