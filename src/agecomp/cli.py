@@ -148,7 +148,7 @@ def _cmd_cluster(args):
         "bic": io.fmt_number(model.bic),
         "log_likelihood": io.fmt_number(model.log_likelihood),
         "mixing_weights": [io.fmt_number(w) for w in model.mixing_weights],
-        "means": [[io.fmt_number(v) for v in row] for row in model.means],
+        "means": [[io.fmt_number(v) for v in row] for row in np.ldexp(model.means, model.scale)],
         "labels": dict(pairs),
     }
     with io.writing(args.out) as fh:

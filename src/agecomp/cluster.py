@@ -16,7 +16,10 @@ factorization.  The grid runs every k in one such stack: rows ordered by k,
 then family, and every row's k components stacked flat, one after another.
 Every per-matrix operation runs on one component and every sum over
 components on one row's, so each grid point has the bits of its own
-single-k fit.
+single-k fit.  Points whose max|x| has a binary exponent p outside +-256 are
+fitted times 2**-p, which is exact, so that no square or variance floor
+leaves the normal floats (rescaling only off range: Blue, ACM TOMS 4(1),
+1978); the model keeps p, with the likelihood and BIC of the unscaled points.
 """
 
 import math
@@ -32,6 +35,7 @@ FAMILIES = ("spherical", "diagonal", "full")
 _MAX_ITER = 500
 _LL_TOL = 1e-8
 _VARIANCE_FLOOR_SCALE = 1e-8
+_PRESCALE_EXPONENT = 256
 _GRID_FIELDS = ("k", "family", "bic", "log_likelihood", "n_iter", "converged")
 
 
@@ -48,6 +52,7 @@ class GmmModel:
     bic: float
     n_params: int
     n_obs: int
+    scale: int = 0  # fitted on the points x 2**-scale: means and covariances are in those units
     # EM diagnostics; a model built by hand ran no EM
     n_iter: int = 0  # EM iterations run
     converged: bool = False  # the log-likelihood gain fell below _LL_TOL
@@ -101,19 +106,14 @@ def _ward_centers(points, ks):
     # A cluster keeps the index of its first row, and as the matrix is
     # symmetric, the row-major argmin of equal merge costs is the lowest
     # (i, j), i < j; the means come in that order.
-    # The points are scaled by a power of two that brings max|x| into
-    # [0.5, 1), so no square overflows; that is exact, and so neither the
-    # merge order nor the means depend on the data's scale
-    scale = math.frexp(np.abs(points).max())[1]
-    x = np.ldexp(points, -scale)
-    n = len(x)
-    dist = ((x[:, None, :] - x) ** 2).sum(axis=-1)
+    n = len(points)
+    dist = ((points[:, None, :] - points) ** 2).sum(axis=-1)
     np.fill_diagonal(dist, np.inf)
     size, labels = np.ones(n), np.arange(n)
     centers, last = {}, min(ks)
     for count in range(n, last - 1, -1):
         if count in ks:
-            centers[count] = np.ldexp([x[labels == r].mean(axis=0) for r in np.unique(labels)], scale)
+            centers[count] = np.array([points[labels == r].mean(axis=0) for r in np.unique(labels)])
         if count == last:
             break
         i, j = divmod(int(dist.argmin()), n)
@@ -124,11 +124,6 @@ def _ward_centers(points, ks):
         size[i] += size[j]
         labels[labels == j] = i
     return [centers[k] for k in ks]
-
-
-def _floor_for(points):
-    var = points.var(axis=0).mean()
-    return _VARIANCE_FLOOR_SCALE * var if var > 0 else 1e-12
 
 
 def _pooled_cov(points, family, floor):
@@ -162,11 +157,12 @@ def _run_em(points, families, starts):
     # row's, so a row's bits do not depend on what else is stacked.  A row
     # leaves the stack when it ends, at the latest the step a component
     # reaches the variance floor, so each runs its own iterations; after a
-    # LAPACK failure each group reruns alone, and a group that fails alone
-    # reruns family by family, so only that pair fails.  Returns per row its
-    # NumericalError or (path, converged, weights, means, covs).
+    # LAPACK failure every row reruns alone, so only a pair that fails alone
+    # fails.  Returns per row its NumericalError or (path, converged,
+    # weights, means, covs).
     ks, d, n_families = [len(start) for start in starts], points.shape[1], len(families)
-    floor = _floor_for(points)
+    var = points.var(axis=0).mean()
+    floor = _VARIANCE_FLOOR_SCALE * var if var > 0 else 1e-12
     pooled = [_pooled_cov(points, family, floor) for family in families]
     n_rows, row_k = n_families * len(ks), np.repeat(ks, n_families)
     row_family = np.tile(range(n_families), len(ks))
@@ -224,11 +220,10 @@ def _run_em(points, families, starts):
                 if not rows.size:
                     break
     except np.linalg.LinAlgError as exc:
-        if len(starts) > 1:
-            return [run for start in starts for run in _run_em(points, families, [start])]
         if n_rows == 1:
             return [NumericalError(f"EM failed: {exc}")]
-        return [run for family in families for run in _run_em(points, (family,), starts)]
+        return [run for start in starts for family in families
+                for run in _run_em(points, (family,), [start])]
     return out
 
 
@@ -237,11 +232,13 @@ def _param_count(k, d, family):
     return k * d + k * per_cov + (k - 1)
 
 
-def _model(run, k, family, n, d):
-    # the GmmModel of one (k, family) EM run, or the NumericalError it failed with
+def _model(run, k, family, n, d, scale):
+    # the GmmModel of one (k, family) EM run on the points x 2**-scale, or the
+    # NumericalError it failed with; each point's density is 2**(-d scale) the fitted one
     if isinstance(run, NumericalError):
         return run
     path, converged, weights, means, covs = run
+    path = [ll - n * d * scale * math.log(2.0) for ll in path]
     n_params = _param_count(k, d, family)
     return GmmModel(
         k=k,
@@ -253,6 +250,7 @@ def _model(run, k, family, n, d):
         bic=-2.0 * path[-1] + n_params * np.log(n),
         n_params=n_params,
         n_obs=n,
+        scale=scale,
         n_iter=len(path),
         converged=converged,
         log_likelihood_path=tuple(path),
@@ -263,7 +261,7 @@ def _fit_families(pts, ks, families):
     # {(k, family): the fitted model or the NumericalError it failed with},
     # after checking the grid's inputs.  Every family at one k starts from the
     # same Ward means, and every fittable k runs in one EM stack, in the
-    # caller's order
+    # caller's order, on the points prescaled off range
     if not ks:
         raise DataError("empty k range")
     if not families:
@@ -277,10 +275,12 @@ def _fit_families(pts, ks, families):
     for k in ks:
         if k < 1:
             raise DataError(f"k must be >= 1, got {k}")
+    scale = math.frexp(np.abs(pts).max())[1]
+    x, scale = (np.ldexp(pts, -scale), scale) if abs(scale) > _PRESCALE_EXPONENT else (pts, 0)
     fitted = [k for k in dict.fromkeys(ks) if k <= n]
-    runs = iter(_run_em(pts, families, _ward_centers(pts, fitted)) if fitted else ())
+    runs = iter(_run_em(x, families, _ward_centers(x, fitted)) if fitted else ())
     return {
-        (k, family): _model(next(runs), k, family, n, d)
+        (k, family): _model(next(runs), k, family, n, d, scale)
         if k <= n else NumericalError(f"cannot fit {k} clusters to {n} observations")
         for k in dict.fromkeys(ks)
         for family in families
@@ -312,7 +312,7 @@ def fit_gmm_em(points, k: int, family: str = "full") -> GmmModel:
 
 def assign(model: GmmModel, points) -> ClusterAssignment:
     """Posterior responsibilities and MAP labels (1..k) for each point."""
-    pts = linalg.as_matrix(points)
+    pts = np.ldexp(linalg.as_matrix(points), -model.scale)
     diff = pts.T - model.means[:, :, None]
     resp = _posterior(diff, model.mixing_weights, *np.linalg.eigh(model.covariances), [model.k])[1].T
     return ClusterAssignment(labels=resp.argmax(axis=1) + 1, responsibilities=resp)
@@ -339,8 +339,7 @@ def select_by_bic(points, k_range, families=FAMILIES) -> GmmModel:
     pts = linalg.as_matrix(points)
     n, d = pts.shape
     fits = _fit_families(pts, ks, families)
-    candidates = []
-    grid = []
+    candidates, grid = [], []
     for family in families:
         for k in ks:
             model = fits[k, family]

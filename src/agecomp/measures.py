@@ -1,12 +1,10 @@
-"""Demographic measures: the abridged life table and the untreated-HIV share.
+"""Demographic measures: the abridged life table.
 
 The life table is what ``lifetable`` writes, built from age-specific death
 rates with a conventional average-years-lived rule: 0.3 years for ages 0-1,
 1.5 for ages 1-4, half the interval otherwise, and an open-ended last group.
-The untreated-HIV share is a covariate of the weight regressions.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,27 +84,3 @@ def life_table_from_mx(mx: AgeSchedule, age_starts) -> LifeTable:
                              f"not finite at age {mx.group_labels[age]!r}")
     return LifeTable(mx=rates.copy(), ax=ax, qx=qx, lx=lx, Lx=Lx, Tx=Tx, ex=ex)
 
-
-def derive_delta(hiv_prev, art_cov):
-    """Untreated HIV-positive fraction: prevalence minus ART coverage.
-
-    Works elementwise on arrays and returns a float for scalar inputs.  An
-    entry outside [0, 1], or NaN, is a DataError.  Negative differences
-    (coverage exceeding prevalence) clamp to zero with one warning that
-    counts them.
-    """
-    h, a = np.asarray(hiv_prev, dtype=float), np.asarray(art_cov, dtype=float)
-    for name, value in (("hiv_prev", h), ("art_cov", a)):
-        bad = ~((value >= 0.0) & (value <= 1.0))
-        if bad.any():
-            raise DataError(f"{name}={value[bad].flat[0]} outside [0, 1]")
-    delta = h - a
-    negative = delta < 0.0
-    if negative.any():
-        warnings.warn(
-            f"ART coverage exceeds HIV prevalence in {np.count_nonzero(negative)} of "
-            f"{delta.size} entries; delta clamped to 0",
-            stacklevel=2,
-        )
-        delta = np.where(negative, 0.0, delta)
-    return float(delta) if delta.ndim == 0 else delta

@@ -6,13 +6,13 @@ weights into whole predicted age schedules through a component basis.
 """
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
 from .errors import DataError, NumericalError
-from .measures import derive_delta
 from .schedule import AgeSchedule, ComponentBasis, label_index, reconstruct
 
 # Columns with a known range; everything else is accepted as-is.
@@ -50,13 +50,25 @@ class CovariateTable:
             raise DataError("life expectancy e0 must be positive")
 
     def with_delta(self) -> "CovariateTable":
-        """Add the derived delta column (percentage points); idempotent."""
+        """Add the derived delta column (percentage points); idempotent.
+
+        A negative difference (coverage exceeding prevalence) clamps to zero,
+        with one warning that counts them.
+        """
         if "delta" in self.columns:
             return self
         if "hiv_prev" not in self.columns or "art_cov" not in self.columns:
             raise DataError("delta needs both hiv_prev and art_cov")
-        delta = 100.0 * derive_delta(self.columns["hiv_prev"], self.columns["art_cov"])
-        return CovariateTable(self.labels, {**self.columns, "delta": delta})
+        delta = self.columns["hiv_prev"] - self.columns["art_cov"]
+        negative = delta < 0.0
+        if negative.any():
+            warnings.warn(
+                f"ART coverage exceeds HIV prevalence in {np.count_nonzero(negative)} of "
+                f"{delta.size} entries; delta clamped to 0",
+                stacklevel=2,
+            )
+            delta = np.where(negative, 0.0, delta)
+        return CovariateTable(self.labels, {**self.columns, "delta": 100.0 * delta})
 
     def column(self, name: str) -> np.ndarray:
         if name not in self.columns:

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -152,35 +153,32 @@ class TestCluster:
         code = run("cluster", "--weights", scaled, "--k-range", "1:6", "--out", tmp_path / "c.json")
         return code, capsys.readouterr()
 
-    @pytest.mark.parametrize("e", [154, 155, 160, 200, 300, 307])
-    def test_weights_past_1e154(self, e, tmp_path, basis_and_weights, capsys):
-        # past 1e154 the EM's squared distances overflow: every grid point ends
-        # on a log-likelihood that is not finite, and the command exits 3
-        code, printed = self._cluster_scaled(e, tmp_path, basis_and_weights, capsys)
-        if e == 154:
-            # the unscaled selection, its BIC moved by 2 * n * d * 154 * ln 10 =
-            # 2 * 19 * 2 * 154 * ln 10 from -157.15
-            assert code == 0
-            assert printed.out == "selected full mixture with k=2 (BIC 26792.31)\n"
-            return
-        assert code == 3
-        assert printed.err.splitlines()[-1].startswith("numerical failure:")
-        assert "Traceback" not in printed.err
-
-    @pytest.mark.parametrize("e, family, k", [
-        (-150, "full", 2), (-155, "full", 2), (-160, "full", 1),
-        (-200, "spherical", 1), (-300, "spherical", 1),
-    ])
-    def test_weights_below_1e_150(self, e, family, k, tmp_path, basis_and_weights, capsys):
-        # the E-step divides by sqrt(eigenvalue), which neither under- nor
-        # overflows where the eigenvalues are tiny.  The variance floor is
-        # subnormal at e = -150 and -155 and underflows to 0 at -160; below
-        # that the data variance is 0 too, its 1e-12 fallback floors every
-        # covariance, and spherical k=1 wins
-        code, printed = self._cluster_scaled(e, tmp_path, basis_and_weights, capsys)
+    @staticmethod
+    def _assert_the_unscaled_selection(e, code, printed):
+        # full k=2 with no warning, its BIC moved from -157.15 by
+        # 2 * n * d * e * ln 10 = 2 * 19 * 2 * e * ln 10
         assert code == 0
         assert printed.err == ""
-        assert printed.out.startswith(f"selected {family} mixture with k={k} (BIC ")
+        assert printed.out.startswith("selected full mixture with k=2 (BIC ")
+        bic = float(printed.out.split("BIC ")[1].rstrip(")\n"))
+        assert bic == pytest.approx(-157.14822873376943 + 2 * 19 * 2 * e * math.log(10), abs=0.006)
+
+    @pytest.mark.parametrize("e", [154, 155, 160, 200, 300, 307])
+    def test_weights_past_1e154(self, e, tmp_path, basis_and_weights, capsys):
+        # past 1e154 the squares of the weights overflow, and the fit runs on
+        # them times a power of two
+        code, printed = self._cluster_scaled(e, tmp_path, basis_and_weights, capsys)
+        self._assert_the_unscaled_selection(e, code, printed)
+        if e == 154:
+            assert printed.out == "selected full mixture with k=2 (BIC 26792.31)\n"
+
+    @pytest.mark.parametrize("e", [-150, -155, -160, -200, -300])
+    def test_weights_below_1e_150(self, e, tmp_path, basis_and_weights, capsys):
+        # the variance floor, 1e-8 times the data variance, would be subnormal
+        # at e = -150 and -155, and 0 below; the fit runs on the weights times
+        # a power of two, so the floor is a normal float at every e
+        code, printed = self._cluster_scaled(e, tmp_path, basis_and_weights, capsys)
+        self._assert_the_unscaled_selection(e, code, printed)
 
     def test_csv_format(self, tmp_path, basis_and_weights):
         _, weights = basis_and_weights

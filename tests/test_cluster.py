@@ -219,7 +219,8 @@ def _em_alone(points, k, family):
     # Ward means; returns its failure text or (log-likelihood path, converged).
     # A fit fails the step a component reaches the variance floor, unless the
     # pooled covariance rests on it too
-    floor = cluster._floor_for(points)
+    var = points.var(axis=0).mean()
+    floor = cluster._VARIANCE_FLOOR_SCALE * var if var > 0 else 1e-12
     pooled, degenerate = _constrain_one(np.cov(points.T), family, floor)
     (means,) = cluster._ward_centers(points, [k])
     weights, covs = np.full(k, 1.0 / k), np.repeat(pooled[None], k, axis=0)
@@ -338,8 +339,8 @@ class TestEmStack:
         assert got.grid[:2] == ref.grid[:2]  # spherical and diagonal as unpatched
 
     def test_lapack_failure_in_the_merged_grid_fails_only_that_pair(self, rng, monkeypatch):
-        # the grid's stack fails, each k reruns alone, and only k = 4 reruns
-        # family by family: full k = 4 fails, every other point is unpatched
+        # the grid's stack fails and every (k, family) row reruns alone: full
+        # k = 4 fails, every other point is unpatched
         pts = two_blobs(rng)
         ref = cluster.select_by_bic(pts, range(1, 7))
         assert isinstance(_em_alone(pts, 4, "full"), tuple)
@@ -377,11 +378,13 @@ class TestEmStack:
         assert str(out) == "mixture component collapsed to zero weight"
 
     def test_a_log_likelihood_that_is_not_finite_ends_its_row(self):
-        # past 1e154 the squared distances overflow, so the log-likelihoods are
-        # not finite and the weights NaN
+        # the runner on points past 1e154, which its callers prescale: the
+        # squared distances overflow, so the log-likelihoods are not finite and
+        # the weights NaN
         pts = TWO_TRIPLES * 1e160
+        starts = [start * 1e160 for start in cluster._ward_centers(TWO_TRIPLES, [1, 2])]
         with np.errstate(all="ignore"):
-            runs = cluster._run_em(pts, cluster.FAMILIES, cluster._ward_centers(pts, [1, 2]))
+            runs = cluster._run_em(pts, cluster.FAMILIES, starts)
         assert [type(run) for run in runs] == [NumericalError] * 6
         assert {str(run) for run in runs} == {"EM log-likelihood is not finite"}
 
@@ -724,21 +727,34 @@ class TestWardStart:
         for k, got in zip(range(1, 9), cluster._ward_centers(pts, range(1, 9))):
             np.testing.assert_array_equal(got, _ward_by_full_search(pts, k))
 
-    @pytest.mark.parametrize("power", [600, -600])
-    def test_scaling_by_a_power_of_two_scales_the_centers_exactly(self, power, mortality_log):
-        pts = schedule.svd_weights(mortality_log, 2)
-        ks = [6, 1, 3, 2]
-        for got, want in zip(cluster._ward_centers(np.ldexp(pts, power), ks),
-                             cluster._ward_centers(pts, ks)):
-            np.testing.assert_array_equal(got, np.ldexp(want, power))
+
+class TestPrescale:
+    @pytest.mark.parametrize("power", [600, -700])
+    def test_scaling_by_a_power_of_two_scales_the_means_exactly(self, power, mortality_log):
+        # both inputs are off range, so both fit the same prescaled points
+        w = schedule.svd_weights(mortality_log, 2)
+        low, high = (cluster.select_by_bic(np.ldexp(w, p), range(1, 7)) for p in (power, power + 100))
+        assert (high.family, high.k) == (low.family, low.k)
+        np.testing.assert_array_equal(np.ldexp(high.means, high.scale),
+                                      np.ldexp(np.ldexp(low.means, low.scale), 100))
+        np.testing.assert_array_equal(cluster.assign(high, np.ldexp(w, power + 100)).labels,
+                                      cluster.assign(low, np.ldexp(w, power)).labels)
 
     @pytest.mark.parametrize("e", [155, 300, 307, -300])
-    def test_centers_are_finite_at_every_scale(self, e, mortality_log):
+    def test_selection_is_finite_at_every_scale(self, e, mortality_log):
         # weights x 10^e square past the double range for e > 154, and below it
-        # for e < -154; the start is still finite, and scales by 10^e
-        pts = schedule.svd_weights(mortality_log, 2)
-        ks = [6, 1, 3, 2]
-        for got, want in zip(cluster._ward_centers(pts * 10.0**e, ks),
-                             cluster._ward_centers(pts, ks)):
-            assert np.isfinite(got).all()
-            np.testing.assert_allclose(got, want * 10.0**e, rtol=1e-12, atol=0)
+        # for e < -154; the selection is still finite, in the points' units
+        w = schedule.svd_weights(mortality_log, 2)
+        model = cluster.select_by_bic(w * 10.0**e, range(1, 7))
+        assert np.isfinite([model.bic, model.log_likelihood, *model.log_likelihood_path]).all()
+        assert np.isfinite(np.ldexp(model.means, model.scale)).all()
+        assert np.isfinite(model.covariances).all() and np.isfinite(model.mixing_weights).all()
+        assert np.isfinite(cluster.assign(model, w * 10.0**e).responsibilities).all()
+
+    @pytest.mark.parametrize("e, scale", [(-78, -260), (-77, -257), (-76, 0), (0, 0), (77, 0),
+                                          (78, 258)])
+    def test_only_points_off_range_are_prescaled(self, e, scale, mortality_log):
+        # max|w| is 0.385 (exponent -1); x 10^77 it has exponent 255, x 10^-76
+        # exponent -253, and only an exponent outside +-256 prescales
+        w = schedule.svd_weights(mortality_log, 2)
+        assert cluster.select_by_bic(w * 10.0**e, range(1, 4)).scale == scale

@@ -3,11 +3,15 @@ and every CLI run exits 0-3 with one error line and otherwise only warnings.
 
 The CLI property runs each subcommand on valid inputs with one input file
 replaced by arbitrary bytes or by the valid file with a few edits; a missing
-path and a directory in each input slot are checked one by one.
+path and a directory in each input slot are checked one by one.  The scale
+property clusters the bundled weights times 10^e at any decade e the floats
+hold: the selection is the unscaled one, with no warning.
 """
 
 import contextlib
 import io as stdio
+import json
+import math
 import re
 import shutil
 import tempfile
@@ -162,3 +166,55 @@ def test_every_subcommand_exits_0_to_3_with_one_error_line(case, mutation, input
         *err, last = err
         assert last.startswith(ERROR_PREFIX[code])
     assert all(line.startswith("warning: ") for line in err)
+
+
+@pytest.fixture(scope="module")
+def bundled_weights(tmp_path_factory, data_dir):
+    """(labels, c = 2 weights) of the bundled female and male log rates."""
+    d = tmp_path_factory.mktemp("weights")
+    paths = {"f": data_dir / "agincourt_mx_female.csv", "m": data_dir / "agincourt_mx_male.csv",
+             "basis": d / "basis", "weights": d / "weights"}
+    argv = "decompose {f} {m} --log --concat-sexes -c 2 --out {basis} --weights {weights}"
+    assert run_cli(argv, paths)[0] == 0
+    return io.load_weights_csv(paths["weights"])
+
+
+def cluster_scaled(bundled_weights, e):
+    """(exit code, stderr lines, output JSON) of ``cluster`` on the weights x 10^e."""
+    labels, weights = bundled_weights
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"weights": Path(tmp) / "weights", "out": Path(tmp) / "out"}
+        paths["weights"].write_text("schedule,v1,v2\n" + "".join(
+            f"{label},{a!r},{b!r}\n" for label, (a, b) in zip(labels, (weights * 10.0**e).tolist())))
+        code, err = run_cli("cluster --weights {weights} --k-range 1:6 --out {out}", paths)
+        return code, err, json.loads(paths["out"].read_text()) if code == 0 else None
+
+
+@pytest.fixture(scope="module")
+def unscaled_clusters(bundled_weights):
+    code, err, payload = cluster_scaled(bundled_weights, 0)
+    assert (code, err) == (0, [])
+    return payload
+
+
+@settings(max_examples=30, deadline=None)
+@given(e=st.integers(-300, 307))
+@example(e=-160)
+@example(e=-300)
+@example(e=155)
+@example(e=307)
+def test_clustering_selects_the_same_mixture_at_every_magnitude(
+    e, bundled_weights, unscaled_clusters
+):
+    # a mixture fit is affine equivariant: times 10^e, each of the n x d
+    # coordinates' densities is 10^-e times the unscaled one, so the BIC moves
+    # by 2 * n * d * e * ln 10, the means scale by 10^e and nothing else changes
+    code, err, got = cluster_scaled(bundled_weights, e)
+    assert (code, err) == (0, [])
+    want = unscaled_clusters
+    assert (got["family"], got["k"], got["labels"]) == (want["family"], want["k"], want["labels"])
+    n, d = bundled_weights[1].shape
+    shifted = float(want["bic"]) + 2 * n * d * e * math.log(10)
+    assert float(got["bic"]) == pytest.approx(shifted, rel=0, abs=1e-9)
+    means = np.array(want["means"], dtype=float) * 10.0**e
+    np.testing.assert_allclose(np.array(got["means"], dtype=float), means, rtol=1e-9)

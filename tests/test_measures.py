@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -181,27 +179,6 @@ def test_bundled_1993_fertility_sums_below_the_printed_tfr(data_dir, fertility_c
     assert fertility_covariates.row("1993")["tfr"] == 3.47
 
 
-class TestDeriveDelta:
-    def test_published_1993(self):
-        assert measures.derive_delta(0.03243, 0.0) == pytest.approx(0.03243)
-
-    def test_published_2011(self):
-        assert measures.derive_delta(0.17586, 0.02192) == pytest.approx(0.15394)
-
-    def test_equal_inputs(self):
-        assert measures.derive_delta(0.1, 0.1) == 0.0
-
-    def test_clamps_negative_with_warning(self):
-        with pytest.warns(UserWarning, match="clamped"):
-            assert measures.derive_delta(0.05, 0.08) == 0.0
-
-    def test_out_of_range(self):
-        with pytest.raises(DataError):
-            measures.derive_delta(1.2, 0.0)
-        with pytest.raises(DataError):
-            measures.derive_delta(0.5, -0.1)
-
-
 def loop_ax_lx(starts, qx):
     """The average-years rule and survivor column one interval at a time."""
     ax, lx = [], [1.0]
@@ -237,35 +214,3 @@ class TestLifeTableVectorized:
             ax, lx = loop_ax_lx(starts, lt.qx)
             np.testing.assert_array_equal(lt.ax[:-1], ax)
             np.testing.assert_array_equal(lt.lx, lx)
-
-
-class TestDeriveDeltaOnArrays:
-    def test_arrays_equal_scalar_results_elementwise(self, rng):
-        hiv = rng.uniform(0.0, 0.3, size=50)
-        art = rng.uniform(0.0, 0.2, size=50) * (hiv > 0.1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            delta = measures.derive_delta(hiv, art)
-            scalars = [measures.derive_delta(float(h), float(a)) for h, a in zip(hiv, art)]
-        assert isinstance(delta, np.ndarray) and delta.shape == (50,)
-        np.testing.assert_array_equal(delta, scalars)
-        assert isinstance(measures.derive_delta(0.2, 0.1), float)
-
-    def test_several_clamped_rows_give_one_warning_with_the_count(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            delta = measures.derive_delta([0.05, 0.2, 0.01, 0.3], [0.08, 0.1, 0.02, 0.4])
-        assert len(caught) == 1
-        assert "clamped" in str(caught[0].message) and "3 of 4" in str(caught[0].message)
-        np.testing.assert_array_equal(delta, [0.0, 0.2 - 0.1, 0.0, 0.0])
-
-    @pytest.mark.parametrize("hiv, art", [
-        ([0.1, np.nan], [0.0, 0.0]),
-        ([0.1, 0.2], [np.nan, 0.0]),
-        ([0.1, 1.2], [0.0, 0.0]),
-        ([0.1, 0.2], [0.0, -0.1]),
-        ([0.1, np.inf], [0.0, 0.0]),
-    ])
-    def test_nan_and_out_of_range_entries_raise(self, hiv, art):
-        with pytest.raises(DataError, match=r"outside \[0, 1\]"):
-            measures.derive_delta(np.array(hiv), np.array(art))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -57,6 +59,53 @@ class TestCovariateTable:
     def test_duplicate_row_label_named(self):
         with pytest.raises(DataError, match="duplicate covariate row label '1994'"):
             CovariateTable(["1993", "1994", "1994"], {"e0": [60.0, 61.0, 62.0]})
+
+
+def delta_of(hiv_prev, art_cov):
+    """The delta column of a table holding these hiv_prev and art_cov columns."""
+    labels = [str(1993 + i) for i in range(len(hiv_prev))]
+    return CovariateTable(labels, {"hiv_prev": hiv_prev, "art_cov": art_cov}).with_delta().column("delta")
+
+
+class TestWithDelta:
+    def test_published_1993(self):
+        assert delta_of([0.03243], [0.0]) == pytest.approx([3.243])
+
+    def test_published_2011(self):
+        assert delta_of([0.17586], [0.02192]) == pytest.approx([15.394])
+
+    def test_equal_inputs(self):
+        assert delta_of([0.1], [0.1]) == [0.0]
+
+    def test_clamps_negative_with_warning(self):
+        with pytest.warns(UserWarning, match="clamped"):
+            assert delta_of([0.05], [0.08]) == [0.0]
+
+    def test_out_of_range(self):
+        with pytest.raises(DataError):
+            delta_of([1.2], [0.0])
+        with pytest.raises(DataError):
+            delta_of([0.5], [-0.1])
+
+    def test_several_clamped_rows_give_one_warning_with_the_count(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            delta = delta_of([0.05, 0.2, 0.01, 0.3], [0.08, 0.1, 0.02, 0.4])
+        assert len(caught) == 1
+        assert "clamped" in str(caught[0].message) and "3 of 4" in str(caught[0].message)
+        np.testing.assert_array_equal(delta, [0.0, 100.0 * (0.2 - 0.1), 0.0, 0.0])
+
+    @pytest.mark.parametrize("hiv, art, message", [
+        ([0.1, np.nan], [0.0, 0.0], "covariate column 'hiv_prev' has non-finite entries"),
+        ([0.1, 0.2], [np.nan, 0.0], "covariate column 'art_cov' has non-finite entries"),
+        ([0.1, 1.2], [0.0, 0.0], r"covariate 'hiv_prev' must lie in \[0, 1\]"),
+        ([0.1, 0.2], [0.0, -0.1], r"covariate 'art_cov' must lie in \[0, 1\]"),
+        ([0.1, np.inf], [0.0, 0.0], "covariate column 'hiv_prev' has non-finite entries"),
+    ])
+    def test_nan_and_out_of_range_entries_raise(self, hiv, art, message):
+        # the table checks both columns when it is built, before any delta
+        with pytest.raises(DataError, match=message):
+            delta_of(hiv, art)
 
 
 class TestOlsFit:
