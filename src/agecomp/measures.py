@@ -83,4 +83,3 @@ def life_table_from_mx(mx: AgeSchedule, age_starts) -> LifeTable:
         raise NumericalError(f"life table {('ax', 'qx', 'lx', 'Lx', 'Tx', 'ex')[column]} is "
                              f"not finite at age {mx.group_labels[age]!r}")
     return LifeTable(mx=rates.copy(), ax=ax, qx=qx, lx=lx, Lx=Lx, Tx=Tx, ex=ex)
-
