@@ -131,7 +131,7 @@ def _parse_k_range(text):
         raise _UsageError(f"bad --k-range {text!r}, expected K or LO:HI") from None
     if not ks:
         raise _UsageError(f"--k-range {text!r} is empty")
-    if min(ks) < 1:
+    if ks[0] < 1:
         raise _UsageError("--k-range must cover k >= 1")
     return ks
 
@@ -140,7 +140,8 @@ def _cmd_cluster(args):
     labels, weights = io.load_weights_csv(args.weights)
     families = cluster_mod.FAMILIES if args.family == "all" else (args.family,)
     ks = _parse_k_range(args.k_range)
-    model = cluster_mod.select_by_bic(weights, ks, families)
+    # no k past the row count can be fitted: keep the first, for its error
+    model = cluster_mod.select_by_bic(weights, ks[:max(1, len(labels) + 1 - ks[0])], families)
     pairs = list(zip(labels, cluster_mod.assign(model, weights).labels.tolist()))
     payload = {
         "family": model.family,

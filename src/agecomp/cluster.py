@@ -16,10 +16,10 @@ factorization.  The grid runs every k in one such stack: rows ordered by k,
 then family, and every row's k components stacked flat, one after another.
 Every per-matrix operation runs on one component and every sum over
 components on one row's, so each grid point has the bits of its own
-single-k fit.  Points whose max|x| has a binary exponent p outside +-256 are
-fitted times 2**-p, which is exact, so that no square or variance floor
-leaves the normal floats (rescaling only off range: Blue, ACM TOMS 4(1),
-1978); the model keeps p, with the likelihood and BIC of the unscaled points.
+single-k fit.  The points are fitted as :func:`linalg.prescale` returns
+them, times an exact power of two 2**-p where max|x| is off range, so that no
+square or variance floor leaves the normal floats; the model keeps p, with
+the likelihood and BIC of the unscaled points.
 """
 
 import math
@@ -35,7 +35,6 @@ FAMILIES = ("spherical", "diagonal", "full")
 _MAX_ITER = 500
 _LL_TOL = 1e-8
 _VARIANCE_FLOOR_SCALE = 1e-8
-_PRESCALE_EXPONENT = 256
 _GRID_FIELDS = ("k", "family", "bic", "log_likelihood", "n_iter", "converged")
 
 
@@ -275,8 +274,7 @@ def _fit_families(pts, ks, families):
     for k in ks:
         if k < 1:
             raise DataError(f"k must be >= 1, got {k}")
-    scale = math.frexp(np.abs(pts).max())[1]
-    x, scale = (np.ldexp(pts, -scale), scale) if abs(scale) > _PRESCALE_EXPONENT else (pts, 0)
+    x, scale = linalg.prescale(pts)
     fitted = [k for k in dict.fromkeys(ks) if k <= n]
     runs = iter(_run_em(x, families, _ward_centers(x, fitted)) if fitted else ())
     return {

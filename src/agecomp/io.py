@@ -186,6 +186,8 @@ def load_schedule_csv(path, log: bool = False) -> ScheduleMatrix:
     header, group_labels, schedule_labels, data = _read_csv(path)
     if header[0].strip().lower() != "age":
         raise DataError(f"{path}: first header cell must be 'age', got {header[0]!r}")
+    if not schedule_labels:
+        raise DataError(f"{path}: need at least one schedule column")
     matrix = ScheduleMatrix(group_labels, schedule_labels, data)
     return matrix.to_log() if log else matrix
 

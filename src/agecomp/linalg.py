@@ -1,4 +1,5 @@
-"""Dense linear algebra core: thin SVD, rank truncation, explained shares.
+"""Dense linear algebra core: thin SVD, rank truncation, explained shares,
+and the one rescale of input off the float range, :func:`prescale`.
 
 The decomposition is LAPACK's thin SVD as exposed by numpy; this module adds
 input validation, one rank cutoff shared by every caller, and deterministic
@@ -18,7 +19,7 @@ from .errors import DataError, NumericalError
 # Singular values below s1 * (max(K, L) * RANK_RTOL) are treated as zero.
 RANK_RTOL = 1e-12
 
-_TINY = np.finfo(float).tiny  # the smallest normal float
+_PRESCALE_EXPONENT = 256  # prescale acts on a binary exponent of max|x| outside +-this
 
 
 def as_matrix(x) -> np.ndarray:
@@ -144,32 +145,30 @@ def frobenius_residual(a, b) -> float:
     return float(root_sum_squares(diff, sumsq))
 
 
-def scaled_sum_squares(x, sumsq, axis=None):
-    """(scale, ss) with scale**2 * ss the sum of squares of x over ``axis``,
-    from ``sumsq``, the caller's own sum of its squares.
+def prescale(x, axis=None):
+    """(x * 2**-p, p), with p the binary exponent of max|x| over ``axis``
+    where it lies outside +-256, else 0 (as for an inf or NaN max|x|).
 
-    That is (1.0, sumsq) unless sumsq is inf, or below the smallest normal
-    float for a nonzero x: the squares overflowed, or underflowed and lost
-    bits.  Only those sums are recomputed, from x / max|x| with scale max|x|
-    (Blue, ACM TOMS 4(1), 1978), so every other result keeps its bytes.
-    ``axis`` is None (all of x) or 0 (each column of a matrix).
+    A power of two rescales exactly, so a result computed on the prescaled x
+    has the bits of the result on x times 2**-p, while no square leaves the
+    normal floats.  In range, x comes back untouched.  ``axis`` is None (all
+    of x, an int p) or 0 (each column of a matrix, a p per column).
     """
-    off = (sumsq < _TINY) | (sumsq == np.inf)
-    if not (off.any() if off.ndim else off):  # .any() on a numpy scalar costs ~2 us a call
-        return 1.0, sumsq
-    top = np.abs(x).max(axis=axis)
-    redo = ((sumsq == np.inf) & (top < np.inf)) | ((sumsq < _TINY) & (top > 0.0))
-    top = np.where(redo, top, 1.0)
-    with np.errstate(over="ignore"):  # the squares of a sum kept, such as inf, may overflow
-        return top, np.where(redo, ((x / top) ** 2).sum(axis=axis), sumsq)
+    e = np.frexp(np.abs(x).max(axis=axis))[1]
+    p = np.where(np.abs(e) > _PRESCALE_EXPONENT, e, 0)
+    p = int(p) if axis is None else p
+    return (np.ldexp(x, -p) if np.any(p) else x), p
 
 
 def root_sum_squares(x, sumsq, axis=None):
-    """The 2-norm of x over ``axis``: sqrt(sumsq), rescaled as in
-    :func:`scaled_sum_squares` only when the sum is off the normal range.
+    """The 2-norm of x over ``axis`` from ``sumsq``, the caller's own sum of its
+    squares: sqrt(sumsq), except where the sum is inf or below 2**-512, and so
+    may have lost bits, which is recomputed from :func:`prescale` (x, axis).
     A norm past the float maximum is inf, with no warning."""
-    scale, ss = scaled_sum_squares(x, sumsq, axis)
-    if ss is sumsq:  # every sum in the normal range, and scale 1.0
-        return np.sqrt(ss)
+    off = (sumsq < 2.0**-512) | (sumsq == np.inf)
+    if not (off.any() if off.ndim else off):  # .any() on a numpy scalar costs ~2 us a call
+        return np.sqrt(sumsq)
+    y, p = prescale(x, axis)
+    p = np.where(off, p, 0)
     with np.errstate(over="ignore"):
-        return scale * np.sqrt(ss)
+        return np.ldexp(np.sqrt(np.where(p != 0, (y * y).sum(axis=axis), sumsq)), p)

@@ -171,7 +171,9 @@ def _fit_columns(ys: np.ndarray, predictors: dict) -> list:
     V S^-1 U'y, and standard errors are the square roots of the diagonal of
     sigma^2 (X'X)^-1 = sigma^2 V S^-2 V', with sigma^2 = RSS/(n-p).
     p-values are two-sided Student-t.  R^2 uses the centered total sum of
-    squares.
+    squares.  Each column is fitted as :func:`linalg.prescale` returns it;
+    coefficients, standard errors and residuals are scaled back by its exact
+    power of two, and t, p and R^2 are scale-free.
     """
     names = tuple(predictors.keys())
     cols = [np.asarray(predictors[name], dtype=float) for name in names]
@@ -186,27 +188,21 @@ def _fit_columns(ys: np.ndarray, predictors: dict) -> list:
     if f.rank < p:
         raise NumericalError("rank-deficient design matrix")
     inverse_gram_diag = ((f.v / f.s) ** 2).sum(axis=1)
+    ys, exponents = linalg.prescale(ys, axis=0)
     models = []
-    for y in ys.T:
+    for y, e in zip(ys.T, exponents):
         coefs = f.v @ ((f.u.T @ y) / f.s)
         residuals = y - design @ coefs
-        with np.errstate(over="ignore"):  # where the sum of y overflows, y / max|y| does not
-            if not math.isfinite(mean := y.mean()):
-                mean = (top := np.abs(y).max()) * (y / top).mean()
-        total = y - mean
-        # RSS = r_scale**2 * rss and TSS = t_scale**2 * tss; the scales are 1.0
-        # unless a sum of squares over- or underflowed
-        with np.errstate(over="ignore"):
-            r_scale, rss = linalg.scaled_sum_squares(residuals, residuals @ residuals)
-            t_scale, tss = linalg.scaled_sum_squares(total, (total**2).sum())
-        se = r_scale * np.sqrt(rss / (n - p) * inverse_gram_diag)
+        total = y - y.mean()
+        rss, tss = residuals @ residuals, (total**2).sum()
+        se = np.sqrt(rss / (n - p) * inverse_gram_diag)
         with np.errstate(divide="ignore", invalid="ignore"):
             t_values = np.where(se > 0, coefs / se, np.inf)
         models.append(LinearModel(
-            names, coefs, standard_errors=se, t_values=t_values,
+            names, np.ldexp(coefs, e), standard_errors=np.ldexp(se, e), t_values=t_values,
             p_values=np.array([student_t_p_value(t, n - p) for t in t_values]),
-            r_squared=float(1.0 - (r_scale / t_scale) ** 2 * (rss / tss) if tss > 0 else 1.0),
-            n=n, residuals=residuals,
+            r_squared=float(1.0 - rss / tss if tss > 0 else 1.0),
+            n=n, residuals=np.ldexp(residuals, e),
         ))
     return models
 

@@ -247,18 +247,17 @@ def fit_weights(observed: AgeSchedule, basis: ComponentBasis) -> FittedSchedule:
 def fit_matrix(a: ScheduleMatrix, basis: ComponentBasis) -> tuple:
     """(H x c weights, H residual norms): :func:`fit_weights` of every column at once.
 
-    Where the products y'comp overflow, the weights are projected from
-    y / max|y| and scaled back, as :func:`linalg.scaled_sum_squares` does.
+    The data are fitted as :func:`linalg.prescale` returns them, so no
+    product y'comp overflows, and scaled back by its exact power of two.
     """
+    y, p = linalg.prescale(a.data)
     with np.errstate(over="ignore", invalid="ignore"):
-        betas = basis.project(a.data, a.scale)
-        if not np.isfinite(betas).all():
-            top = np.abs(a.data).max()
-            betas = basis.project(a.data / top, a.scale) * top
-        residual = a.data - basis.components @ betas.T
-    sumsq = np.einsum("ij,ij->j", residual, residual)
-    norms = linalg.root_sum_squares(residual, sumsq, axis=0)
-    if not np.isfinite(norms).all():  # as is every norm of a column with a non-finite weight
+        betas = basis.project(y, a.scale)
+        residual = y - basis.components @ betas.T
+        sumsq = np.einsum("ij,ij->j", residual, residual)
+        norms = linalg.root_sum_squares(residual, sumsq, axis=0)
+        betas, norms = np.ldexp(betas, p), np.ldexp(norms, p)
+    if not (np.isfinite(betas).all() and np.isfinite(norms).all()):
         raise NumericalError("fitted weights or residuals overflow float64")
     return betas, norms
 

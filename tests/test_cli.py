@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import agecomp
-from agecomp import io, linalg, schedule
+from agecomp import cluster, io, linalg, schedule
 from agecomp.cli import _build_parser, main
 
 MX_F = "agincourt_mx_female.csv"
@@ -681,6 +681,31 @@ class TestCsvRobustness:
             rows = list(csv.reader(fh))
         assert len(rows) == 20 and all(len(row) == 2 for row in rows)
         assert [rows[1][0], rows[2][0]] == ["a,1", 'say "b"']
+
+    def test_a_k_range_past_the_row_count_stops_at_it(
+        self, tmp_path, basis_and_weights, capsys, monkeypatch
+    ):
+        # only k <= n rows can be fitted, so a range past n costs no more than
+        # 1:n; the spy fails a range past n before any fit or list is built
+        _, weights = basis_and_weights
+        n, select = 19, cluster.select_by_bic
+
+        def spy(points, k_range, families):
+            assert len(k_range) <= n + 1, f"k range of {len(k_range)} over {n} rows"
+            return select(points, k_range, families)
+
+        monkeypatch.setattr(cluster, "select_by_bic", spy)
+        outs = [tmp_path / "whole.json", tmp_path / "huge.json"]
+        for k_range, out in zip(("1:19", "1:1000000000"), outs):
+            assert run("cluster", "--weights", weights, "--k-range", k_range, "--out", out) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        capsys.readouterr()
+        out = tmp_path / "none.json"
+        assert run("cluster", "--weights", weights, "--k-range", "20:1000000000",
+                   "--out", out) == 3
+        assert "cannot fit 20 clusters to 19 observations" in one_error_line(
+            capsys, "numerical failure:")
+        assert not out.exists()
 
     def test_duplicate_weight_labels_are_rejected(self, tmp_path, basis_and_weights, capsys):
         _, weights = basis_and_weights

@@ -5,7 +5,9 @@ The CLI property runs each subcommand on valid inputs with one input file
 replaced by arbitrary bytes or by the valid file with a few edits; a missing
 path and a directory in each input slot are checked one by one.  The scale
 property clusters the bundled weights times 10^e at any decade e the floats
-hold: the selection is the unscaled one, with no warning.
+hold: the selection is the unscaled one, with no warning.  The power-of-two
+property fits the bundled rates and weight models times 2^j: the results are
+the unscaled ones times 2^j, bit for bit.
 """
 
 import contextlib
@@ -15,6 +17,7 @@ import math
 import re
 import shutil
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agecomp import io
+from agecomp import io, regress, schedule
 from agecomp.cli import main
 from agecomp.errors import DataError
 
@@ -218,3 +221,53 @@ def test_clustering_selects_the_same_mixture_at_every_magnitude(
     assert float(got["bic"]) == pytest.approx(shifted, rel=0, abs=1e-9)
     means = np.array(want["means"], dtype=float) * 10.0**e
     np.testing.assert_allclose(np.array(got["means"], dtype=float), means, rtol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def natural_fit(data_dir):
+    """(the bundled female and male natural rates, their c = 2 basis, and
+    fit_matrix of the rates on it)."""
+    rates = schedule.concat_sexes(*(io.load_schedule_csv(data_dir / f"agincourt_mx_{sex}.csv")
+                                    for sex in ("female", "male")))
+    basis = schedule.build_basis(rates, 2)
+    return rates, basis, schedule.fit_matrix(rates, basis)
+
+
+@pytest.fixture(scope="module")
+def weight_models(bundled_weights, data_dir):
+    """(the weights' e0 + delta models at the scales 2^0 and 2^300, and a
+    function fitting them at 2^j)."""
+    covariates = io.load_covariates_csv(data_dir / "agincourt_covariates.csv")
+
+    def fit(j):
+        return regress.fit_weight_models(np.ldexp(bundled_weights[1], j), covariates, ("e0", "delta"))
+
+    return fit(0), fit(300), fit
+
+
+@settings(max_examples=40, deadline=None)
+@given(j=st.integers(-1000, 1000))
+@example(j=-1000)
+@example(j=1000)
+def test_a_power_of_two_scales_every_fit_exactly(j, natural_fit, bundled_weights, weight_models):
+    # times 2^j, the fitted weights and residual norms are the unscaled ones
+    # times 2^j to the bit, whether or not the data are prescaled
+    rates, basis, (betas, norms) = natural_fit
+    got_betas, got_norms = schedule.fit_matrix(replace(rates, data=np.ldexp(rates.data, j)), basis)
+    assert got_betas.tobytes() == np.ldexp(betas, j).tobytes()
+    assert got_norms.tobytes() == np.ldexp(norms, j).tobytes()
+    # a weight column off range at 2^j is fitted on the same prescaled bits as
+    # at 2^300, where both columns are off range; t, p and R^2 are scale-free
+    unscaled, at_300, fit = weight_models
+    exponents = np.frexp(np.abs(bundled_weights[1]).max(axis=0))[1]
+    for model, want, ref, e in zip(fit(j), at_300, unscaled, exponents):
+        if abs(e + j) > 256:
+            for field in ("coefficients", "standard_errors", "residuals"):
+                got = getattr(model, field)
+                assert got.tobytes() == np.ldexp(getattr(want, field), j - 300).tobytes(), field
+            assert model.t_values.tobytes() == want.t_values.tobytes()
+            assert model.p_values.tobytes() == want.p_values.tobytes()
+            assert model.r_squared == want.r_squared
+        np.testing.assert_allclose(model.t_values, ref.t_values, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(model.p_values, ref.p_values, rtol=1e-13, atol=0.0)
+        assert model.r_squared == pytest.approx(ref.r_squared, rel=0.0, abs=1e-13)

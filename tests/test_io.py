@@ -44,6 +44,13 @@ class TestScheduleCsv:
         with pytest.raises(DataError, match="age"):
             io.load_schedule_csv(path)
 
+    def test_a_header_of_age_only_names_the_path(self, tmp_path):
+        path = tmp_path / "ages.csv"
+        path.write_text("age\n0\n1\n")
+        with pytest.raises(DataError) as info:
+            io.load_schedule_csv(path)
+        assert str(info.value) == f"{path}: need at least one schedule column"
+
     def test_non_numeric_cell_names_position(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("age,x,y\n0,0.5,0.2\n1,abc,0.3\n")

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -385,16 +388,24 @@ class TestRootSumSquares:
         assert linalg.frobenius_residual(x[:, :1].T, [[0.0, 0.0]]) == pytest.approx(
             5.0 * scale, rel=1e-15, abs=0.0)
 
-    def test_scaled_sums_keep_in_range_sums_and_rescale_the_others(self):
+    def test_prescale_returns_in_range_input_as_is_and_scales_each_off_range_column(self):
         x = np.array([[3e200, 3.0, 3e-170, 0.0], [4e200, 4.0, 4e-170, 0.0]])
-        with np.errstate(over="ignore"):
-            sumsq = np.einsum("ij,ij->j", x, x)
-        scale, ss = linalg.scaled_sum_squares(x, sumsq, axis=0)
-        np.testing.assert_allclose(scale, [4e200, 1.0, 4e-170, 1.0], rtol=0.0)
-        np.testing.assert_allclose(ss, [25 / 16, 25.0, 25 / 16, 0.0], rtol=1e-15)
-        y = x[:, 1]
-        assert linalg.scaled_sum_squares(y, y @ y) == (1.0, 25.0)
-
+        y, p = linalg.prescale(x, axis=0)
+        np.testing.assert_array_equal(p, [np.frexp(4e200)[1], 0, np.frexp(4e-170)[1], 0])
+        assert y.tobytes() == np.ldexp(x, -p).tobytes()
+        # each off-range column's maximum is its mantissa, in [0.5, 1)
+        np.testing.assert_array_equal(
+            np.abs(y).max(axis=0), [np.frexp(4e200)[0], 4.0, np.frexp(4e-170)[0], 0.0])
+        inside = x[:, [1, 3]]
+        y, p = linalg.prescale(inside, axis=0)
+        assert y is inside and p.tolist() == [0, 0]
+        column = x[:, 1]
+        assert linalg.prescale(column) == (column, 0)
+        # only a binary exponent outside +-256 prescales
+        for value, power in [(2.0**255, 0), (2.0**256, 257), (2.0**-257, 0), (2.0**-258, -257)]:
+            y, p = linalg.prescale(np.array([value, -0.75 * value]))
+            assert p == power and type(p) is int
+            assert y.tolist() == [value * 2.0**-power, -0.75 * value * 2.0**-power]
 
     def test_a_norm_past_the_float_maximum_is_inf_without_a_warning(self):
         # run with warnings as errors: 2 * 1.7e308, and the squares of a column
@@ -404,9 +415,32 @@ class TestRootSumSquares:
             sumsq = np.einsum("ij,ij->j", x, x)
         np.testing.assert_array_equal(linalg.root_sum_squares(x, sumsq, axis=0), [np.inf, np.inf])
         assert linalg.root_sum_squares(x[:, 0], sumsq[0]) == np.inf
-        scale, ss = linalg.scaled_sum_squares(x, sumsq, axis=0)
-        np.testing.assert_array_equal(scale, [1.7e308, 1.0])
-        np.testing.assert_array_equal(ss, [4.0, np.inf])
+        # an inf maximum has p = 0, and its column comes back untouched
+        y, p = linalg.prescale(x, axis=0)
+        assert p.tolist() == [1024, 0]
+        np.testing.assert_array_equal(y, np.column_stack([np.ldexp(x[:, 0], -1024), x[:, 1]]))
+        column = x[:, 1]
+        assert linalg.prescale(column) == (column, 0)
+
+
+def _exponent_takers(tree):
+    """Lines of every use of a name or attribute ``frexp`` in ``tree``."""
+    return [node.lineno for node in ast.walk(tree)
+            if "frexp" in (getattr(node, "id", None), getattr(node, "attr", None))]
+
+
+def test_linalg_is_the_only_module_that_takes_binary_exponents():
+    # every off-range rescale goes through linalg.prescale, the one rule
+    src = Path(linalg.__file__).parent
+    takers = {path.name for path in sorted(src.glob("*.py"))
+              if _exponent_takers(ast.parse(path.read_text(encoding="utf-8")))}
+    assert takers == {"linalg.py"}
+
+
+def test_the_exponent_guard_finds_every_kind_of_frexp():
+    code = ('import math\nfrom math import frexp\n\n\ndef f(x):\n    """frexp"""\n'
+            "    math.frexp(x)\n    np.frexp(x)\n    frexp(x)\n")
+    assert _exponent_takers(ast.parse(code)) == [7, 8, 9]
 
 
 def _canonicalize_by_component(f):
