@@ -20,6 +20,7 @@ from .errors import DataError, NumericalError
 RANK_RTOL = 1e-12
 
 _PRESCALE_EXPONENT = 256  # prescale acts on a binary exponent of max|x| outside +-this
+_OFF_RANGE_SUMSQ = 2.0 ** (-2 * _PRESCALE_EXPONENT)  # a smaller sum of squares may have lost bits
 
 
 def as_matrix(x) -> np.ndarray:
@@ -165,7 +166,7 @@ def root_sum_squares(x, sumsq, axis=None):
     squares: sqrt(sumsq), except where the sum is inf or below 2**-512, and so
     may have lost bits, which is recomputed from :func:`prescale` (x, axis).
     A norm past the float maximum is inf, with no warning."""
-    off = (sumsq < 2.0**-512) | (sumsq == np.inf)
+    off = (sumsq < _OFF_RANGE_SUMSQ) | (sumsq == np.inf)
     if not (off.any() if off.ndim else off):  # .any() on a numpy scalar costs ~2 us a call
         return np.sqrt(sumsq)
     y, p = prescale(x, axis)

@@ -247,16 +247,17 @@ def fit_weights(observed: AgeSchedule, basis: ComponentBasis) -> FittedSchedule:
 def fit_matrix(a: ScheduleMatrix, basis: ComponentBasis) -> tuple:
     """(H x c weights, H residual norms): :func:`fit_weights` of every column at once.
 
-    The data are fitted as :func:`linalg.prescale` returns them, so no
-    product y'comp overflows, and scaled back by its exact power of two.
+    Each column is fitted as :func:`linalg.prescale` returns it, so no
+    product y'comp overflows or underflows, and scaled back by its exact
+    power of two.
     """
-    y, p = linalg.prescale(a.data)
+    y, p = linalg.prescale(a.data, axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         betas = basis.project(y, a.scale)
         residual = y - basis.components @ betas.T
         sumsq = np.einsum("ij,ij->j", residual, residual)
         norms = linalg.root_sum_squares(residual, sumsq, axis=0)
-        betas, norms = np.ldexp(betas, p), np.ldexp(norms, p)
+        betas, norms = np.ldexp(betas, p[:, None]), np.ldexp(norms, p)
     if not (np.isfinite(betas).all() and np.isfinite(norms).all()):
         raise NumericalError("fitted weights or residuals overflow float64")
     return betas, norms

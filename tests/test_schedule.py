@@ -486,6 +486,23 @@ class TestWholeMatrixFit:
             fit = schedule.fit_weights(scaled.column(label), basis)
             assert fit.residual_norm == pytest.approx(ref[h] * scale, rel=1e-12, abs=0.0)
 
+    def test_columns_far_apart_in_magnitude_are_each_fitted_as_alone(self, mortality_log):
+        # one power of two for the whole matrix would take the 1e-250 column to 1e-350, or 0
+        natural = ScheduleMatrix(
+            mortality_log.group_labels, mortality_log.schedule_labels, np.exp(mortality_log.data)
+        )
+        basis = schedule.build_basis(natural, 2)
+        mixed = replace(natural, data=natural.data[:, :2] * [1e100, 1e-250],
+                        schedule_labels=natural.schedule_labels[:2])
+        betas, norms = schedule.fit_matrix(mixed, basis)
+        ref_betas, ref_norms = schedule.fit_matrix(replace(mixed, data=natural.data[:, :2]), basis)
+        for h, (label, scale) in enumerate(zip(mixed.schedule_labels, [1e100, 1e-250])):
+            fit = schedule.fit_weights(mixed.column(label), basis)
+            np.testing.assert_allclose(betas[h], fit.betas, rtol=1e-12, atol=0.0)
+            assert norms[h] == pytest.approx(fit.residual_norm, rel=1e-12, abs=0.0)
+            np.testing.assert_allclose(betas[h], ref_betas[h] * scale, rtol=1e-12, atol=0.0)
+            assert norms[h] == pytest.approx(ref_norms[h] * scale, rel=1e-12, abs=0.0)
+
     def test_weights_that_overflow_are_an_error(self, mortality_log):
         # rates near 1e308 on components of norm near 1e-10 give weights beyond the float range
         natural = ScheduleMatrix(
