@@ -1,12 +1,13 @@
 """Dense linear algebra core: thin SVD, rank truncation, explained shares,
 and the one rescale of input off the float range, :func:`prescale`.
 
-The decomposition is LAPACK's thin SVD as exposed by numpy; this module adds
-input validation, one rank cutoff shared by every caller, and deterministic
-signs, set for all components at once by one vectorised flip.  All
-functions are pure; results are plain immutable values.  :func:`svd` keeps
-its last result: a repeat call on the same bits returns that same read-only
-factorization, and one input and its factors stay held in memory.
+The decomposition is LAPACK's thin SVD as exposed by numpy, of the input as
+:func:`prescale` returns it; this module adds input validation, one rank
+cutoff shared by every caller, and deterministic signs, set for all
+components at once by one vectorised flip.  All functions are pure;
+results are plain immutable values.  :func:`svd` keeps its last result: a
+repeat call on the same bits returns that same read-only factorization,
+and one input and its factors stay held in memory.
 """
 
 import functools
@@ -64,10 +65,12 @@ def svd(x) -> SvdFactorization:
     -------
     SvdFactorization
         Factors with signs canonicalized (see :func:`canonicalize_signs`),
-        so the result is deterministic for a given input.  The last result
-        is kept: a call on a matrix with the same shape and bits as the one
-        before returns that same factorization, whose u, s and v are
-        read-only.  Memory for one input and its factors stays held.
+        so the result is deterministic for a given input, and x times a
+        power of two factors as x does, with s times that power: LAPACK
+        factors :func:`prescale` (x), and the rank cutoff is taken on its s.
+        The last result is kept: a call on a matrix with the same shape and
+        bits as the one before returns that same factorization, whose u, s
+        and v are read-only.  Memory for one input and its factors stays held.
     """
     a = as_matrix(x)
     return _svd(a.shape, a.tobytes())
@@ -76,15 +79,16 @@ def svd(x) -> SvdFactorization:
 @functools.lru_cache(maxsize=1)
 def _svd(shape, data) -> SvdFactorization:
     """The body of :func:`svd`, keyed on the shape and C-order bytes."""
-    a = np.frombuffer(data).reshape(shape)
+    a, p = prescale(np.frombuffer(data).reshape(shape))
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed: {exc}") from None
+    keep = s > s[0] * (max(shape) * RANK_RTOL)  # scale-free, so taken on the prescaled s
+    with np.errstate(over="ignore"):
+        s = np.ldexp(s, p)
     if not np.isfinite(s[0]):
         raise NumericalError("SVD overflowed: the largest singular value is not finite")
-    cutoff = s[0] * (max(shape) * RANK_RTOL)  # this order cannot overflow a finite s[0]
-    keep = s > cutoff
     u, s, v = u[:, keep], s[keep], vt[keep].T
     f = canonicalize_signs(SvdFactorization(u=u, s=s, v=v))
     for factor in (f.u, f.s, f.v):

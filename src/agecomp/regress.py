@@ -157,8 +157,6 @@ def student_t_p_value(t: float, df: int) -> float:
     """Two-sided tail probability of Student's t with df degrees of freedom."""
     if df < 1:
         raise NumericalError("degrees of freedom must be >= 1")
-    if not math.isfinite(t):
-        return 0.0
     return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
 
 
@@ -173,7 +171,8 @@ def _fit_columns(ys: np.ndarray, predictors: dict) -> list:
     p-values are two-sided Student-t.  R^2 uses the centered total sum of
     squares.  Each column is fitted as :func:`linalg.prescale` returns it;
     coefficients, standard errors and residuals are scaled back by its exact
-    power of two, and t, p and R^2 are scale-free.
+    power of two, and t, p and R^2 are scale-free.  Any of these not finite
+    (past the float maximum, or t over a zero standard error) raises NumericalError.
     """
     names = tuple(predictors.keys())
     cols = [np.asarray(predictors[name], dtype=float) for name in names]
@@ -190,19 +189,22 @@ def _fit_columns(ys: np.ndarray, predictors: dict) -> list:
     inverse_gram_diag = ((f.v / f.s) ** 2).sum(axis=1)
     ys, exponents = linalg.prescale(ys, axis=0)
     models = []
-    for y, e in zip(ys.T, exponents):
+    for j, (y, e) in enumerate(zip(ys.T, exponents)):
         coefs = f.v @ ((f.u.T @ y) / f.s)
         residuals = y - design @ coefs
         total = y - y.mean()
         rss, tss = residuals @ residuals, (total**2).sum()
         se = np.sqrt(rss / (n - p) * inverse_gram_diag)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_values = np.where(se > 0, coefs / se, np.inf)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            t_values = coefs / se
+            coefs, se, residuals = (np.ldexp(x, e) for x in (coefs, se, residuals))
+        if not all(np.isfinite(x).all() for x in (coefs, se, t_values, residuals)):
+            raise NumericalError(f"response column {j + 1}: a coefficient, standard "
+                                 "error, t-value or residual is not finite")
         models.append(LinearModel(
-            names, np.ldexp(coefs, e), standard_errors=np.ldexp(se, e), t_values=t_values,
+            names, coefs, standard_errors=se, t_values=t_values,
             p_values=np.array([student_t_p_value(t, n - p) for t in t_values]),
-            r_squared=float(1.0 - rss / tss if tss > 0 else 1.0),
-            n=n, residuals=np.ldexp(residuals, e),
+            r_squared=float(1.0 - rss / tss if tss > 0 else 1.0), n=n, residuals=residuals,
         ))
     return models
 

@@ -123,8 +123,9 @@ class ComponentBasis:
 
     ``components`` is a read-only view, not a copy, of the array passed in, and
     a caller must not write to that array afterwards.  No column is all zeros.
-    A basis whose squared column norms leave the normal float range loads,
-    but cannot project.
+    Each column is projected on as :func:`linalg.prescale` returns it, with
+    its squared norm taken once, so a basis times any power of two 2**k
+    projects to the unscaled weights times 2**-k, bit for bit.
     """
 
     group_labels: tuple
@@ -132,19 +133,14 @@ class ComponentBasis:
     singular_values: np.ndarray  # length c
     scale: str
     source_id: str = ""
-    _sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
-    _off_range: np.ndarray = field(init=False, repr=False, compare=False)
+    _prescaled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         comps = linalg.as_matrix(self.components).view()
         comps.flags.writeable = False
         object.__setattr__(self, "components", comps)
-        sq = np.einsum("ij,ij->j", comps, comps)
-        object.__setattr__(self, "_sq_norms", sq)
-        # components whose squared norm is not a normal positive float
-        object.__setattr__(
-            self, "_off_range", np.flatnonzero(~((sq >= np.finfo(float).tiny) & (sq < np.inf)))
-        )
+        scaled, q = linalg.prescale(comps, axis=0)
+        object.__setattr__(self, "_prescaled", (scaled, np.einsum("ij,ij->j", scaled, scaled), q))
         object.__setattr__(
             self, "singular_values", np.asarray(self.singular_values, dtype=float)
         )
@@ -169,19 +165,15 @@ class ComponentBasis:
     def project(self, y, scale: str) -> np.ndarray:
         """Least-squares weights of a G-vector (c) or of each column of a G x H y (H x c).
 
-        The components are orthogonal: beta_i = (comp_i . y) / (comp_i . comp_i).
+        The components are orthogonal: with comp_i = 2**q_i c_i, prescaled,
+        beta_i = 2**-q_i (c_i . y) / (c_i . c_i).
         """
         if y.shape[0] != self.n_groups:
             raise DataError(f"schedule has {y.shape[0]} groups, basis has {self.n_groups}")
         if scale != self.scale:
             raise DataError(f"scale mismatch: {scale} vs {self.scale}")
-        if self._off_range.size:
-            j = self._off_range[0]
-            raise NumericalError(
-                f"basis component {j + 1} has squared norm {float(self._sq_norms[j])}, "
-                "outside the normal float range"
-            )
-        return y.T @ self.components / self._sq_norms
+        scaled, sq, q = self._prescaled
+        return np.ldexp(y.T @ scaled / sq, -q)
 
 
 @dataclass(frozen=True)
@@ -226,11 +218,11 @@ def smooth_matrix(a: ScheduleMatrix, c: int | None) -> ScheduleMatrix:
 def fit_weights(observed: AgeSchedule, basis: ComponentBasis) -> FittedSchedule:
     """Intercept-free least-squares weights of a schedule on the components.
 
-    Where the residual's sum of squares is not finite, the schedule is fitted
-    again as a one-column :func:`fit_matrix`, which rescales the products
-    y'comp that overflow and raises NumericalError for a residual whose
-    2-norm is past the float maximum; the first projection's RuntimeWarning
-    is not silenced.
+    Where the residual's sum of squares is not finite, as when a product of y
+    with a prescaled component overflows, the schedule is fitted again as a
+    one-column :func:`fit_matrix`, which prescales y too and raises
+    NumericalError for a residual whose 2-norm is past the float maximum;
+    the first projection's RuntimeWarning is not silenced.
     """
     y = observed.values
     betas = basis.project(y, observed.scale)

@@ -608,22 +608,30 @@ class TestRegressAndModels:
         assert "component 2 is all zeros" in one_error_line(capsys)  # and no warning: line
         assert not out.exists()
 
-    @pytest.mark.parametrize("factor, sq", [(1e-200, "0.0"), (1e200, "inf")])
-    def test_fit_with_a_basis_component_whose_squared_norm_is_out_of_range(
-        self, factor, sq, tmp_path, data_dir, capsys
+    @pytest.mark.parametrize("factor", [1e-200, 1e200, 1e300])
+    def test_fit_with_a_basis_component_whose_squared_norm_is_out_of_range_exits_0(
+        self, factor, tmp_path, data_dir, capsys
     ):
+        # the component is projected on prescaled, so its weights are the
+        # unscaled ones over the factor
         self._weights(tmp_path, data_dir, 2)
-        basis = tmp_path / "b.json"
+        basis, scaled = tmp_path / "b.json", tmp_path / "scaled.json"
         payload = json.loads(basis.read_text())
         payload["components"][1] = [repr(float(v) * factor) for v in payload["components"][1]]
-        basis.write_text(json.dumps(payload))
-        capsys.readouterr()
-        out = tmp_path / "f.csv"
-        assert run("fit", data_dir / MX_F, data_dir / MX_M, "--log", "--concat-sexes",
-                   "--basis", basis, "--out", out) == 3
-        message = f"basis component 2 has squared norm {sq}, outside the normal float range"
-        assert message in one_error_line(capsys, "numerical failure:")  # and no warning: line
-        assert not out.exists()
+        scaled.write_text(json.dumps(payload))
+        fits = []
+        for path in (basis, scaled):
+            out = tmp_path / f"{path.stem}.csv"
+            capsys.readouterr()
+            assert run("fit", data_dir / MX_F, data_dir / MX_M, "--log", "--concat-sexes",
+                       "--basis", path, "--out", out) == 0
+            assert capsys.readouterr().err == ""
+            fits.append(np.loadtxt(out, delimiter=",", skiprows=1, usecols=(1, 2, 3)))
+        unscaled, got = fits
+        assert np.isfinite(got).all()
+        np.testing.assert_array_equal(got[:, 0], unscaled[:, 0])
+        np.testing.assert_allclose(got[:, 1], unscaled[:, 1] / factor, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got[:, 2], unscaled[:, 2], rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("scale", [1e-170, 1e160, 1e307])
     def test_regress_on_weights_whose_squares_leave_the_float_range(
@@ -642,6 +650,23 @@ class TestRegressAndModels:
         model = json.loads(out.read_text())["models"][1]
         values = [float(v) for key in ("standard_errors", "t_values") for v in model[key]]
         assert all(np.isfinite(values)) and all(v != 0.0 for v in values)
+
+    @pytest.mark.parametrize("v2, x", [
+        ([2e307, 3e307, 5e307, 4e307, 7e307], [1e-10, 2e-10, 3e-10, 4e-10, 6e-10]),
+        ([0.0] * 5, [1.0, 2.0, 3.0, 4.0, 6.0]),
+    ], ids=["slope-past-the-float-maximum", "all-zero-weights"])
+    def test_regress_to_a_model_that_is_not_finite_fails(self, v2, x, tmp_path, capsys):
+        # the slope of v2 is inf, or its standard errors are 0 and its t-values 0/0
+        weights, covariates, out = tmp_path / "w.csv", tmp_path / "x.csv", tmp_path / "m.json"
+        v1 = [1.0, 2.0, 3.0, 4.0, 6.0]
+        weights.write_text("schedule,v1,v2\n" + "".join(
+            f"y{i},{a!r},{b!r}\n" for i, (a, b) in enumerate(zip(v1, v2))))
+        covariates.write_text("label,x\n" + "".join(f"y{i},{v!r}\n" for i, v in enumerate(x)))
+        assert run("regress", "--weights", weights, "--covariates", covariates,
+                   "--predictors", "x", "--out", out) == 3
+        err = one_error_line(capsys, "numerical failure:")  # and no warning: line
+        assert "response column 2:" in err and "not finite" in err
+        assert not out.exists()
 
 
 class TestCsvRobustness:

@@ -6,8 +6,8 @@ replaced by arbitrary bytes or by the valid file with a few edits; a missing
 path and a directory in each input slot are checked one by one.  The scale
 property clusters the bundled weights times 10^e at any decade e the floats
 hold: the selection is the unscaled one, with no warning.  The power-of-two
-property fits the bundled rates and weight models times 2^j: the results are
-the unscaled ones times 2^j, bit for bit.
+property decomposes and fits the bundled rates, and fits weight models, times
+2^j: the results are the unscaled ones times 2^j, bit for bit.
 """
 
 import contextlib
@@ -253,8 +253,19 @@ def test_a_power_of_two_scales_every_fit_exactly(j, natural_fit, bundled_weights
     # times 2^j, the fitted weights and residual norms are the unscaled ones
     # times 2^j to the bit, whether or not the data are prescaled
     rates, basis, (betas, norms) = natural_fit
-    got_betas, got_norms = schedule.fit_matrix(replace(rates, data=np.ldexp(rates.data, j)), basis)
+    scaled = replace(rates, data=np.ldexp(rates.data, j))
+    got_betas, got_norms = schedule.fit_matrix(scaled, basis)
     assert got_betas.tobytes() == np.ldexp(betas, j).tobytes()
+    assert got_norms.tobytes() == np.ldexp(norms, j).tobytes()
+    # so are the basis decomposed from them, its singular values and the
+    # smoothed rates; fitted on that basis, the weights are the unscaled ones
+    smoothed = schedule.smooth_matrix(rates, 2).data
+    assert schedule.smooth_matrix(scaled, 2).data.tobytes() == np.ldexp(smoothed, j).tobytes()
+    got_basis = schedule.build_basis(scaled, 2)
+    assert got_basis.components.tobytes() == np.ldexp(basis.components, j).tobytes()
+    assert got_basis.singular_values.tobytes() == np.ldexp(basis.singular_values, j).tobytes()
+    got_betas, got_norms = schedule.fit_matrix(scaled, got_basis)
+    assert got_betas.tobytes() == betas.tobytes()
     assert got_norms.tobytes() == np.ldexp(norms, j).tobytes()
     # a weight column off range at 2^j is fitted on the same prescaled bits as
     # at 2^300, where both columns are off range; t, p and R^2 are scale-free

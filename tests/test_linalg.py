@@ -423,24 +423,29 @@ class TestRootSumSquares:
         assert linalg.prescale(column) == (column, 0)
 
 
+_RANGE_NAMES = {"frexp", "finfo"}
+
+
 def _exponent_takers(tree):
-    """Lines of every use of a name or attribute ``frexp`` in ``tree``."""
-    return [node.lineno for node in ast.walk(tree)
-            if "frexp" in (getattr(node, "id", None), getattr(node, "attr", None))]
+    """Lines of every use of a name or attribute ``frexp`` or ``finfo`` in ``tree``."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if _RANGE_NAMES & {getattr(node, "id", None), getattr(node, "attr", None)})
 
 
 def test_linalg_is_the_only_module_that_takes_binary_exponents():
-    # every off-range rescale goes through linalg.prescale, the one rule
+    # every off-range rescale, and every test of the float range, goes
+    # through linalg.prescale, the one rule
     src = Path(linalg.__file__).parent
     takers = {path.name for path in sorted(src.glob("*.py"))
               if _exponent_takers(ast.parse(path.read_text(encoding="utf-8")))}
     assert takers == {"linalg.py"}
 
 
-def test_the_exponent_guard_finds_every_kind_of_frexp():
-    code = ('import math\nfrom math import frexp\n\n\ndef f(x):\n    """frexp"""\n'
-            "    math.frexp(x)\n    np.frexp(x)\n    frexp(x)\n")
-    assert _exponent_takers(ast.parse(code)) == [7, 8, 9]
+def test_the_exponent_guard_finds_every_kind_of_frexp_and_finfo():
+    code = ('import math\nfrom math import frexp\n\n\ndef f(x):\n    """frexp finfo"""\n'
+            "    math.frexp(x)\n    np.frexp(x)\n    frexp(x)\n"
+            "    np.finfo(float).tiny\n    finfo(x)\n")
+    assert _exponent_takers(ast.parse(code)) == [7, 8, 9, 10, 11]
 
 
 def _canonicalize_by_component(f):

@@ -209,6 +209,8 @@ class TestStudentT:
                 mine = regress.student_t_p_value(t, df)
                 oracle = 2.0 * scipy.stats.t.sf(abs(t), df)
                 assert mine == pytest.approx(oracle, abs=1e-8), (t, df)
+            for t in (np.inf, -np.inf):  # x = df / (df + t^2) is 0.0, where I_x is 0.0
+                assert regress.student_t_p_value(t, df) == 0.0 == 2.0 * scipy.stats.t.sf(abs(t), df)
 
     def test_incomplete_beta_edge_cases(self):
         assert regress.regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0

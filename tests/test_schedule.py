@@ -545,22 +545,29 @@ class TestWholeMatrixFit:
             with pytest.raises(NumericalError, match="fitted weights or residuals overflow"):
                 schedule.fit_weights(big.column("x"), basis)
 
-    @pytest.mark.parametrize("factor", [1e-200, 1e-160, 1e200])
-    def test_a_component_whose_squared_norm_is_out_of_range_cannot_project(
+    @pytest.mark.parametrize("factor", [1e-200, 1e-160, 1e200, 1e300])
+    def test_a_component_whose_squared_norm_is_out_of_range_projects(
         self, mortality_log, factor
     ):
-        # 1e-160 leaves a subnormal squared norm, which is not a normal float either
+        # the squared norm is 0, subnormal (1e-160) or inf as a float; the
+        # component is projected on prescaled, so its weights are the
+        # unscaled ones over the factor
         basis = schedule.build_basis(mortality_log, 2)
         components = basis.components * [1.0, factor]
         scaled = schedule.ComponentBasis(
             basis.group_labels, components, basis.singular_values, basis.scale
         )
         np.testing.assert_array_equal(scaled.components, components)
-        message = r"basis component 2 has squared norm \S+, outside the normal float range"
-        with pytest.raises(NumericalError, match=message):
-            schedule.fit_weights(mortality_log.column(mortality_log.schedule_labels[0]), scaled)
-        with pytest.raises(NumericalError, match=message):
-            schedule.fit_matrix(mortality_log, scaled)
+        ref_betas, ref_norms = schedule.fit_matrix(mortality_log, basis)
+        betas, norms = schedule.fit_matrix(mortality_log, scaled)
+        assert np.isfinite(betas).all() and np.isfinite(norms).all()
+        np.testing.assert_array_equal(betas[:, 0], ref_betas[:, 0])
+        np.testing.assert_allclose(betas[:, 1], ref_betas[:, 1] / factor, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(norms, ref_norms, rtol=1e-12, atol=0.0)
+        for h, label in enumerate(mortality_log.schedule_labels):
+            fit = schedule.fit_weights(mortality_log.column(label), scaled)
+            np.testing.assert_allclose(fit.betas, betas[h], rtol=1e-13, atol=0.0)
+            assert fit.residual_norm == pytest.approx(norms[h], rel=1e-13, abs=0.0)
 
     def test_reconstruct_matrix_matches_per_column_reconstruct(self, mortality_log, rng):
         basis = schedule.build_basis(mortality_log, 3)
