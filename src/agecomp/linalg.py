@@ -6,11 +6,11 @@ The decomposition is LAPACK's thin SVD as exposed by numpy, of the input as
 cutoff shared by every caller, and deterministic signs, set for all
 components at once by one vectorised flip.  All functions are pure;
 results are plain immutable values.  :func:`svd` keeps its last result: a
-repeat call on the same bits returns that same read-only factorization,
-and one input and its factors stay held in memory.
+repeat call on the same bits, found by shape and confirmed by comparing
+bytes, with no hash, returns that same read-only factorization, and one
+input and its factors stay held in memory.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,26 +70,46 @@ def svd(x) -> SvdFactorization:
         factors :func:`prescale` (x), and the rank cutoff is taken on its s.
         The last result is kept: a call on a matrix with the same shape and
         bits as the one before returns that same factorization, whose u, s
-        and v are read-only.  Memory for one input and its factors stays held.
+        and v are read-only.  The kept input is found by its shape and
+        confirmed by comparing its bytes, never hashed, and a hit is not
+        validated again.  Memory for one input and its factors stays held.
     """
-    a = as_matrix(x)
+    a = np.asarray(x, dtype=float)
     return _svd(a.shape, a.tobytes())
 
 
-@functools.lru_cache(maxsize=1)
+def _keep_last(body):
+    """``functools.lru_cache(maxsize=1)``, but with the kept call found by ``==``
+    on its arguments (a memcmp for bytes), not by hashing them.  A call that
+    raises keeps nothing."""
+    kept = []
+
+    def call(*args):
+        if not (kept and kept[0] == args):
+            kept[:] = args, body(*args)
+        return kept[1]
+
+    call.cache_clear = kept.clear
+    return call
+
+
+@_keep_last
 def _svd(shape, data) -> SvdFactorization:
-    """The body of :func:`svd`, keyed on the shape and C-order bytes."""
-    a, p = prescale(np.frombuffer(data).reshape(shape))
+    """The body of :func:`svd`, on the input's shape and C-order bytes."""
+    a, p = prescale(as_matrix(np.frombuffer(data).reshape(shape)))
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed: {exc}") from None
-    keep = s > s[0] * (max(shape) * RANK_RTOL)  # scale-free, so taken on the prescaled s
-    with np.errstate(over="ignore"):
-        s = np.ldexp(s, p)
-    if not np.isfinite(s[0]):
-        raise NumericalError("SVD overflowed: the largest singular value is not finite")
-    u, s, v = u[:, keep], s[keep], vt[keep].T
+    # LAPACK's s is non-increasing, so the rank cutoff, scale-free and so taken
+    # on the prescaled s, keeps a prefix of the components
+    r = np.count_nonzero(s > s[0] * (max(shape) * RANK_RTOL))
+    u, s, v = u[:, :r], s[:r], vt[:r].T
+    if p:
+        with np.errstate(over="ignore"):
+            s = np.ldexp(s, p)
+        if not np.isfinite(s[0]):
+            raise NumericalError("SVD overflowed: the largest singular value is not finite")
     f = canonicalize_signs(SvdFactorization(u=u, s=s, v=v))
     for factor in (f.u, f.s, f.v):
         factor.flags.writeable = False
@@ -100,14 +120,19 @@ def canonicalize_signs(f: SvdFactorization) -> SvdFactorization:
     """Resolve per-component sign ambiguity of an SVD.
 
     Each (u_i, v_i) pair is jointly negated, if necessary, so that the
-    entries of v_i sum to a positive number; when the sum is zero the first
-    nonzero entry of v_i is made positive instead.  All pairs are flipped in
-    one product with a +-1 row, which is exact; u and v come back C-ordered.
-    Reconstruction is unchanged.  Idempotent.
+    entries of v_i sum to a positive number; where that sum lies within
+    1e-12 of zero (|sum| <= 1e-12) the first nonzero entry of v_i is made
+    positive instead, and that entry is looked up only when some sum does.
+    All pairs are flipped in one product with a +-1 row, which is exact; u
+    and v come back C-ordered, as the one copy of each.  Reconstruction is
+    unchanged.  Idempotent.
     """
     total = f.v.sum(axis=0)
-    first = f.v[(f.v != 0).argmax(axis=0), np.arange(f.rank)]
-    sign = np.where(np.where(np.abs(total) <= 1e-12, first, total) < 0, -1.0, 1.0)
+    tie = np.abs(total) <= 1e-12
+    if tie.any():
+        first = f.v[(f.v != 0).argmax(axis=0), np.arange(f.rank)]
+        total = np.where(tie, first, total)
+    sign = np.where(total < 0, -1.0, 1.0)
     u, v = (np.multiply(x, sign, order="C") for x in (f.u, f.v))
     return SvdFactorization(u=u, s=f.s.copy(), v=v)
 

@@ -162,18 +162,20 @@ class ComponentBasis:
     def n_groups(self) -> int:
         return self.components.shape[0]
 
-    def project(self, y, scale: str) -> np.ndarray:
+    def project(self, y, scale: str, prescaled: bool = False) -> np.ndarray:
         """Least-squares weights of a G-vector (c) or of each column of a G x H y (H x c).
 
         The components are orthogonal: with comp_i = 2**q_i c_i, prescaled,
-        beta_i = 2**-q_i (c_i . y) / (c_i . c_i).
+        beta_i = 2**-q_i (c_i . y) / (c_i . c_i); with ``prescaled``, the
+        weights on the c_i themselves, (c_i . y) / (c_i . c_i), are returned.
         """
         if y.shape[0] != self.n_groups:
             raise DataError(f"schedule has {y.shape[0]} groups, basis has {self.n_groups}")
         if scale != self.scale:
             raise DataError(f"scale mismatch: {scale} vs {self.scale}")
         scaled, sq, q = self._prescaled
-        return np.ldexp(y.T @ scaled / sq, -q)
+        b = y.T @ scaled / sq
+        return b if prescaled else np.ldexp(b, -q)
 
 
 @dataclass(frozen=True)
@@ -239,17 +241,19 @@ def fit_weights(observed: AgeSchedule, basis: ComponentBasis) -> FittedSchedule:
 def fit_matrix(a: ScheduleMatrix, basis: ComponentBasis) -> tuple:
     """(H x c weights, H residual norms): :func:`fit_weights` of every column at once.
 
-    Each column is fitted as :func:`linalg.prescale` returns it, so no
-    product y'comp overflows or underflows, and scaled back by its exact
-    power of two.
+    Each column, y_j = 2**p_j y'_j, is fitted as :func:`linalg.prescale`
+    returns it, on the prescaled components (comp_i = 2**q_i c_i), so no
+    product y'c overflows or underflows; each weight is then scaled back by
+    the one power 2**(p_j - q_i), and each residual norm by 2**p_j.
     """
     y, p = linalg.prescale(a.data, axis=0)
+    scaled, _, q = basis._prescaled
     with np.errstate(over="ignore", invalid="ignore"):
-        betas = basis.project(y, a.scale)
-        residual = y - basis.components @ betas.T
+        betas = basis.project(y, a.scale, prescaled=True)
+        residual = y - scaled @ betas.T
         sumsq = np.einsum("ij,ij->j", residual, residual)
         norms = linalg.root_sum_squares(residual, sumsq, axis=0)
-        betas, norms = np.ldexp(betas, p[:, None]), np.ldexp(norms, p)
+        betas, norms = np.ldexp(betas, p[:, None] - q), np.ldexp(norms, p)
     if not (np.isfinite(betas).all() and np.isfinite(norms).all()):
         raise NumericalError("fitted weights or residuals overflow float64")
     return betas, norms

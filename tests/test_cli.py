@@ -633,6 +633,37 @@ class TestRegressAndModels:
         np.testing.assert_allclose(got[:, 1], unscaled[:, 1] / factor, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(got[:, 2], unscaled[:, 2], rtol=1e-12, atol=0.0)
 
+    @staticmethod
+    def _decompose_and_fit(tmp_path, name, labels, header, values, capsys):
+        """Exit status, stderr and the fitted rows of ``decompose`` then ``fit``."""
+        rates, basis, out = (tmp_path / f"{name}.{ext}" for ext in ("csv", "json", "fit.csv"))
+        rates.write_text(",".join(header) + "\n" + "".join(
+            label + "".join(f",{float(v)!r}" for v in row) + "\n" for label, row in zip(labels, values)))
+        capsys.readouterr()
+        assert run("decompose", rates, "-c", 2, "--out", basis,
+                   "--weights", tmp_path / f"{name}.w.csv") == 0
+        code = run("fit", rates, "--basis", basis, "--out", out)
+        err = capsys.readouterr().err
+        fitted = np.loadtxt(out, delimiter=",", skiprows=1, usecols=(1, 2, 3)) if code == 0 else None
+        return code, err, fitted
+
+    @pytest.mark.parametrize("factor", [1e-310, 1e-318])
+    def test_decompose_then_fit_of_subnormal_rates_exits_0(self, factor, tmp_path, data_dir, capsys):
+        # the rates and the basis are fitted prescaled, and each weight is scaled
+        # back by one power of two, which stays in range
+        with (data_dir / MX_F).open(newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        labels = [row[0] for row in rows]
+        values = np.array([[float(v) * factor for v in row[1:]] for row in rows])
+        code, err, fitted = self._decompose_and_fit(tmp_path, "sub", labels, header, values, capsys)
+        assert code == 0 and err == ""
+        assert np.isfinite(fitted).all()
+        if factor == 1e-310:
+            # the same values, scaled into range exactly by a power of two
+            _, _, in_range = self._decompose_and_fit(
+                tmp_path, "normal", labels, header, np.ldexp(values, 1030), capsys)
+            np.testing.assert_allclose(fitted[:, :2], in_range[:, :2], rtol=1e-9, atol=0.0)
+
     @pytest.mark.parametrize("scale", [1e-170, 1e160, 1e307])
     def test_regress_on_weights_whose_squares_leave_the_float_range(
         self, scale, tmp_path, capsys

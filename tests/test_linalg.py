@@ -201,6 +201,67 @@ class TestSvdCache:
         assert len(calls) == 2
 
 
+def _earlier_svd(x):
+    """An earlier form of ``linalg.svd``'s post-processing, written out: a
+    boolean keep mask, the first-nonzero tie-break built on every call, and
+    s times 2**p even when p is 0, on LAPACK's SVD of the same prescaled x."""
+    a, p = linalg.prescale(np.asarray(x, dtype=float))
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    keep = s > s[0] * (max(a.shape) * linalg.RANK_RTOL)
+    s = np.ldexp(s, p)
+    u, s, v = u[:, keep], s[keep], vt[keep].T
+    total = v.sum(axis=0)
+    first = v[(v != 0).argmax(axis=0), np.arange(s.size)]
+    sign = np.where(np.where(np.abs(total) <= 1e-12, first, total) < 0, -1.0, 1.0)
+    return np.multiply(u, sign, order="C"), s.copy(), np.multiply(v, sign, order="C")
+
+
+def _tie_matrix():
+    """diag(s) v' of the hand-built tie in ``TestCanonicalizeSigns``'s
+    ``test_tie_break_makes_first_nonzero_positive``: v_1's entries sum to zero."""
+    v = np.array([[-0.70710678, 0.5], [0.70710678, 0.5]])
+    return np.diag([2.0, 1.0]) @ v.T
+
+
+def _seeded(shape):
+    return np.random.default_rng(sum(shape)).normal(size=shape)
+
+
+_DIFFERENTIAL_INPUTS = {
+    "tall": _seeded((30, 8)),
+    "wide": _seeded((7, 40)),
+    "square": _seeded((20, 20)),
+    "rank-deficient": _seeded((12, 3)) @ _seeded((3, 9)),
+    "tie": _tie_matrix(),
+    "worked-3x2": X32,
+}
+
+
+class TestSvdMatchesAnEarlierPostProcessing:
+    """u, s and v bit for bit as :func:`_earlier_svd` makes them from the
+    same LAPACK factors, whatever the BLAS build gives for those."""
+
+    @pytest.mark.parametrize("exponent", [0, 600, -600])
+    @pytest.mark.parametrize("name", list(_DIFFERENTIAL_INPUTS))
+    def test_factors_are_bit_identical(self, name, exponent):
+        x = np.ldexp(_DIFFERENTIAL_INPUTS[name], exponent)
+        linalg._svd.cache_clear()
+        f = linalg.svd(x)
+        for got, want in zip((f.u, f.s, f.v), _earlier_svd(x)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous and not got.flags.writeable
+
+    def test_the_inputs_reach_the_cutoff_and_the_tie_break(self):
+        cases = {name: np.linalg.svd(x, full_matrices=False)
+                 for name, x in _DIFFERENTIAL_INPUTS.items()}
+        _, s, _ = cases["rank-deficient"]
+        assert s[-1] < s[0] * (12 * linalg.RANK_RTOL) < s[2]
+        _, _, vt = cases["tie"]
+        assert abs(vt[0].sum()) <= 1e-12
+        assert linalg.svd(_tie_matrix()).rank == 2
+
+
 class TestCanonicalizeSigns:
     def test_idempotent(self, rng):
         f = linalg.svd(rng.normal(size=(6, 4)))
