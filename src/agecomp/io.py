@@ -7,24 +7,31 @@ reads as a float (not '1_000' or '١', which float() reads), and a cell that
 is not finite is an error.  CSV rows are formatted a whole row per call, with
 the same bytes as formatting each cell by ``fmt_number``.
 An input that cannot be read, or whose bytes are not UTF-8 text, raises DataError.
+A CSV file is read once, as bytes, and the last successful parse is kept for
+the life of the process, keyed on the sha256 of those bytes and on which
+columns the loader reads: a load of the same bytes, from any path, returns
+copies of it and parses nothing, and the one kept parse's lists and float
+block stay in memory until a load of other bytes replaces them.
 Every output is written through ``writing``, which overwrites an existing file
 in place and then cuts it to the new length, instead of truncating it to zero
 first; a process killed mid-write can therefore leave old bytes after new ones.
 """
 
 import csv
+import hashlib
 import json
 import os
 import re
 import stat
 import warnings
 from contextlib import contextmanager
-from io import StringIO
+from io import BytesIO, StringIO, TextIOWrapper
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
+from . import linalg
 from .errors import DataError
 from .regress import CovariateTable, LinearModel
 from .schedule import ComponentBasis, ScheduleMatrix, label_index
@@ -91,14 +98,21 @@ def _numbers(cells) -> bool:
     return True
 
 
-def _fault(path, numeric, exc=None) -> DataError:
-    """The first fault of a CSV that the one-pass read in :func:`_read_csv`
-    rejected, found by reading it again row by row: fewer than two rows, a row
-    whose width is not the header's, or, in row-major order, a cell of the
-    ``numeric`` columns that loadtxt does not read as a number.  ``exc`` is
-    loadtxt's error, for a fault that the row-by-row reading does not see."""
-    with _reading(path), open(path, encoding="utf-8-sig") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+def _text(raw):
+    r"""The bytes of a CSV as text: UTF-8, with any byte-order mark (which
+    spreadsheet exports put first) dropped, and with the default universal
+    newlines, which read '\r' and '\r\n' as '\n', as loadtxt needs."""
+    return TextIOWrapper(BytesIO(raw), encoding="utf-8-sig")
+
+
+def _fault(path, raw, numeric, exc=None) -> DataError:
+    """The first fault of ``raw``, a CSV's bytes that the one-pass read in
+    :func:`_read_csv` rejected, found by reading them again row by row: fewer
+    than two rows, a row whose width is not the header's, or, in row-major
+    order, a cell of the ``numeric`` columns that loadtxt does not read as a
+    number.  ``exc`` is loadtxt's error, for a fault that the row-by-row
+    reading does not see."""
+    rows = [row for row in csv.reader(_text(raw)) if row]
     if len(rows) < 2:
         return DataError(f"{path}: need a header row and at least one data row")
     width = len(rows[0])
@@ -129,11 +143,27 @@ def _read_csv(path, numeric=_data_columns):
     ``numeric(header)``, named by their stripped header cells, and the cells of
     any other column are not read.
 
+    The file's bytes are read once.  The last parse is kept, keyed on
+    ``numeric`` and the sha256 of the bytes, not on ``path``, so a load of the
+    same bytes, from any path, parses nothing.  Each call returns new lists
+    and a new writable C-order copy of the kept block; the one kept parse
+    holds its lists and block, but not the bytes, until a load of other bytes
+    replaces it.  A parse that fails keeps nothing and leaves the last one kept.
+    """
+    with _reading(path), open(path, "rb") as fh:
+        raw = fh.read()
+    header, labels, names, block = _last_parse(path, numeric, raw)
+    return list(header), list(labels), list(names), block.copy()
+
+
+def _parse_csv(path, numeric, raw):
+    """:func:`_read_csv` of the bytes ``raw``, with a read-only block.
+
     The header comes from csv.reader and every data row from one np.loadtxt
     call, which parses the cells in C; a numeric cell is what it reads as a
     float.  Blank lines are skipped.  If loadtxt fails, :func:`_fault` reads
-    the file again only to name the fault; a cell that is not finite, such as
-    'nan' or '1e400', is named here.
+    the bytes again only to name the fault; a cell that is not finite, such
+    as 'nan' or '1e400', is named here.
     """
     labels = []
 
@@ -141,9 +171,7 @@ def _read_csv(path, numeric=_data_columns):
         labels.append(cell.strip())
         return 0.0
 
-    # the default newline=None reads '\r' and '\r\n' as '\n', which loadtxt needs;
-    # utf-8-sig drops the byte-order mark spreadsheet exports put first
-    with _reading(path), open(path, encoding="utf-8-sig") as fh:
+    with _reading(path), _text(raw) as fh:
         header = next(filter(None, csv.reader(fh)), [])
         cols = list(numeric(header))
         skipped = dict.fromkeys(set(range(1, len(header))).difference(cols), lambda cell: 0.0)
@@ -152,16 +180,22 @@ def _read_csv(path, numeric=_data_columns):
                 warnings.simplefilter("ignore", UserWarning)  # loadtxt's "no data" warning
                 block = np.loadtxt(fh, converters={0: label, **skipped}, **_LOADTXT)
         except ValueError as exc:
-            raise _fault(path, numeric, exc) from None
-    if block.shape[0] == 0 or block.shape[1] != len(header):
-        raise _fault(path, numeric)
+            raise _fault(path, raw, numeric, exc) from None
+        if block.shape[0] == 0 or block.shape[1] != len(header):
+            raise _fault(path, raw, numeric)
     block = block.take(cols, axis=1)  # C order; block[:, cols] would be Fortran order
     if not np.isfinite(block).all():
         r, c = np.unravel_index(np.argmax(~np.isfinite(block)), block.shape)
         raise DataError(
             f"{path}: non-finite cell ({block[r, c]}) at row {r + 2}, column {cols[c] + 1}"
         )
+    block.flags.writeable = False
     return header, labels, [header[c].strip() for c in cols], block
+
+
+_last_parse = linalg._keep_last(
+    _parse_csv, key=lambda path, numeric, raw: (numeric, hashlib.sha256(raw).digest())
+)
 
 
 def format_rows(labels, block, lineterminator="\r\n"):

@@ -78,15 +78,17 @@ def svd(x) -> SvdFactorization:
     return _svd(a.shape, a.tobytes())
 
 
-def _keep_last(body):
+def _keep_last(body, key=lambda *args: args):
     """``functools.lru_cache(maxsize=1)``, but with the kept call found by ``==``
-    on its arguments (a memcmp for bytes), not by hashing them.  A call that
-    raises keeps nothing."""
+    on ``key`` of its arguments (by default the arguments themselves: a memcmp
+    for bytes), not by hashing them.  A call that raises keeps nothing and
+    leaves the kept call in place."""
     kept = []
 
     def call(*args):
-        if not (kept and kept[0] == args):
-            kept[:] = args, body(*args)
+        k = key(*args)
+        if not (kept and kept[0] == k):
+            kept[:] = k, body(*args)
         return kept[1]
 
     call.cache_clear = kept.clear

@@ -220,18 +220,20 @@ def smooth_matrix(a: ScheduleMatrix, c: int | None) -> ScheduleMatrix:
 def fit_weights(observed: AgeSchedule, basis: ComponentBasis) -> FittedSchedule:
     """Intercept-free least-squares weights of a schedule on the components.
 
-    Where the residual's sum of squares is not finite, as when a product of y
-    with a prescaled component overflows, the schedule is fitted again as a
-    one-column :func:`fit_matrix`, which prescales y too and raises
-    NumericalError for a residual whose 2-norm is past the float maximum;
-    the first projection's RuntimeWarning is not silenced.
+    Where the residual's sum of squares is off range, not finite, as when a
+    product of y with a prescaled component overflows, or below 2**-512, as
+    for a schedule of subnormal rates whose products with the components
+    lose bits, the schedule is fitted again as a one-column
+    :func:`fit_matrix`, which prescales y too and raises NumericalError for
+    a residual whose 2-norm is past the float maximum; the first
+    projection's RuntimeWarning is not silenced.
     """
     y = observed.values
     betas = basis.project(y, observed.scale)
     residual = y - basis.components @ betas
     sumsq = np.vdot(residual, residual)  # residual @ residual's bytes, with no overflow warning
-    if math.isfinite(sumsq):
-        return FittedSchedule(betas, float(linalg.root_sum_squares(residual, sumsq)))
+    if linalg._OFF_RANGE_SUMSQ <= sumsq < math.inf:  # the test root_sum_squares makes
+        return FittedSchedule(betas, float(np.sqrt(sumsq)))
     # groups labelled by position: unlike a matrix's, a schedule's labels may repeat
     column = ScheduleMatrix(range(len(y)), ("y",), y[:, None], observed.scale)
     (betas,), (norm,) = fit_matrix(column, basis)

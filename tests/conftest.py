@@ -3,10 +3,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from agecomp import io, linalg
 from agecomp.io import load_covariates_csv, load_schedule_csv
 from agecomp.schedule import concat_sexes
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+@pytest.fixture(autouse=True)
+def no_kept_results():
+    """Each test starts with no kept SVD and no kept CSV parse, so no result
+    depends on which tests ran before it."""
+    linalg._svd.cache_clear()
+    io._last_parse.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -95,6 +95,17 @@ def test_chain_outputs_keep_their_bytes(tmp_path):
     assert got["stderr"] == want["stderr"]
 
 
+def test_chain_parses_each_run_of_the_same_bytes_once(tmp_path, monkeypatch):
+    """The chain reads a CSV 54 times, but 37 reads repeat the bytes and the
+    columns of the read before them, so np.loadtxt runs 17 times."""
+    reads, parses = [], []
+    read_csv, loadtxt = agecomp_io._read_csv, np.loadtxt
+    monkeypatch.setattr(agecomp_io, "_read_csv", lambda *a: reads.append(1) or read_csv(*a))
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parses.append(1) or loadtxt(*a, **k))
+    run_chain(tmp_path)
+    assert (len(reads), len(parses)) == (54, 17)
+
+
 def grid_datasets() -> dict:
     """The 11 BIC-grid datasets: the bundled weights, in and off range, and four samples."""
     female, male = (agecomp_io.load_schedule_csv(DATA / f"agincourt_mx_{sex}.csv", log=True)

@@ -1,3 +1,6 @@
+import builtins
+import io as stdlib_io
+import os
 import re
 
 import numpy as np
@@ -204,6 +207,103 @@ def test_blank_lines_and_old_mac_line_ends_are_read(tmp_path):
     back = io.load_schedule_csv(path)
     assert back.group_labels == ("0-4", "5+") and back.schedule_labels == ("x", "y z")
     np.testing.assert_array_equal(back.data, [[0.5, 1e-3], [2.0, -0.25]])
+
+
+@pytest.mark.parametrize("loader, first, prefix", WIDE_LOADERS)
+@pytest.mark.parametrize("body", ["r1,0.5\nr2,x\n", "r1,0.5,1\n", ""])
+def test_a_faulty_file_is_opened_once_per_load(tmp_path, monkeypatch, loader, first, prefix,
+                                               body):
+    # the fault scan reads the bytes that failed to parse, not the file again
+    path = tmp_path / "f.csv"
+    path.write_text(f"{first},{prefix}1\n{body}")
+    opened = []
+    real = builtins.open
+
+    def spy(file, *args, **kwargs):
+        if str(file) == str(path):
+            opened.append(file)
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    monkeypatch.setattr(stdlib_io, "open", spy)  # pathlib opens through io.open
+    for n in (1, 2):
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            loader(path)
+        assert len(opened) == n
+
+
+class TestKeptParse:
+    """The last parse is kept, keyed on the bytes' sha256 and the columns read."""
+
+    @pytest.fixture()
+    def parses(self, monkeypatch):
+        calls = []
+        real = np.loadtxt
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        return calls
+
+    def test_the_same_bytes_are_parsed_once_from_any_path(self, tmp_path, parses):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for path in (a, b):
+            path.write_text("age,v1\n0,0.5\n")
+        first = io.load_schedule_csv(a)
+        assert io.load_schedule_csv(a) == first and io.load_schedule_csv(b) == first
+        assert len(parses) == 1
+        io.load_covariates_csv(b)  # the same bytes, other columns: the same parse
+        assert len(parses) == 1
+        io.load_weights_csv(b)  # the same bytes, but the key names the weight columns
+        assert len(parses) == 2
+
+    def test_a_rewrite_with_the_same_size_and_mtime_loads_the_new_values(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("age,x\n0,0.5\n")
+        assert io.load_schedule_csv(path).data[0, 0] == 0.5
+        before = path.stat()
+        path.write_text("age,x\n0,0.7\n")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert io.load_schedule_csv(path).data[0, 0] == 0.7
+
+    def test_a_failed_parse_keeps_the_last_one(self, tmp_path, parses):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("age,x\n0,0.5\n")
+        bad.write_text("age,x\n0,0.5\n1,nan\n")
+        io.load_schedule_csv(good)
+        with pytest.raises(DataError, match="non-finite cell"):
+            io.load_schedule_csv(bad)
+        assert len(parses) == 2
+        assert io.load_schedule_csv(good).data.tolist() == [[0.5]]
+        assert len(parses) == 2  # still kept
+        bad.write_text("age,x\n0,0.5\n1,0.25\n")
+        assert io.load_schedule_csv(bad).data.tolist() == [[0.5], [0.25]]
+        assert len(parses) == 3
+
+    def test_writing_into_a_load_does_not_change_the_next(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("schedule,v1,v2\na,1,2\nb,3,4\n")
+        want = io._read_csv(path)
+        for got in (want, io._read_csv(path)):
+            header, labels, names, block = got
+            assert block.flags.writeable and block.flags.c_contiguous
+        header, labels, names, block = io._read_csv(path)
+        for cells in (header, labels, names):
+            cells[0] = "changed"
+            cells.append("added")
+        block[:] = 0.0
+        again = io._read_csv(path)
+        assert again[:3] == (["schedule", "v1", "v2"], ["a", "b"], ["v1", "v2"])
+        assert again[3].tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        labels, weights = io.load_weights_csv(path)
+        weights[0, 0] = -1.0
+        labels.append("c")
+        assert io.load_weights_csv(path)[0] == ["a", "b"]
+        assert io.load_weights_csv(path)[1].tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 class TestJson:

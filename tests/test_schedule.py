@@ -5,6 +5,7 @@ import pytest
 
 from agecomp import linalg, schedule
 from agecomp.errors import DataError, NumericalError
+from agecomp.io import load_schedule_csv
 from agecomp.schedule import AgeSchedule, ScheduleMatrix
 
 X32 = ScheduleMatrix(["a", "b", "c"], ["s1", "s2"], [[2.0, 1.0], [1.0, 1.0], [1.0, 2.0]])
@@ -544,6 +545,19 @@ class TestWholeMatrixFit:
         with np.errstate(over="ignore"):  # the first projection's residual overflows on 1.5
             with pytest.raises(NumericalError, match="fitted weights or residuals overflow"):
                 schedule.fit_weights(big.column("x"), basis)
+
+    @pytest.mark.parametrize("scale", [1e-310, 1e-318])
+    def test_subnormal_schedules_match_the_whole_matrix_fit(self, data_dir, scale):
+        # y . c of subnormal rates loses bits, and the residual's sum of squares
+        # is below 2**-512 (a finite 0 at 1e-318), so fit_weights fits as fit_matrix
+        female = load_schedule_csv(data_dir / "agincourt_mx_female.csv")
+        tiny = replace(female, data=female.data * scale)
+        basis = schedule.build_basis(tiny, 2)
+        betas, norms = schedule.fit_matrix(tiny, basis)
+        for h, label in enumerate(tiny.schedule_labels):
+            fit = schedule.fit_weights(tiny.column(label), basis)
+            np.testing.assert_allclose(fit.betas, betas[h], rtol=1e-13, atol=0.0)
+            assert fit.residual_norm == pytest.approx(norms[h], rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("factor", [1e-200, 1e-160, 1e200, 1e300])
     def test_a_component_whose_squared_norm_is_out_of_range_projects(
