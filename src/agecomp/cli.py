@@ -8,6 +8,7 @@ import argparse
 import csv
 import functools
 import json
+import shlex
 import sys
 import warnings
 from dataclasses import replace
@@ -218,6 +219,30 @@ def _cmd_lifetable(args):
     print(f"life expectancy at birth for {label!r}: {lt.e0:.2f} years")
 
 
+def _cmd_run(args):
+    """Run each line of a script that is not blank and does not start with '#'
+    as a command, split as a POSIX shell splits it, in this one interpreter;
+    stop at the first command that fails, with its exit code and its message
+    after 'line N: '."""
+    if args.script == "-":
+        with io._reading("stdin"):
+            text = sys.stdin.buffer.read().decode("utf-8")
+    else:
+        text = io.read_text(args.script)
+    for n, line in enumerate(text.splitlines(), 1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        try:
+            argv = shlex.split(line)
+        except ValueError as exc:
+            return 1, f"line {n}: usage error: {exc}"
+        if argv[0] == "run":
+            return 1, f"line {n}: usage error: a script cannot run a script"
+        code, message = _run(argv)
+        if code:
+            return code, f"line {n}: {message}"
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="agecomp", description=__doc__)
@@ -292,27 +317,36 @@ def _build_parser() -> _Parser:
     p.add_argument("--column", help="schedule label to use (default: first)")
     p.add_argument("--out", required=True)
 
+    p = sub.add_parser("run", help="run a script of commands in one process")
+    p.add_argument("script", help="one command per line, without 'agecomp'; '-' reads stdin")
+
     return parser
 
 
-def main(argv=None) -> int:
+def _run(argv) -> tuple:
+    """(exit code, the one error line or None) of one command."""
     with warnings.catch_warnings():
         warnings.simplefilter("default")
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             args = _build_parser().parse_args(argv)
             # looked up per call, so a replaced _cmd_* is the one that runs
-            globals()[f"_cmd_{args.command}"](args)
+            return globals()[f"_cmd_{args.command}"](args) or (0, None)
         except _UsageError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return 1
+            return 1, f"usage error: {exc}"
         except (DataError, OSError) as exc:  # io reads raise DataError; OSError is from writes
-            print(f"data error: {exc}", file=sys.stderr)
-            return 2
+            return 2, f"data error: {exc}"
         except NumericalError as exc:
-            print(f"numerical failure: {exc}", file=sys.stderr)
-            return 3
-    return 0
+            return 3, f"numerical failure: {exc}"
+        except SystemExit as exc:  # argparse's, after it has printed --help
+            return exc.code, None
+
+
+def main(argv=None) -> int:
+    code, message = _run(argv)
+    if message:
+        print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ A CSV file is read once, as bytes, and the last successful parse is kept for
 the life of the process, keyed on the sha256 of those bytes and on which
 columns the loader reads: a load of the same bytes, from any path, returns
 copies of it and parses nothing, and the one kept parse's lists and float
-block stay in memory until a load of other bytes replaces them.
+block stay in memory until a load of other bytes replaces them.  The
+commands of one ``agecomp run`` script share it; separate processes do not.
 Every output is written through ``writing``, which overwrites an existing file
 in place and then cuts it to the new length, instead of truncating it to zero
 first; a process killed mid-write can therefore leave old bytes after new ones.

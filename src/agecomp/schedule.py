@@ -220,20 +220,21 @@ def smooth_matrix(a: ScheduleMatrix, c: int | None) -> ScheduleMatrix:
 def fit_weights(observed: AgeSchedule, basis: ComponentBasis) -> FittedSchedule:
     """Intercept-free least-squares weights of a schedule on the components.
 
-    Where the residual's sum of squares is off range, not finite, as when a
-    product of y with a prescaled component overflows, or below 2**-512, as
-    for a schedule of subnormal rates whose products with the components
-    lose bits, the schedule is fitted again as a one-column
-    :func:`fit_matrix`, which prescales y too and raises NumericalError for
-    a residual whose 2-norm is past the float maximum; the first
-    projection's RuntimeWarning is not silenced.
+    Where the residual's sum of squares is not finite, as when a product of y
+    with a prescaled component overflows, or, for a y that
+    :func:`linalg.prescale` would rescale, below 2**-512, as for subnormal
+    rates whose products with the components lose bits, the schedule is
+    fitted again as a one-column :func:`fit_matrix`, which prescales y too
+    and raises NumericalError for a residual whose 2-norm is past the float
+    maximum; the first projection's RuntimeWarning is not silenced.  A y in
+    range keeps the bits of ``basis.project``, an exact fit's included.
     """
     y = observed.values
     betas = basis.project(y, observed.scale)
     residual = y - basis.components @ betas
     sumsq = np.vdot(residual, residual)  # residual @ residual's bytes, with no overflow warning
-    if linalg._OFF_RANGE_SUMSQ <= sumsq < math.inf:  # the test root_sum_squares makes
-        return FittedSchedule(betas, float(np.sqrt(sumsq)))
+    if math.isfinite(sumsq) and (sumsq >= linalg._OFF_RANGE_SUMSQ or not linalg.prescale(y)[1]):
+        return FittedSchedule(betas, float(linalg.root_sum_squares(residual, sumsq)))
     # groups labelled by position: unlike a matrix's, a schedule's labels may repeat
     column = ScheduleMatrix(range(len(y)), ("y",), y[:, None], observed.scale)
     (betas,), (norm,) = fit_matrix(column, basis)

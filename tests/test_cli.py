@@ -3,10 +3,12 @@ import csv
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from io import BytesIO, TextIOWrapper
 from pathlib import Path
 
 import numpy as np
@@ -982,3 +984,75 @@ class TestMetricsOutput:
         with_log = json.loads(capsys.readouterr().out)
         assert run("metrics", pred, logged) == 0
         assert json.loads(capsys.readouterr().out)["mae"] == with_log["mae"]
+
+
+class TestRunScript:
+    """``agecomp run SCRIPT`` runs the script's commands in this one process."""
+
+    @staticmethod
+    def _script(path, *lines):
+        path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        return path
+
+    def test_skips_blank_and_comment_lines_and_splits_as_a_shell(self, tmp_path, data_dir, capsys):
+        spaced = tmp_path / "a dir" / "lt.csv"
+        spaced.parent.mkdir()
+        table = ["lifetable", str(data_dir / MX_F), "--column", "2011", "--out"]
+        script = self._script(tmp_path / "s.txt", "# life tables", "", "   # indented",
+                              shlex.join([*table, str(spaced)]))
+        assert run("run", script) == 0
+        assert capsys.readouterr() == ("life expectancy at birth for '2011': 65.59 years\n", "")
+        assert run(*table, tmp_path / "lt.csv") == 0
+        assert spaced.read_bytes() == (tmp_path / "lt.csv").read_bytes()
+
+    @pytest.mark.parametrize("line, code, text", [
+        ("lifetable {missing} --out {out}", 2, "line 3: data error: cannot read"),
+        ("decompose --components 2", 1, "line 3: usage error: the following arguments"),
+        ("lifetable 'unclosed", 1, "line 3: usage error: No closing quotation"),
+        ("run {script}", 1, "line 3: usage error: a script cannot run a script"),
+    ])
+    def test_stops_at_the_first_failing_line(self, line, code, text, tmp_path, data_dir, capsys):
+        first, last, script = tmp_path / "first.csv", tmp_path / "last.csv", tmp_path / "s.txt"
+        table = f"lifetable {data_dir / MX_F} --out"
+        line = line.format(missing=tmp_path / "nope.csv", out=tmp_path / "o.csv", script=script)
+        self._script(script, f"{table} {first}", "", line, f"{table} {last}")
+        assert run("run", script) == code
+        one_error_line(capsys, prefix=text)
+        assert first.exists() and not last.exists()
+
+    def test_a_help_line_prints_help_and_the_script_goes_on(self, tmp_path, data_dir, capsys):
+        out = tmp_path / "lt.csv"
+        script = self._script(tmp_path / "s.txt", "lifetable --help",
+                              f"lifetable {data_dir / MX_F} --out {out}")
+        assert run("run", script) == 0
+        assert capsys.readouterr().out.startswith("usage: agecomp lifetable")
+        assert out.exists()
+
+    def test_a_warning_prints_once_per_command(self, tmp_path, data_dir, basis_and_weights, capsys):
+        _, weights = basis_and_weights
+        with (data_dir / "agincourt_covariates.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        for row in rows[1:4]:
+            row[2] = "0.9"  # ART coverage above HIV prevalence
+        covariates = tmp_path / "cov.csv"
+        with covariates.open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        line = (f"regress --weights {weights} --covariates {covariates} "
+                f"--predictors e0,delta --out {tmp_path / 'm.json'}")
+        capsys.readouterr()
+        assert run("run", self._script(tmp_path / "s.txt", line, line)) == 0
+        assert capsys.readouterr().err == 2 * (
+            "warning: ART coverage exceeds HIV prevalence in 3 of 19 entries; delta clamped to 0\n"
+        )
+
+    @pytest.mark.parametrize("raw, code, err", [
+        (b"lifetable {F} --column 1993 --out {out}\n", 0, ""),
+        (b"\xff\n", 2, "data error: stdin: not UTF-8 text (invalid start byte)\n"),
+    ])
+    def test_dash_reads_the_script_from_stdin(self, raw, code, err, tmp_path, data_dir,
+                                              monkeypatch, capsys):
+        raw = raw.replace(b"{F}", bytes(data_dir / MX_F)).replace(b"{out}", bytes(tmp_path / "o"))
+        monkeypatch.setattr(sys, "stdin", TextIOWrapper(BytesIO(raw)))
+        assert run("run", "-") == code
+        assert capsys.readouterr().err == err
+        assert (tmp_path / "o").exists() == (code == 0)

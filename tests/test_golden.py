@@ -15,6 +15,7 @@ import contextlib
 import hashlib
 import io
 import json
+import shlex
 from itertools import zip_longest
 from pathlib import Path
 
@@ -72,9 +73,13 @@ def run_chain(out: Path) -> dict:
         for argv in chain_argvs(out):
             if cli.main(argv) != 0:
                 raise AssertionError(f"agecomp {' '.join(argv)} failed: {stderr.getvalue()}")
-    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
-    return {"files": files, "stdout": stdout.getvalue().splitlines(),
+    return {"files": digests(out), "stdout": stdout.getvalue().splitlines(),
             "stderr": stderr.getvalue().splitlines()}
+
+
+def digests(out: Path) -> dict:
+    """The sha256 of every file in ``out``, by name."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
 
 
 def test_chain_outputs_keep_their_bytes(tmp_path):
@@ -104,6 +109,29 @@ def test_chain_parses_each_run_of_the_same_bytes_once(tmp_path, monkeypatch):
     monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parses.append(1) or loadtxt(*a, **k))
     run_chain(tmp_path)
     assert (len(reads), len(parses)) == (54, 17)
+
+
+def test_chain_twice_as_one_script_keeps_its_bytes(tmp_path, monkeypatch):
+    """``agecomp run`` of the chain, one command a line and twice over in one
+    script, writes the manifest's bytes twice and prints its stdout twice;
+    the second chain's commands see the state the first left, and each chain
+    still parses 17 times."""
+    want = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    outs = tmp_path / "first", tmp_path / "second"
+    script = tmp_path / "chain.txt"
+    script.write_text("".join(f"{shlex.join(argv)}\n" for out in outs for argv in chain_argvs(out)),
+                      encoding="utf-8")
+    parses, loadtxt = [], np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parses.append(1) or loadtxt(*a, **k))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    for out in outs:
+        out.mkdir()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        assert cli.main(["run", str(script)]) == 0
+    assert [digests(out) for out in outs] == 2 * [want["files"]]
+    assert stdout.getvalue().splitlines() == 2 * want["stdout"]
+    assert stderr.getvalue().splitlines() == 2 * want["stderr"]
+    assert len(parses) == 2 * 17
 
 
 def grid_datasets() -> dict:

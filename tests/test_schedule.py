@@ -559,6 +559,18 @@ class TestWholeMatrixFit:
             np.testing.assert_allclose(fit.betas, betas[h], rtol=1e-13, atol=0.0)
             assert fit.residual_norm == pytest.approx(norms[h], rel=1e-13, abs=0.0)
 
+    def test_an_exact_fit_in_range_keeps_the_bits_of_project(self, mortality_log):
+        # a zero residual's sum of squares is below 2**-512, but a y in range
+        # keeps project's betas and is not fitted again
+        exact = ScheduleMatrix(["a", "b", "c"], ["s1", "s2"], [[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        for basis in (schedule.build_basis(exact, 2), schedule.build_basis(mortality_log, 2)):
+            c = basis.components
+            for y in (np.zeros(len(c)), 3 * c[:, 0] + c[:, 1]):
+                fit = schedule.fit_weights(AgeSchedule(basis.group_labels, y, basis.scale), basis)
+                assert np.array_equal(fit.betas, basis.project(y, basis.scale))
+                residual = y - c @ fit.betas
+                assert fit.residual_norm == np.sqrt(np.vdot(residual, residual))
+
     @pytest.mark.parametrize("factor", [1e-200, 1e-160, 1e200, 1e300])
     def test_a_component_whose_squared_norm_is_out_of_range_projects(
         self, mortality_log, factor
