@@ -157,26 +157,6 @@ def explained_share(f: SvdFactorization) -> np.ndarray:
     return sq / sq.sum()
 
 
-def center_columns(x) -> np.ndarray:
-    """Subtract each column mean."""
-    a = as_matrix(x)
-    if a.shape[0] < 2:
-        raise DataError("centering needs at least two rows")
-    return a - a.mean(axis=0)
-
-
-def frobenius_residual(a, b) -> float:
-    """Square root of the summed squared differences between two matrices."""
-    am = as_matrix(a)
-    bm = as_matrix(b)
-    if am.shape != bm.shape:
-        raise DataError(f"shape mismatch: {am.shape} vs {bm.shape}")
-    diff = am - bm
-    with np.errstate(over="ignore"):
-        sumsq = (diff**2).sum()
-    return float(root_sum_squares(diff, sumsq))
-
-
 def prescale(x, axis=None):
     """(x * 2**-p, p), with p the binary exponent of max|x| over ``axis``
     where it lies outside +-256, else 0 (as for an inf or NaN max|x|).

@@ -7,7 +7,7 @@ weights into whole predicted age schedules through a component basis.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,13 +30,12 @@ class CovariateTable:
 
     labels: tuple
     columns: dict
-    _rows: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
         cols = {k: np.asarray(v, dtype=float) for k, v in self.columns.items()}
         object.__setattr__(self, "columns", cols)
-        object.__setattr__(self, "_rows", label_index(self.labels, "covariate row"))
+        label_index(self.labels, "covariate row")
         n = len(self.labels)
         for name, col in cols.items():
             if col.shape != (n,):
@@ -74,12 +73,6 @@ class CovariateTable:
         if name not in self.columns:
             raise DataError(f"no covariate column named {name!r}")
         return self.columns[name]
-
-    def row(self, label) -> dict:
-        i = self._rows.get(str(label))
-        if i is None:
-            raise DataError(f"no covariate row labeled {label!r}")
-        return {name: float(col[i]) for name, col in self.columns.items()}
 
 
 @dataclass(frozen=True)

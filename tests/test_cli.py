@@ -465,8 +465,9 @@ class TestWholeMatrixCommands:
         m = io.models_from_json(models.read_text())
         covariates = io.load_covariates_csv(data_dir / "agincourt_covariates.csv")
         predicted = io.load_schedule_csv(out, log=False).data
-        for h, label in enumerate(covariates.labels):
-            w = [model.predict_one(covariates.row(label)) for model in m]
+        for h in range(len(covariates.labels)):
+            row = {name: float(col[h]) for name, col in covariates.columns.items()}
+            w = [model.predict_one(row) for model in m]
             np.testing.assert_allclose(predicted[:, h], b.components @ w, rtol=1e-14, atol=1e-14)
 
 

@@ -61,7 +61,7 @@ class TestSvd:
             eye = np.eye(f.rank)
             assert np.abs(f.u.T @ f.u - eye).max() < 1e-10
             assert np.abs(f.v.T @ f.v - eye).max() < 1e-10
-            rel = linalg.frobenius_residual(x, linalg.reconstruct_rank(f, f.rank))
+            rel = float(np.sqrt(((x - linalg.reconstruct_rank(f, f.rank)) ** 2).sum()))
             assert rel / np.linalg.norm(x) < 1e-8
             assert np.all(np.diff(f.s) <= 1e-15)
             assert np.all(f.s > 0)
@@ -69,8 +69,21 @@ class TestSvd:
     def test_roundtrip_50x50(self, rng):
         x = rng.normal(size=(50, 50))
         f = linalg.svd(x)
-        rel = linalg.frobenius_residual(x, linalg.reconstruct_rank(f, f.rank))
+        rel = float(np.sqrt(((x - linalg.reconstruct_rank(f, f.rank)) ** 2).sum()))
         assert rel / np.linalg.norm(x) < 1e-8
+
+    def test_pca_equivalence_with_eigen_oracle(self, rng):
+        # right singular vectors of centered data = Gram eigenvectors (up to sign)
+        x = rng.normal(size=(20, 3)) * [1.0, 2.5, 0.5] + [4.0, -1.0, 2.0]
+        c = (x - x.mean(axis=0)) / np.sqrt(x.shape[0] - 1)
+        f = linalg.svd(c)
+        eigvals, eigvecs = np.linalg.eigh(c.T @ c)
+        order = np.argsort(eigvals)[::-1]
+        eigvals, eigvecs = eigvals[order], eigvecs[:, order]
+        for i in range(f.rank):
+            dot = abs(eigvecs[:, i] @ f.v[:, i])
+            assert dot == pytest.approx(1.0, abs=1e-8)
+        np.testing.assert_allclose(f.s, np.sqrt(np.clip(eigvals[: f.rank], 0, None)), rtol=1e-8)
 
     def test_deterministic(self, rng):
         x = rng.normal(size=(7, 5))
@@ -308,24 +321,29 @@ class TestReconstructRank:
             with pytest.raises(NumericalError):
                 linalg.reconstruct_rank(f, bad)
 
+    def test_truncation_residual_equals_dropped_singular_value(self):
+        f = linalg.svd(X32)
+        err = float(np.sqrt(((X32 - linalg.reconstruct_rank(f, 1)) ** 2).sum()))
+        assert err == pytest.approx(float(f.s[1]), abs=1e-10)
+
     def test_eym_optimality_sampled(self, rng):
         # truncation must beat hundreds of random same-rank candidates
         x = rng.normal(size=(6, 5))
         f = linalg.svd(x)
         for k in range(1, f.rank):
-            best = linalg.frobenius_residual(x, linalg.reconstruct_rank(f, k))
+            best = float(np.sqrt(((x - linalg.reconstruct_rank(f, k)) ** 2).sum()))
             for _ in range(200):
                 cand = rng.normal(size=(6, k)) @ rng.normal(size=(k, 5))
                 # include the optimal rescaling of the candidate
                 scale = np.sum(x * cand) / max(np.sum(cand * cand), 1e-300)
-                assert best <= linalg.frobenius_residual(x, cand) + 1e-12
-                assert best <= linalg.frobenius_residual(x, scale * cand) + 1e-12
+                assert best <= float(np.sqrt(((x - cand) ** 2).sum())) + 1e-12
+                assert best <= float(np.sqrt(((x - scale * cand) ** 2).sum())) + 1e-12
 
     def test_residual_nonincreasing_in_k(self, rng):
         x = rng.normal(size=(6, 5))
         f = linalg.svd(x)
         errs = [
-            linalg.frobenius_residual(x, linalg.reconstruct_rank(f, k))
+            float(np.sqrt(((x - linalg.reconstruct_rank(f, k)) ** 2).sum()))
             for k in range(1, f.rank + 1)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
@@ -335,7 +353,7 @@ class TestReconstructRank:
             x = random_matrix(rng, max_side=16)
             f = linalg.svd(x)
             for k in range(1, f.rank + 1):
-                resid2 = linalg.frobenius_residual(x, linalg.reconstruct_rank(f, k)) ** 2
+                resid2 = float(np.sqrt(((x - linalg.reconstruct_rank(f, k)) ** 2).sum())) ** 2
                 tail = float((f.s[k:] ** 2).sum())
                 assert resid2 == pytest.approx(tail, rel=1e-8, abs=1e-12)
 
@@ -369,56 +387,6 @@ class TestExplainedShare:
             linalg.explained_share(linalg.svd(np.zeros((2, 2))))
 
 
-class TestCenterColumns:
-    def test_two_point_column(self):
-        np.testing.assert_allclose(
-            linalg.center_columns(np.array([[1.0], [3.0]])), [[-1.0], [1.0]]
-        )
-        with pytest.raises(DataError, match="at least two rows"):
-            linalg.center_columns(np.array([[1.0, 3.0]]))
-
-    def test_already_centered_unchanged(self, rng):
-        x = rng.normal(size=(10, 3))
-        x -= x.mean(axis=0)
-        np.testing.assert_allclose(linalg.center_columns(x), x, atol=1e-12)
-
-    def test_pca_equivalence_with_eigen_oracle(self, rng):
-        # right singular vectors of centered data = Gram eigenvectors (up to sign)
-        x = rng.normal(size=(20, 3)) * [1.0, 2.5, 0.5] + [4.0, -1.0, 2.0]
-        c = linalg.center_columns(x) / np.sqrt(x.shape[0] - 1)
-        f = linalg.svd(c)
-        eigvals, eigvecs = np.linalg.eigh(c.T @ c)
-        order = np.argsort(eigvals)[::-1]
-        eigvals, eigvecs = eigvals[order], eigvecs[:, order]
-        for i in range(f.rank):
-            dot = abs(eigvecs[:, i] @ f.v[:, i])
-            assert dot == pytest.approx(1.0, abs=1e-8)
-        np.testing.assert_allclose(f.s, np.sqrt(np.clip(eigvals[: f.rank], 0, None)), rtol=1e-8)
-
-
-class TestFrobeniusResidual:
-    def test_identical(self):
-        assert linalg.frobenius_residual(X32, X32) == 0.0
-
-    def test_three_four_five(self):
-        assert linalg.frobenius_residual([[3.0, 4.0]], [[0.0, 0.0]]) == pytest.approx(5.0)
-
-    def test_truncation_residual_equals_dropped_singular_value(self):
-        f = linalg.svd(X32)
-        err = linalg.frobenius_residual(X32, linalg.reconstruct_rank(f, 1))
-        assert err == pytest.approx(float(f.s[1]), abs=1e-10)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DataError):
-            linalg.frobenius_residual(np.ones((2, 2)), np.ones((2, 3)))
-
-    @pytest.mark.parametrize("scale", [1e200, 1e-200])
-    def test_squares_out_of_the_float_range(self, scale):
-        # the squares overflow (1e200) or underflow (1e-200); run with warnings as errors
-        got = linalg.frobenius_residual([[3.0 * scale, 0.0]], [[0.0, -4.0 * scale]])
-        assert got == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
-
-
 class TestRootSumSquares:
     def test_in_range_results_are_the_plain_square_root(self, rng):
         x = rng.normal(size=(7, 5)) * 10.0 ** rng.integers(-150, 150, size=5)
@@ -443,7 +411,7 @@ class TestRootSumSquares:
         assert 0.0 < sumsq[0] < np.finfo(float).tiny
         got = linalg.root_sum_squares(x, sumsq, axis=0)
         assert got[0] == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0) and got[1] == 5.0
-        assert linalg.frobenius_residual(x[:, :1].T, [[0.0, 0.0]]) == pytest.approx(
+        assert linalg.root_sum_squares(x[:, 0], x[:, 0] @ x[:, 0]) == pytest.approx(
             5.0 * scale, rel=1e-15, abs=0.0)
 
     def test_prescale_returns_in_range_input_as_is_and_scales_each_off_range_column(self):

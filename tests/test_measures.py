@@ -176,7 +176,8 @@ def test_bundled_1993_fertility_sums_below_the_printed_tfr(data_dir, fertility_c
     # regressions consume the printed covariate column instead
     asfr = load_schedule_csv(data_dir / "agincourt_fx.csv").column("1993")
     assert 5.0 * asfr.values.sum() == pytest.approx(2.985, abs=0.001)
-    assert fertility_covariates.row("1993")["tfr"] == 3.47
+    tfr = fertility_covariates.column("tfr")
+    assert tfr[fertility_covariates.labels.index("1993")] == 3.47
 
 
 def loop_ax_lx(starts, qx):
