@@ -414,6 +414,23 @@ class TestRootSumSquares:
         assert linalg.root_sum_squares(x[:, 0], x[:, 0] @ x[:, 0]) == pytest.approx(
             5.0 * scale, rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_squares_out_of_the_float_range(self, scale):
+        # the 1-D residual norm of fit_weights: the squares overflow (1e200) or
+        # underflow (1e-200); run with warnings as errors
+        diff = np.array([3.0 * scale, 0.0]) - np.array([0.0, -4.0 * scale])
+        with np.errstate(over="ignore", under="ignore"):
+            sumsq = diff @ diff
+        assert linalg.root_sum_squares(diff, sumsq) == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
+
+    def test_identical_inputs_have_a_zero_norm(self):
+        # a zero sum lies below 2**-512, so it takes the prescale path, which keeps it 0
+        zero = X32 - X32
+        flat = zero.ravel()
+        assert linalg.root_sum_squares(flat, flat @ flat) == 0.0
+        got = linalg.root_sum_squares(zero, np.einsum("ij,ij->j", zero, zero), axis=0)
+        assert got.tolist() == [0.0, 0.0]
+
     def test_prescale_returns_in_range_input_as_is_and_scales_each_off_range_column(self):
         x = np.array([[3e200, 3.0, 3e-170, 0.0], [4e200, 4.0, 4e-170, 0.0]])
         y, p = linalg.prescale(x, axis=0)

@@ -49,6 +49,13 @@ class TestCovariateTable:
         with pytest.raises(DataError, match="no covariate column named 'nope'"):
             covariates.column("nope")
 
+    def test_labels_are_kept_as_strings(self):
+        table = CovariateTable([1993, 1994], {"e0": [60.0, 61.0]})
+        assert table.labels == ("1993", "1994")
+        assert table.labels.index("1993") == 0
+        with pytest.raises(DataError, match="duplicate covariate row label '1994'"):
+            CovariateTable([1993, 1994, "1994"], {"e0": [60.0, 61.0, 62.0]})
+
     def test_duplicate_row_label_named(self):
         with pytest.raises(DataError, match="duplicate covariate row label '1994'"):
             CovariateTable(["1993", "1994", "1994"], {"e0": [60.0, 61.0, 62.0]})

@@ -80,3 +80,19 @@ def test_the_surface_guard_sees_each_kind_of_reference():
                                      "b.py:Unused", "b.py:x"]
     assert _unreached(trees, 'TRACED = ("traced", "x")') == [
         "a.py:SPARE", "a.py:only_itself", "b.py:Unused"]
+
+
+def test_the_benchmark_text_must_name_the_whole_word():
+    trees = {"a.py": ast.parse("def fit():\n    pass\n\n\ndef fit_all():\n    pass\n")}
+    assert _unreached(trees, "refit fit_all_twice") == ["a.py:fit", "a.py:fit_all"]
+    assert _unreached(trees, "wrappers.fit_all(x)") == ["a.py:fit"]
+
+
+def test_a_reference_from_another_file_counts_on_any_line():
+    # a.py defines on lines 1-2; b.py refers on line 2, inside the same span of
+    # numbers but in another file. Methods and nested functions are not
+    # module-level names, so they need no reference.
+    a = "def shared():\n    pass\n\n\nclass Box:\n    def method(self):\n        def inner():\n            pass\n"
+    b = "import a\nx = a.shared\n"
+    trees = {"a.py": ast.parse(a), "b.py": ast.parse(b)}
+    assert _unreached(trees, "") == ["a.py:Box", "b.py:x"]
