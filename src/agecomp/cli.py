@@ -211,7 +211,7 @@ def _cmd_lifetable(args):
     matrix = io.load_schedule_csv(args.input)
     label = args.column if args.column is not None else matrix.schedule_labels[0]
     starts = [_parse_age_start(g) for g in matrix.group_labels]
-    lt = measures.life_table_from_mx(matrix.column(label), starts)
+    lt = measures.life_table_from_mx(matrix, starts, label)
     table = np.column_stack([lt.mx, lt.ax, lt.qx, lt.lx, lt.Lx, lt.Tx, lt.ex])
     with io.writing(args.out) as fh:
         fh.write("age,mx,ax,qx,lx,Lx,Tx,ex\n")
@@ -220,16 +220,18 @@ def _cmd_lifetable(args):
 
 
 def _cmd_run(args):
-    """Run each line of a script that is not blank and does not start with '#'
+    r"""Run each line of a script that is not blank and does not start with '#'
     as a command, split as a POSIX shell splits it, in this one interpreter;
     stop at the first command that fails, with its exit code and its message
-    after 'line N: '."""
+    after 'line N: '.  '\n', '\r\n' and '\r' end a line, and nothing else
+    does: str.splitlines would also break at '\f', '\x85', U+2028 and others,
+    which a quoted argument may hold."""
     if args.script == "-":
         with io._reading("stdin"):
             text = sys.stdin.buffer.read().decode("utf-8")
     else:
         text = io.read_text(args.script)
-    for n, line in enumerate(text.splitlines(), 1):
+    for n, line in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         try:

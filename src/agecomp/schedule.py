@@ -97,11 +97,15 @@ class ScheduleMatrix:
         """The matrix's one SVD, with read-only factors (see :func:`linalg.svd`)."""
         return linalg.svd(self.data)
 
-    def column(self, label) -> AgeSchedule:
+    def position(self, label) -> int:
+        """The column of schedule ``label``; a DataError if no schedule has it."""
         h = self._columns.get(label)
         if h is None:
             raise DataError(f"no schedule labeled {label!r}")
-        return AgeSchedule(self.group_labels, self.data[:, h].copy(), self.scale)
+        return h
+
+    def column(self, label) -> AgeSchedule:
+        return AgeSchedule(self.group_labels, self.data[:, self.position(label)].copy(), self.scale)
 
     def to_log(self) -> "ScheduleMatrix":
         if self.scale == LOG:

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from agecomp import io, linalg
+from agecomp import io, linalg, measures
 from agecomp.io import load_covariates_csv, load_schedule_csv
 from agecomp.schedule import concat_sexes
 
@@ -12,10 +12,11 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 
 @pytest.fixture(autouse=True)
 def no_kept_results():
-    """Each test starts with no kept SVD and no kept CSV parse, so no result
-    depends on which tests ran before it."""
+    """Each test starts with no kept SVD, no kept CSV parse and no kept life
+    tables, so no result depends on which tests ran before it."""
     linalg._svd.cache_clear()
     io._last_parse.cache_clear()
+    measures._life_tables.cache_clear()
 
 
 @pytest.fixture(scope="session")

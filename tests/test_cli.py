@@ -280,6 +280,27 @@ class TestLifetablePlot:
         assert printed.err == "data error: no schedule labeled ''\n" and printed.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("group, rate, code, err", [
+        ("5-9", -0.001, 2, "data error: mortality rates must be nonnegative and finite"),
+        ("85+", 0.0, 2, "data error: open-ended age group needs a positive rate"),
+        ("1-4", 1e308, 3, "numerical failure: life table qx is not finite at age '1-4'"),
+    ], ids=["negative", "zero-open-rate", "overflow"])
+    def test_a_fault_in_one_column_fails_only_that_column(self, group, rate, code, err,
+                                                          tmp_path, data_dir, capsys):
+        table = io.load_schedule_csv(data_dir / MX_F)
+        data = table.data.copy()
+        data[table.group_labels.index(group), table.schedule_labels.index("1993")] = rate
+        faulty, want, got = tmp_path / "faulty.csv", tmp_path / "want.csv", tmp_path / "got.csv"
+        io.write_schedule_csv(replace(table, data=data), faulty)
+        assert run("lifetable", data_dir / MX_F, "--column", "2011", "--out", want) == 0
+        printed = capsys.readouterr()
+        assert run("lifetable", faulty, "--column", "2011", "--out", got) == 0
+        assert capsys.readouterr() == printed
+        assert got.read_bytes() == want.read_bytes()
+        assert run("lifetable", faulty, "--column", "1993", "--out", tmp_path / "lt.csv") == code
+        assert capsys.readouterr() == ("", err + "\n")
+        assert not (tmp_path / "lt.csv").exists()
+
 
 class TestExitCodes:
     def test_usage_errors(self, tmp_path):
@@ -711,6 +732,16 @@ class TestCsvRobustness:
         assert "big.csv" in one_error_line(capsys)
         assert not out.exists()
 
+    def test_a_header_cell_over_the_csv_field_limit_is_one_data_error_line(self, tmp_path, capsys):
+        # csv.reader reads the header (loadtxt the data rows, as above)
+        limit = csv.field_size_limit()
+        path, out = tmp_path / "wide.csv", tmp_path / "lt.csv"
+        path.write_text(f"age,{'x' * (limit + 1)}\n0,0.5\n")
+        assert run("lifetable", path, "--out", out) == 2
+        assert capsys.readouterr() == (
+            "", f"data error: {path}: field larger than field limit ({limit})\n")
+        assert not out.exists()
+
     def test_a_header_without_data_rows_prints_no_warning(self, tmp_path, capsys):
         # loadtxt warns on input with no data rows; the one line is the data error
         path, out = tmp_path / "h.csv", tmp_path / "o.csv"
@@ -1045,6 +1076,40 @@ class TestRunScript:
         assert capsys.readouterr().err == 2 * (
             "warning: ART coverage exceeds HIV prevalence in 3 of 19 entries; delta clamped to 0\n"
         )
+
+    # str.splitlines breaks a line at each of these; a script line does not
+    NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+    @pytest.mark.parametrize("char", NOT_LINE_ENDS, ids=[f"U+{ord(c):04X}" for c in NOT_LINE_ENDS])
+    def test_a_quoted_argument_keeps_what_splitlines_breaks_at(self, char, tmp_path, data_dir,
+                                                                capsys):
+        odd = tmp_path / f"f{char}x.csv"
+        odd.write_bytes((data_dir / MX_F).read_bytes())
+        table = ["lifetable", str(odd), "--column", "2011", "--out"]
+        assert run(*table, tmp_path / "direct.csv") == 0
+        direct = capsys.readouterr()
+        script = self._script(tmp_path / "s.txt", shlex.join([*table, str(tmp_path / "run.csv")]))
+        assert run("run", script) == 0
+        assert capsys.readouterr() == direct
+        assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_line_numbers_count_line_ends_only(self, source, end, tmp_path, data_dir,
+                                               monkeypatch, capsys):
+        first = tmp_path / "first.csv"
+        lines = ["# " + "".join(self.NOT_LINE_ENDS),
+                 f"lifetable {data_dir / MX_F} --out {first}",
+                 f"lifetable {tmp_path / 'nope.csv'} --out {tmp_path / 'o.csv'}"]
+        raw = end.join(lines).encode("utf-8") + end.encode()
+        if source == "file":
+            (tmp_path / "s.txt").write_bytes(raw)
+            assert run("run", tmp_path / "s.txt") == 2
+        else:
+            monkeypatch.setattr(sys, "stdin", TextIOWrapper(BytesIO(raw)))
+            assert run("run", "-") == 2
+        one_error_line(capsys, prefix="line 3: data error: cannot read")
+        assert first.exists()
 
     @pytest.mark.parametrize("raw, code, err", [
         (b"lifetable {F} --column 1993 --out {out}\n", 0, ""),

@@ -7,7 +7,9 @@ path and a directory in each input slot are checked one by one.  The scale
 property clusters the bundled weights times 10^e at any decade e the floats
 hold: the selection is the unscaled one, with no warning.  The power-of-two
 property decomposes and fits the bundled rates, and fits weight models, times
-2^j: the results are the unscaled ones times 2^j, bit for bit.
+2^j: the results are the unscaled ones times 2^j, bit for bit.  The decade
+property runs the README chain on the bundled rates times 10^e: every
+command exits 0, with finite numbers in its outputs and stdout and no warning.
 """
 
 import contextlib
@@ -282,3 +284,54 @@ def test_a_power_of_two_scales_every_fit_exactly(j, natural_fit, bundled_weights
         np.testing.assert_allclose(model.t_values, ref.t_values, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(model.p_values, ref.p_values, rtol=1e-13, atol=0.0)
         assert model.r_squared == pytest.approx(ref.r_squared, rel=0.0, abs=1e-13)
+
+
+# The README chain on rates: {f} and {m} are the bundled rates times 10^e, {log}
+# is empty or --log, and each other name is a file in the run's directory.
+SCALED_CHAIN = (
+    "decompose {f} {m} {log} --concat-sexes -c 2 --out {basis} --weights {weights}",
+    "regress --weights {weights} --covariates {cov} --predictors e0,delta --out {models}",
+    "predict --basis {basis} --models {models} --covariates {cov} --out {predicted}",
+    "smooth {f} {m} {log} --concat-sexes -c 19 --out {observed}",
+    "metrics {predicted} {observed} --out {metrics}",
+    "cluster --weights {weights} --k-range 1:6 --out {clusters}",
+    "fit {f} {m} {log} --concat-sexes --basis {basis} --out {fitted}",
+    "reconstruct --basis {basis} --weights {weights} --out {back}",
+    "lifetable {f} --column 1993 --out {lt_f}",
+    "lifetable {m} --column 2011 --out {lt_m}",
+)
+# a decimal number, as repr, json and the printed summaries write one
+NUMBER = re.compile(
+    r"(?i)(?<![\w.])[-+]?(?:nan|inf(?:inity)?|(?:\d+(?:\.\d*)?|\.\d+)(?:e[-+]?\d+)?)(?![\w.])")
+
+
+@pytest.fixture(scope="module")
+def bundled_rates(data_dir):
+    """The bundled female and male natural rates."""
+    return [io.load_schedule_csv(data_dir / f"agincourt_mx_{sex}.csv") for sex in ("female", "male")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(e=st.integers(-300, 307))
+@example(e=-300)
+@example(e=307)
+def test_the_chain_on_rates_at_any_decade_exits_0_with_finite_outputs(e, bundled_rates, data_dir):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        paths = {name: root / name for template in SCALED_CHAIN
+                 for name in re.findall(r"\{(\w+)\}", template) if name != "log"}
+        paths["cov"] = data_dir / "agincourt_covariates.csv"
+        for name, rates in zip("fm", bundled_rates):
+            io.write_schedule_csv(replace(rates, data=rates.data * 10.0**e), paths[name])
+        for log in ("", "--log"):
+            for template in SCALED_CHAIN:
+                argv = [token.format(**paths, log=log) for token in template.split()]
+                out, err = stdio.StringIO(), stdio.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([token for token in argv if token])
+                assert (code, err.getvalue()) == (0, ""), (template, log)
+                written = [paths[name].read_text(encoding="utf-8") for name in paths
+                           if name not in ("f", "m", "cov") and f"{{{name}}}" in template]
+                bad = [t for text in (out.getvalue(), *written) for t in NUMBER.findall(text)
+                       if not math.isfinite(float(t))]
+                assert bad == [], (template, log)

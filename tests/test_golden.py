@@ -111,18 +111,28 @@ def test_chain_parses_each_run_of_the_same_bytes_once(tmp_path, monkeypatch):
     assert (len(reads), len(parses)) == (54, 17)
 
 
+def test_chain_builds_one_life_table_matrix_per_sex(tmp_path, monkeypatch):
+    """The chain's 38 lifetable commands read 19 columns of each sex's rates
+    in turn, so the tables of every column are built twice, once per sex."""
+    builds, cumprod = [], np.cumprod
+    monkeypatch.setattr(np, "cumprod", lambda *a, **k: builds.append(1) or cumprod(*a, **k))
+    run_chain(tmp_path)
+    assert len(builds) == 2
+
+
 def test_chain_twice_as_one_script_keeps_its_bytes(tmp_path, monkeypatch):
     """``agecomp run`` of the chain, one command a line and twice over in one
     script, writes the manifest's bytes twice and prints its stdout twice;
     the second chain's commands see the state the first left, and each chain
-    still parses 17 times."""
+    still parses 17 times and builds the life tables of each sex once."""
     want = json.loads(MANIFEST.read_text(encoding="utf-8"))
     outs = tmp_path / "first", tmp_path / "second"
     script = tmp_path / "chain.txt"
     script.write_text("".join(f"{shlex.join(argv)}\n" for out in outs for argv in chain_argvs(out)),
                       encoding="utf-8")
-    parses, loadtxt = [], np.loadtxt
+    parses, loadtxt, builds, cumprod = [], np.loadtxt, [], np.cumprod
     monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parses.append(1) or loadtxt(*a, **k))
+    monkeypatch.setattr(np, "cumprod", lambda *a, **k: builds.append(1) or cumprod(*a, **k))
     stdout, stderr = io.StringIO(), io.StringIO()
     for out in outs:
         out.mkdir()
@@ -131,7 +141,7 @@ def test_chain_twice_as_one_script_keeps_its_bytes(tmp_path, monkeypatch):
     assert [digests(out) for out in outs] == 2 * [want["files"]]
     assert stdout.getvalue().splitlines() == 2 * want["stdout"]
     assert stderr.getvalue().splitlines() == 2 * want["stderr"]
-    assert len(parses) == 2 * 17
+    assert (len(parses), len(builds)) == (2 * 17, 2 * 2)
 
 
 def grid_datasets() -> dict:

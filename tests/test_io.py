@@ -1,4 +1,5 @@
 import builtins
+import csv
 import io as stdlib_io
 import os
 import re
@@ -53,6 +54,14 @@ class TestScheduleCsv:
         with pytest.raises(DataError) as info:
             io.load_schedule_csv(path)
         assert str(info.value) == f"{path}: need at least one schedule column"
+
+    def test_a_cell_over_the_csv_field_limit_is_one_data_error(self, tmp_path):
+        limit = csv.field_size_limit()
+        path = tmp_path / "wide.csv"
+        path.write_text(f"age,{'x' * (limit + 1)}\n0,0.5\n")
+        with pytest.raises(DataError) as info:
+            io.load_schedule_csv(path)
+        assert str(info.value) == f"{path}: field larger than field limit ({limit})"
 
     def test_non_numeric_cell_names_position(self, tmp_path):
         path = tmp_path / "bad.csv"
