@@ -325,13 +325,27 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _parse(argv) -> argparse.Namespace:
+    """argv parsed in one pass: after a command name, by that command's parser.
+    The top-level parser holds only -h and the subcommands and hands every
+    argument after the command to it untouched, so both give the same
+    namespace, help and errors.  Anything else (no arguments, -h, an unknown
+    command) goes to the top-level parser."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
+    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    if argv and argv[0] in commands:
+        return commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return parser.parse_args(argv)
+
+
 def _run(argv) -> tuple:
     """(exit code, the one error line or None) of one command."""
     with warnings.catch_warnings():
         warnings.simplefilter("default")
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
-            args = _build_parser().parse_args(argv)
+            args = _parse(argv)
             # looked up per call, so a replaced _cmd_* is the one that runs
             return globals()[f"_cmd_{args.command}"](args) or (0, None)
         except _UsageError as exc:

@@ -293,7 +293,7 @@ def basis_from_json(text: str) -> ComponentBasis:
             scale=payload["scale"],
             source_id=payload.get("source_id", ""),
         )
-    except (KeyError, ValueError, TypeError, RecursionError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
         raise DataError(f"malformed basis JSON: {exc}") from exc
 
 
@@ -335,7 +335,7 @@ def models_from_json(text: str):
                 predictor_names=names, **arrays, r_squared=float(entry["r_squared"]),
                 n=int(entry["n"]), residuals=np.array([]),
             ))
-    except (KeyError, ValueError, TypeError, RecursionError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
         raise DataError(f"malformed models JSON: {exc}") from exc
     return models
 

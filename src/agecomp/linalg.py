@@ -8,7 +8,9 @@ components at once by one vectorised flip.  All functions are pure;
 results are plain immutable values.  :func:`svd` keeps its last result: a
 repeat call on the same bits, found by shape and confirmed by comparing
 bytes, with no hash, returns that same read-only factorization, and one
-input and its factors stay held in memory.
+input and its factors stay held in memory.  ``regress`` factors its designs
+through the same body unkept (:func:`_factor`), so in the README chain
+``smooth`` reads ``decompose``'s kept factorization and LAPACK runs 4 times.
 """
 
 from dataclasses import dataclass
@@ -97,15 +99,21 @@ def _keep_last(body, key=lambda *args: args):
 
 @_keep_last
 def _svd(shape, data) -> SvdFactorization:
-    """The body of :func:`svd`, on the input's shape and C-order bytes."""
-    a, p = prescale(as_matrix(np.frombuffer(data).reshape(shape)))
+    """The kept call of :func:`svd`, on the input's shape and C-order bytes."""
+    return _factor(np.frombuffer(data).reshape(shape))
+
+
+def _factor(x) -> SvdFactorization:
+    """The body of :func:`svd`, keeping nothing: for a matrix that no later call
+    repeats, so that it leaves the kept factorization in place."""
+    a, p = prescale(as_matrix(x))
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed: {exc}") from None
     # LAPACK's s is non-increasing, so the rank cutoff, scale-free and so taken
     # on the prescaled s, keeps a prefix of the components
-    r = np.count_nonzero(s > s[0] * (max(shape) * RANK_RTOL))
+    r = np.count_nonzero(s > s[0] * (max(a.shape) * RANK_RTOL))
     u, s, v = u[:, :r], s[:r], vt[:r].T
     if p:
         with np.errstate(over="ignore"):

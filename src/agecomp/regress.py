@@ -176,7 +176,7 @@ def _fit_columns(ys: np.ndarray, predictors: dict) -> list:
     n, p = design.shape
     if n <= p:
         raise NumericalError(f"{n} observations cannot identify {p} parameters")
-    f = linalg.svd(design)
+    f = linalg._factor(design)  # not kept: no later call repeats a design
     if f.rank < p:
         raise NumericalError("rank-deficient design matrix")
     inverse_gram_diag = ((f.v / f.s) ** 2).sum(axis=1)

@@ -13,9 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_golden import chain_argvs
 
 import agecomp
-from agecomp import cluster, io, linalg, schedule
+from agecomp import cli, cluster, io, linalg, schedule
 from agecomp.cli import _build_parser, main
 
 MX_F = "agincourt_mx_female.csv"
@@ -511,13 +512,13 @@ class TestRegressAndModels:
     def test_regress_factorizes_the_design_once(self, c, tmp_path, data_dir, monkeypatch):
         weights = self._weights(tmp_path, data_dir, c)
         calls = []
-        real = linalg.svd
+        real = np.linalg.svd
 
-        def counted(x):
+        def counted(x, *args, **kwargs):  # LAPACK: the design skips the kept SVD
             calls.append(np.shape(x))
-            return real(x)
+            return real(x, *args, **kwargs)
 
-        monkeypatch.setattr(linalg, "svd", counted)
+        monkeypatch.setattr(np.linalg, "svd", counted)
         assert self._regress(tmp_path, data_dir, weights, "e0,delta") == 0
         assert calls == [(19, 3)]
         assert len(json.loads((tmp_path / "m.json").read_text())["models"]) == c
@@ -590,6 +591,21 @@ class TestRegressAndModels:
         capsys.readouterr()
         assert self._predict(tmp_path, data_dir, tmp_path / "b.json", models) == 2
         assert "malformed models JSON" in one_error_line(capsys)
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_predict_with_an_observation_count_past_the_float_range(
+        self, tmp_path, data_dir, capsys
+    ):
+        # JSON's 1e999 reads as float inf, which int() refuses with an OverflowError
+        assert self._regress(tmp_path, data_dir, self._weights(tmp_path, data_dir, 2), "e0") == 0
+        models = tmp_path / "m.json"
+        text = models.read_text()
+        assert text.count('"n": 19') == 2
+        models.write_text(text.replace('"n": 19', '"n": 1e999', 1))
+        capsys.readouterr()
+        assert self._predict(tmp_path, data_dir, tmp_path / "b.json", models) == 2
+        assert one_error_line(capsys) == (
+            "data error: malformed models JSON: cannot convert float infinity to integer\n")
         assert not (tmp_path / "p.csv").exists()
 
     def test_predict_rejects_a_model_without_an_intercept(self, tmp_path, data_dir, capsys):
@@ -805,26 +821,31 @@ class TestCsvRobustness:
         assert not out.exists()
 
 
+# (argv, exit code, message) of commands that fail with one stderr line; a name in
+# braces stands for one of the test's files
+ONE_LINE_FAILURES = [
+    (("smooth", "{F}", "--concat-sexes", "-c", "1", "--out", "{out}"), 1,
+     "--concat-sexes needs exactly two inputs"),
+    (("decompose", "{F}", "--components", "0", "--out", "{out}"), 1,
+     "--components must be >= 1"),
+    (("regress", "--weights", "{other}", "--covariates", "{COV}", "--predictors", "e0",
+      "--out", "{out}"), 2,
+     "weight labels and covariate labels do not match at position 1: 'x' vs '1993'"),
+    (("regress", "--weights", "{W}", "--covariates", "{COV}", "--predictors", ",",
+      "--out", "{out}"), 1, "--predictors must name at least one covariate column"),
+    (("cluster", "--weights", "{W}", "--k-range", "a:b", "--out", "{out}"), 1,
+     "bad --k-range 'a:b'"),
+    (("cluster", "--weights", "{W}", "--k-range", "0:2", "--out", "{out}"), 1,
+     "--k-range must cover k >= 1"),
+    (("cluster", "--weights", "{W}", "--k-range", "3:2", "--out", "{out}"), 1,
+     "--k-range '3:2' is empty"),
+    (("lifetable", "{ages}", "--out", "{out}"), 2, "cannot parse age-group label 'x-y'"),
+    (("plot", "{F}", "--out", "{out}"), 1, "invalid choice: 'plot'"),
+]
+
+
 class TestOneLineFailures:
-    @pytest.mark.parametrize("argv, code, text", [
-        (("smooth", "{F}", "--concat-sexes", "-c", "1", "--out", "{out}"), 1,
-         "--concat-sexes needs exactly two inputs"),
-        (("decompose", "{F}", "--components", "0", "--out", "{out}"), 1,
-         "--components must be >= 1"),
-        (("regress", "--weights", "{other}", "--covariates", "{COV}", "--predictors", "e0",
-          "--out", "{out}"), 2,
-         "weight labels and covariate labels do not match at position 1: 'x' vs '1993'"),
-        (("regress", "--weights", "{W}", "--covariates", "{COV}", "--predictors", ",",
-          "--out", "{out}"), 1, "--predictors must name at least one covariate column"),
-        (("cluster", "--weights", "{W}", "--k-range", "a:b", "--out", "{out}"), 1,
-         "bad --k-range 'a:b'"),
-        (("cluster", "--weights", "{W}", "--k-range", "0:2", "--out", "{out}"), 1,
-         "--k-range must cover k >= 1"),
-        (("cluster", "--weights", "{W}", "--k-range", "3:2", "--out", "{out}"), 1,
-         "--k-range '3:2' is empty"),
-        (("lifetable", "{ages}", "--out", "{out}"), 2, "cannot parse age-group label 'x-y'"),
-        (("plot", "{F}", "--out", "{out}"), 1, "invalid choice: 'plot'"),
-    ])
+    @pytest.mark.parametrize("argv, code, text", ONE_LINE_FAILURES)
     def test_exit_code_and_message(self, argv, code, text, tmp_path, data_dir,
                                    basis_and_weights, capsys):
         _, weights = basis_and_weights
@@ -1122,3 +1143,70 @@ class TestRunScript:
         assert run("run", "-") == code
         assert capsys.readouterr().err == err
         assert (tmp_path / "o").exists() == (code == 0)
+
+
+def parse_outcome(parse, argv, capsys):
+    """What ``parse`` makes of argv: its namespace; or the usage error, whose
+    text is the one stderr line after "usage error: "; or the exit code and
+    the help printed before it."""
+    try:
+        return "namespace", vars(parse(argv))
+    except cli._UsageError as exc:
+        return "usage error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, capsys.readouterr().out
+
+
+def top_level_extras(parser):
+    """Dests of the top-level actions other than -h and the subcommands, and
+    the names of its set_defaults."""
+    return [*(a.dest for a in parser._actions
+              if not isinstance(a, (argparse._HelpAction, argparse._SubParsersAction))),
+            *parser._defaults]
+
+
+def one_pass_argvs():
+    """The argvs whose one-pass parse is checked: the golden chain's, those of
+    the one-line failures, help, no arguments and argv faults."""
+    commands = sorted(next(a for a in _build_parser()._actions
+                           if isinstance(a, argparse._SubParsersAction)).choices)
+    files = {"F": "f.csv", "W": "w.csv", "COV": "cov.csv", "other": "other.csv",
+             "ages": "ages.csv", "out": "out"}
+    return [
+        *(pytest.param(argv, id=f"chain-{i}") for i, argv in enumerate(chain_argvs(Path("out")))),
+        *(pytest.param([a.format(**files) for a in argv], id=f"failure-{i}")
+          for i, (argv, _, _) in enumerate(ONE_LINE_FAILURES)),
+        pytest.param([], id="no-arguments"),
+        pytest.param(["-h"], id="-h"),
+        pytest.param(["--help"], id="--help"),
+        *(pytest.param([command, "--help"], id=f"{command}---help") for command in commands),
+        pytest.param(["plot"], id="plot"),
+        pytest.param(["lifetable", "mx.csv", "--out", "o.csv", "--bogus"], id="unrecognized"),
+        pytest.param(["decompose", "mx.csv", "--out", "b.json", "-c"], id="missing-value"),
+        pytest.param(["cluster", "--out", "c.json"], id="missing-required"),
+    ]
+
+
+class TestOnePassParse:
+    """``cli._parse`` parses a command's argv with that command's own parser
+    only (``tests/test_golden.py`` counts the passes), and gives what the
+    top-level parser's two passes give."""
+
+    @pytest.mark.parametrize("argv", one_pass_argvs())
+    def test_one_pass_gives_what_the_top_level_parser_gives(self, argv, capsys):
+        want = parse_outcome(_build_parser().parse_args, argv, capsys)
+        assert parse_outcome(cli._parse, argv, capsys) == want
+
+    def test_the_top_level_parser_holds_only_help_and_the_subcommands(self):
+        assert top_level_extras(_build_parser()) == [], (
+            "cli._parse hands the arguments after a command straight to that command's "
+            "parser, so a top-level option, and its default, would never be seen: "
+            "put the option on the subcommands' parsers instead")
+
+    def test_the_top_level_guard_sees_an_extra_option_and_default(self):
+        parser = cli._Parser(prog="agecomp")
+        parser.add_subparsers(dest="command", required=True).add_parser("lifetable")
+        assert top_level_extras(parser) == []
+        parser.add_argument("--verbose", action="store_true")
+        parser.set_defaults(level=1)
+        assert top_level_extras(parser) == ["verbose", "level"]

@@ -614,6 +614,15 @@ class TestSelectByBic:
         assert (model.k, model.family) == (k, family)
         assert model.bic == pytest.approx(bic, abs=1e-9)
 
+    @pytest.mark.parametrize("family", cluster.FAMILIES)
+    @pytest.mark.parametrize("points", [[[1.0, 2.0]], [[1.0, 2.0], [3.0, 1.0]]],
+                             ids=["one-row", "two-rows"])
+    def test_one_or_two_rows_are_too_few_for_the_d_plus_1_rule(self, points, family):
+        # the one component holds n < d + 1 = 3 members; one row has no covariance
+        with pytest.raises(NumericalError, match=(
+                f"a component holds {len(points)} effective members .*, fewer than d \\+ 1 = 3$")):
+            cluster.select_by_bic(np.array(points), [1], (family,))
+
 
 @st.composite
 def _grid_inputs(draw):

@@ -11,6 +11,7 @@ that moves any of those bytes regenerates the manifests with
 ``golden/regen.py`` and says which files or records changed.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -120,11 +121,33 @@ def test_chain_builds_one_life_table_matrix_per_sex(tmp_path, monkeypatch):
     assert len(builds) == 2
 
 
+def spy_parses_and_lapack(monkeypatch):
+    """(argparse passes, shapes LAPACK factors), appended to as they run."""
+    parses, shapes = [], []
+    parse, svd = argparse.ArgumentParser.parse_known_args, np.linalg.svd
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                        lambda self, *a, **k: parses.append(self.prog) or parse(self, *a, **k))
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda x, *a, **k: shapes.append(x.shape) or svd(x, *a, **k))
+    return parses, shapes
+
+
+def test_chain_parses_each_command_once_and_factors_four_matrices(tmp_path, monkeypatch):
+    """Each of the 48 commands is one argparse pass, by its own parser; and
+    LAPACK runs 4 times: regress's designs skip the kept SVD, so smooth gets
+    decompose's 38 x 19 factorization."""
+    parses, shapes = spy_parses_and_lapack(monkeypatch)
+    run_chain(tmp_path)
+    assert parses == [f"agecomp {argv[0]}" for argv in chain_argvs(tmp_path)]
+    assert shapes == [(38, 19), (19, 3), (7, 19), (19, 2)]
+
+
 def test_chain_twice_as_one_script_keeps_its_bytes(tmp_path, monkeypatch):
     """``agecomp run`` of the chain, one command a line and twice over in one
     script, writes the manifest's bytes twice and prints its stdout twice;
     the second chain's commands see the state the first left, and each chain
-    still parses 17 times and builds the life tables of each sex once."""
+    still parses 17 times, builds the life tables of each sex once and runs
+    LAPACK 4 times; the script and each of its commands is one argparse pass."""
     want = json.loads(MANIFEST.read_text(encoding="utf-8"))
     outs = tmp_path / "first", tmp_path / "second"
     script = tmp_path / "chain.txt"
@@ -133,6 +156,7 @@ def test_chain_twice_as_one_script_keeps_its_bytes(tmp_path, monkeypatch):
     parses, loadtxt, builds, cumprod = [], np.loadtxt, [], np.cumprod
     monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parses.append(1) or loadtxt(*a, **k))
     monkeypatch.setattr(np, "cumprod", lambda *a, **k: builds.append(1) or cumprod(*a, **k))
+    passes, shapes = spy_parses_and_lapack(monkeypatch)
     stdout, stderr = io.StringIO(), io.StringIO()
     for out in outs:
         out.mkdir()
@@ -141,7 +165,8 @@ def test_chain_twice_as_one_script_keeps_its_bytes(tmp_path, monkeypatch):
     assert [digests(out) for out in outs] == 2 * [want["files"]]
     assert stdout.getvalue().splitlines() == 2 * want["stdout"]
     assert stderr.getvalue().splitlines() == 2 * want["stderr"]
-    assert (len(parses), len(builds)) == (2 * 17, 2 * 2)
+    assert (len(parses), len(builds), len(shapes)) == (2 * 17, 2 * 2, 2 * 4)
+    assert len(passes) == 1 + 2 * 48
 
 
 def grid_datasets() -> dict:

@@ -241,6 +241,19 @@ def test_a_faulty_file_is_opened_once_per_load(tmp_path, monkeypatch, loader, fi
         assert len(opened) == n
 
 
+@pytest.mark.parametrize("lineterminator", ["\r\n", "\n"], ids=["CRLF", "LF"])
+def test_format_rows_quotes_each_label_as_csv_quotes_the_whole_row(lineterminator):
+    # csv quotes a field that holds a character of the line terminator
+    labels = ["", "plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", " "]
+    block = np.array([[1.5, -0.1], [1e-300, 123456789.0], [0.0, -0.0], [2.0, 3.0],
+                      [np.pi, 1e300], [5e-324, 7.0], [1.0, 1.0]])
+    want = stdlib_io.StringIO()
+    csv.writer(want, lineterminator=lineterminator).writerows(
+        [label, *row] for label, row in zip(labels, block.tolist()))
+    got = "".join(io.format_rows(labels, block, lineterminator=lineterminator))
+    assert got == want.getvalue()
+
+
 class TestKeptParse:
     """The last parse is kept, keyed on the bytes' sha256 and the columns read."""
 

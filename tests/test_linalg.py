@@ -423,6 +423,18 @@ class TestRootSumSquares:
             sumsq = diff @ diff
         assert linalg.root_sum_squares(diff, sumsq) == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
 
+    def test_a_sum_below_2_to_the_minus_512_is_recomputed(self):
+        # x lies off the range, with the exact norm 5 * 2**-300; the sum passed
+        # differs from x's own, so the result shows which path ran
+        x = np.ldexp([3.0, 4.0], -300)
+        bound = np.float64(2.0**-512)
+        above, below = np.nextafter(bound, 1.0), np.nextafter(bound, 0.0)
+        for sumsq in (above, bound):
+            assert linalg.root_sum_squares(x, sumsq) == np.sqrt(sumsq)
+        assert linalg.root_sum_squares(x, below) == np.ldexp(5.0, -300)
+        got = linalg.root_sum_squares(np.column_stack([x, x]), np.array([above, below]), axis=0)
+        assert got.tolist() == [np.sqrt(above), np.ldexp(5.0, -300)]
+
     def test_identical_inputs_have_a_zero_norm(self):
         # a zero sum lies below 2**-512, so it takes the prescale path, which keeps it 0
         zero = X32 - X32

@@ -116,6 +116,13 @@ class TestLifeTable:
         with pytest.raises(DataError, match="finite and strictly ascending"):
             one_column([0.1, 0.1, 0.2], starts)
 
+    @pytest.mark.parametrize("starts", [[0, 0, 5], [0, 5, 5], [0, 1, 1, 5]])
+    def test_two_equal_age_starts(self, starts):
+        groups = [f"group {g}" for g in range(len(starts))]  # labels stay distinct
+        matrix = ScheduleMatrix(groups, ["x"], np.full((len(starts), 1), 0.1))
+        with pytest.raises(DataError, match="finite and strictly ascending"):
+            measures.life_table_from_mx(matrix, starts, "x")
+
     def test_near_zero_mortality_keeps_survivors_from_15_to_60(self):
         rates = np.full(len(ABRIDGED_STARTS), 1e-9)
         rates[-1] = 0.1

@@ -33,6 +33,12 @@ class TestCovariateTable:
         with pytest.raises(DataError, match="covariate column 'e0' has non-finite entries"):
             CovariateTable(["1993"], {"e0": [np.nan]})
 
+    def test_any_positive_e0_is_accepted_and_zero_is_refused(self):
+        table = CovariateTable(["a", "b", "c"], {"e0": [1e-300, 0.5, 1.0]})
+        assert table.column("e0").tolist() == [1e-300, 0.5, 1.0]
+        with pytest.raises(DataError, match="life expectancy e0 must be positive"):
+            CovariateTable(["a", "b"], {"e0": [0.5, 0.0]})
+
     def test_delta_is_percentage_points(self):
         table = CovariateTable(
             ["1993", "2011"],
@@ -415,14 +421,15 @@ def per_column_reference(y, predictors):
 
 
 def spy_svd(monkeypatch):
+    """The shapes LAPACK factors: the design goes to it without the kept SVD."""
     calls = []
-    real = linalg.svd
+    real = np.linalg.svd
 
-    def counted(x):
+    def counted(x, *args, **kwargs):
         calls.append(np.shape(x))
-        return real(x)
+        return real(x, *args, **kwargs)
 
-    monkeypatch.setattr(linalg, "svd", counted)
+    monkeypatch.setattr(np.linalg, "svd", counted)
     return calls
 
 
